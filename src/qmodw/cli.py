@@ -19,7 +19,7 @@ from .linalg import format_state_table
 from .oracle import CountingOracle
 from .polymethod import DomainError, mod_m_spec, ndeg_lower_bound
 from .subroutines import ALL_3BIT, gram_closed_form, gram_matrix, signs_of, trace_mod3
-from .sweep import DEFAULT_MODULI, run_sweep
+from .sweep import DEFAULT_MODULI, default_threads, parse_threads, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,7 +52,9 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--moduli",
                          default=",".join(str(m) for m in DEFAULT_MODULI),
                          help="comma-separated moduli")
-    p_sweep.add_argument("--threads", type=int, default=None)
+    p_sweep.add_argument("--threads", default=None,
+                         help="worker processes (default: QMODW_THREADS, "
+                              "else the CPU count)")
 
     p_states = sub.add_parser("verify-states",
                               help="diff the 32 intermediate states against "
@@ -125,7 +127,13 @@ def cmd_sweep(args) -> int:
         print("error: empty moduli list", file=sys.stderr)
         return EXIT_USAGE
     try:
-        rows = run_sweep(args.n_max, moduli, threads=args.threads)
+        threads = (default_threads() if args.threads is None
+                   else parse_threads(args.threads, "--threads"))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        rows = run_sweep(args.n_max, moduli, threads=threads)
     except UnsupportedModulus as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_MODULUS

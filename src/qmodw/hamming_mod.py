@@ -75,19 +75,16 @@ class PartitionResult:
     w2: int                # exact Hamming weight on s2
     queries: int           # queries consumed by this run
 
-    @property
-    def s1(self) -> tuple:
-        return tuple(sorted(i for b in self.blocks for i in b))
-
 
 def partition_weight(o: CountingOracle, indices: Sequence[int],
                      m: int) -> PartitionResult:
     """Partition ``indices`` into constant m-blocks and a known remainder."""
     schedule = factor_split(m)
     indices = list(indices)
+    n = o.n
     for i in indices:
-        if not 1 <= i <= o.n:
-            raise IndexError(f"index {i} out of oracle range [1, {o.n}]")
+        if not 1 <= i <= n:
+            raise IndexError(f"index {i} out of oracle range [1, {n}]")
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate indices")
     start = o.query_count

@@ -11,6 +11,24 @@ into its entries.
 Arithmetic uses int64 arrays while the values provably fit and falls back
 to arbitrary-precision Python integers otherwise, so results never depend
 on the representation chosen.
+
+Packed arrays are never written after construction (they are marked
+read-only), so a state can be shared and its derived values cached on it:
+
+* its exact key, ``(den, num.tobytes())`` for int64 and ``(den, tuple of
+  Python ints)`` for the object dtype, whose ``tobytes()`` would be
+  pointers; equal states have equal keys because the canonical form, dtype
+  included, is unique.  ``__hash__`` uses it;
+* its support, its per-entry ``|z|^2`` rows, and the mass of each
+  projector.
+
+Each :class:`SquareMatrix` memoises :meth:`SquareMatrix.apply` from the
+input's key to the result state, filled lazily and capped at
+``_APPLY_MEMO_CAP`` entries per matrix (once full, further inputs are
+computed but not stored).  The memo sits below the oracle: the keys are
+only states the caller already holds, so a phase query is made, counted
+and logged before any state it produced can be looked up, and a memo hit
+saves arithmetic, never a query.
 """
 
 from __future__ import annotations
@@ -33,6 +51,11 @@ for _a in range(8):
         _T[_a, _b, _idx] = _coef
 
 _INT64_SAFE = 2 ** 62
+
+# Distinct inputs stored per matrix.  The circuits see a handful of states
+# (19 distinct apply results over all 4096 inputs at n = 12); the cap only
+# bounds memory when a matrix is applied to arbitrary vectors.
+_APPLY_MEMO_CAP = 256
 
 
 def _pack(entries: Sequence[AlgebraicNumber]):
@@ -61,7 +84,15 @@ def _canonical(num: np.ndarray, den: int):
         num = num.astype(np.int64)
     else:
         num = num.astype(object)
+    num.flags.writeable = False
     return num, den, mx
+
+
+def _packed_key(num: np.ndarray, den: int):
+    """A hashable key equal for equal canonical packed values."""
+    if num.dtype == object:
+        return den, tuple(int(v) for v in num.flat)
+    return den, num.tobytes()
 
 
 def _unpack_one(row, den) -> AlgebraicNumber:
@@ -71,20 +102,38 @@ def _unpack_one(row, den) -> AlgebraicNumber:
 class StateVector:
     """An exact vector over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_max")
+    __slots__ = ("dim", "_num", "_den", "_max", "_key", "_support",
+                 "_abs_sq", "_masses")
 
     def __init__(self, entries: Iterable[AlgebraicNumber]):
         entries = tuple(entries)
         if not entries:
             raise ValueError("empty state vector")
-        self.dim = len(entries)
-        self._num, self._den, self._max = _pack(entries)
+        self._init(*_pack(entries))
+
+    def _init(self, num: np.ndarray, den: int, mx: int):
+        self.dim = num.shape[0]
+        self._num, self._den, self._max = num, den, mx
+        self._key = self._support = self._abs_sq = self._masses = None
 
     @classmethod
     def _from_packed(cls, num: np.ndarray, den: int) -> "StateVector":
         v = object.__new__(cls)
-        v.dim = num.shape[0]
-        v._num, v._den, v._max = _canonical(num, den)
+        v._init(*_canonical(num, den))
+        return v
+
+    def _negated(self, rows) -> "StateVector":
+        """This state with the given entries negated.
+
+        Negation keeps the gcd and the largest magnitude, so the result is
+        already canonical and skips :func:`_canonical`.
+        """
+        num = self._num.copy()
+        for j in rows:
+            num[j] = -num[j]
+        num.flags.writeable = False
+        v = object.__new__(type(self))
+        v._init(num, self._den, self._max)
         return v
 
     @classmethod
@@ -107,15 +156,30 @@ class StateVector:
         return (self.dim == other.dim and self._den == other._den
                 and np.array_equal(self._num, other._num))
 
+    def _exact_key(self):
+        if self._key is None:
+            self._key = _packed_key(self._num, self._den)
+        return self._key
+
     def __hash__(self):
-        return hash((self.dim, self._den, bytes(str(self._num.tolist()), "ascii")))
+        return hash(self._exact_key())
 
     def support(self) -> frozenset:
         """Indices with a nonzero amplitude."""
-        return frozenset(i for i in range(self.dim) if self._num[i].any())
+        if self._support is None:
+            self._support = frozenset(
+                i for i in range(self.dim) if self._num[i].any())
+        return self._support
 
     def _abs_sq_rows(self):
         """Per-entry |z|^2 in packed form: (int array (dim, 8), den)."""
+        if self._abs_sq is None:
+            rows = self._compute_abs_sq_rows()
+            rows.flags.writeable = False
+            self._abs_sq = rows, self._den * self._den
+        return self._abs_sq
+
+    def _compute_abs_sq_rows(self):
         if (self._num.dtype != object
                 and self._max * self._max * 64 < _INT64_SAFE):
             conj = self._num.copy()
@@ -134,7 +198,7 @@ class StateVector:
                             continue
                         idx, coef = BASIS_MUL[a][b]
                         rows[i, idx] += sa * c[b] * coef
-        return rows, self._den * self._den
+        return rows
 
     def norm_sq(self) -> AlgebraicNumber:
         """Sum of |entry|^2; a real field element."""
@@ -166,7 +230,7 @@ def inner(u: StateVector, v: StateVector) -> AlgebraicNumber:
 class SquareMatrix:
     """An exact square matrix over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_max", "_kernel")
+    __slots__ = ("dim", "_num", "_den", "_max", "_kernel", "_memo")
 
     def __init__(self, rows: Iterable[Iterable[AlgebraicNumber]]):
         rows = [tuple(r) for r in rows]
@@ -177,6 +241,7 @@ class SquareMatrix:
         num, self._den, self._max = _pack(flat)
         self._num = num.reshape(self.dim, self.dim, 8)
         self._kernel = None
+        self._memo = {}
 
     @classmethod
     def _from_packed(cls, num: np.ndarray, den: int) -> "SquareMatrix":
@@ -185,6 +250,7 @@ class SquareMatrix:
         flat, m._den, m._max = _canonical(num.reshape(-1, 8), den)
         m._num = flat.reshape(num.shape)
         m._kernel = None
+        m._memo = {}
         return m
 
     @classmethod
@@ -211,7 +277,7 @@ class SquareMatrix:
                 and np.array_equal(self._num, other._num))
 
     def __hash__(self):
-        return hash((self.dim, self._den, bytes(str(self._num.tolist()), "ascii")))
+        return hash((self.dim,) + _packed_key(self._num, self._den))
 
     def dagger(self) -> "SquareMatrix":
         num = self._num.transpose(1, 0, 2).copy()
@@ -232,9 +298,18 @@ class SquareMatrix:
         return self._kernel
 
     def apply(self, v: StateVector) -> StateVector:
-        """Exact matrix-vector product."""
+        """Exact matrix-vector product (memoised on the input's exact key)."""
         if self.dim != v.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {v.dim}")
+        key = v._exact_key()
+        out = self._memo.get(key)
+        if out is None:
+            out = self._product(v)
+            if len(self._memo) < _APPLY_MEMO_CAP:
+                self._memo[key] = out
+        return out
+
+    def _product(self, v: StateVector) -> StateVector:
         k, kmax = self._get_kernel()
         vec = v._num.reshape(-1)
         # One multiply-accumulate stays well inside int64 iff this bound does.
@@ -297,9 +372,20 @@ class Projector:
             raise IndexError(f"projector indices out of range for dim {self.dim}")
 
     def mass(self, v: StateVector) -> Fraction:
-        """Exact squared norm of the projected component of a unit vector."""
+        """Exact squared norm of the projected component of a unit vector.
+
+        The result is cached on ``v``, keyed by the projected indices.
+        """
         if v.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {v.dim}")
+        if v._masses is None:
+            v._masses = {}
+        mass = v._masses.get(self.indices)
+        if mass is None:
+            mass = v._masses[self.indices] = self._mass(v)
+        return mass
+
+    def _mass(self, v: StateVector) -> Fraction:
         rows, den_sq = v._abs_sq_rows()
         total = [0] * 8
         for i in self.indices:

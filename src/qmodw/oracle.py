@@ -72,15 +72,12 @@ class CountingOracle:
         if v.dim != view.dim:
             raise ValueError(
                 f"state dim {v.dim} != view dim {view.dim}")
-        num = v._num.copy()
-        for j, i in enumerate(view.map):
-            if self._hidden[i - 1]:
-                num[j] = -num[j]
+        flipped = [j for j, i in enumerate(view.map) if self._hidden[i - 1]]
         self._queries += 1
         self._transcript.append(
             {"kind": "phase", "indices": list(view.map),
              "padding": view.padding, "count": self._queries})
-        return StateVector._from_packed(num, v._den)
+        return v._negated(flipped)
 
     def query_bit(self, i: int) -> int:
         """Classical read of bit x_i; costs one query."""

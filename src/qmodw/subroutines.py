@@ -91,18 +91,6 @@ PI1 = Projector(5, frozenset({1, 2}))
 PI2 = Projector(5, frozenset({3, 4}))
 
 
-@dataclass(frozen=True)
-class Mod3Constants:
-    QFT: SquareMatrix
-    U: SquareMatrix
-    V: SquareMatrix
-    H: SquareMatrix
-    projectors: tuple
-
-
-MOD3_CONSTANTS = Mod3Constants(QFT=QFT, U=U, V=V, H=H,
-                               projectors=(PI0, PI1, PI2))
-
 # Fused constants for the 2-query run: the state between the two oracle
 # calls is (QFT U QFT†) applied to the post-oracle state, and the final
 # state is (V QFT†) applied to the second post-oracle state.

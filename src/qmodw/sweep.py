@@ -96,10 +96,22 @@ def _cell_args(args):
     return verify_cell(*args)
 
 
+def parse_threads(text: str, source: str) -> int:
+    """A worker count read from ``source``; ValueError unless positive."""
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return threads
+
+
 def default_threads() -> int:
+    """QMODW_THREADS if set, else the CPU count."""
     env = os.environ.get("QMODW_THREADS")
     if env:
-        return max(1, int(env))
+        return parse_threads(env, "QMODW_THREADS")
     return os.cpu_count() or 1
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from qmodw.algebra import AlgebraicNumber
 from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
-from qmodw.hamming_mod import query_bound
+from qmodw.hamming_mod import partition_weight, query_bound
 from qmodw.oracle import CountingOracle
 from qmodw.polymethod import (
     MultilinearPolynomial, mod_m_spec, ndeg_lower_bound, symmetrize,
@@ -26,7 +26,7 @@ from qmodw.subroutines import (
 )
 from qmodw.sweep import run_sweep
 
-SWEEP_N_MAX = 14
+SWEEP_N_MAX = 15
 SWEEP_MODULI = (2, 3, 4, 6, 8, 9, 12)
 
 
@@ -123,12 +123,14 @@ def test_zero_weight_count_equals_query_bound():
            "2 <= m <= n <= 20", ok)
 
 
-def test_nested_floor_identity_randomized():
-    rng = random.Random(1234)
-    ok = True
-    for _ in range(10_000):
-        a = rng.randint(0, 10 ** 12)
-        b = rng.randint(1, 10 ** 6)
-        c = rng.randint(1, 10 ** 6)
-        ok = ok and (a // b) // c == a // (b * c)
-    report("nested floor identity holds on 10000 random triples", ok)
+def test_composite_query_count_at_all_zeros():
+    # The all-zeros input is the worst case: every block is constant, so
+    # each recursion level keeps floor(count/m_i) representatives and the
+    # total reaches n - floor(n/m) only if the nested floors compose.
+    composite = (4, 6, 8, 9, 12, 16, 18, 24, 36)
+    ok = all(
+        partition_weight(CountingOracle("0" * n), range(1, n + 1), m).queries
+        == query_bound(n, m)
+        for m in composite for n in range(1, 61))
+    report(f"the all-zeros input uses exactly n - floor(n/m) queries for "
+           f"m in {composite}, n <= 60", ok)

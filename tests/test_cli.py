@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qmodw.cli import main
 
 
@@ -92,6 +94,26 @@ def test_sweep_unsupported_modulus(capsys):
 def test_sweep_bad_moduli_list(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--n-max", "3", "--moduli", "2,x")
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3"])
+def test_sweep_bad_threads_env_exits_1(capsys, monkeypatch, value):
+    monkeypatch.setenv("QMODW_THREADS", value)
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "2")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: QMODW_THREADS must be a positive integer, got {value!r}"]
+
+
+@pytest.mark.parametrize("value", ["two", "0", "1.5"])
+def test_sweep_bad_threads_flag_exits_1(capsys, value):
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "2",
+                             "--threads", value)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: --threads must be a positive integer, got {value!r}"]
 
 
 # ---------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qmodw.algebra import AlgebraicNumber, ONE, SQRT2, SQRT3, ZERO
 from qmodw.fixtures import load_state_table
 from qmodw.linalg import (
-    Projector, SquareMatrix, StateVector, inner, project_mass,
+    _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner, project_mass,
 )
 from qmodw.subroutines import H, QFT, U, V
 
@@ -154,6 +154,49 @@ def test_norm_sq_can_be_irrational():
     assert v.norm_sq() == AlgebraicNumber((5, 0, 0, 2, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         Projector(1, frozenset({0})).mass(v)
+
+
+def _fresh(m):
+    """A copy of ``m`` with an empty apply memo."""
+    return SquareMatrix._from_packed(m._num, m._den)
+
+
+def test_apply_memo_keys_big_values_by_value():
+    # Object-dtype states are keyed by their Python ints, not by pointers:
+    # two separately built equal states share one memo entry.
+    big = AlgebraicNumber.from_rational(10 ** 40)
+    u = StateVector([big, ONE])
+    w = StateVector([big, SQRT2 * SQRT2 - ONE])
+    assert u._num.dtype == object and u._num is not w._num
+    assert u == w and hash(u) == hash(w)
+    h = _fresh(H)
+    cold = h.apply(u)
+    assert h.apply(w) is cold
+    ref = _fresh(H).apply(u)
+    assert cold == ref and cold._exact_key() == ref._exact_key()
+    p = Projector(2, frozenset({0}))
+    expected = p.mass(StateVector._from_packed(ref._num, ref._den))
+    assert p.mass(cold) == p.mass(cold) == expected
+
+
+def test_apply_memo_is_capped():
+    m = _fresh(QFT)
+    n_inputs = _APPLY_MEMO_CAP + 10
+    for k in range(n_inputs):
+        v = StateVector([AlgebraicNumber.from_rational(k), ONE, ZERO, ZERO, ZERO])
+        got = m.apply(v)
+        assert got == _fresh(QFT).apply(v)
+        assert m.apply(v) == got
+    assert len(m._memo) == _APPLY_MEMO_CAP
+
+
+def test_shared_states_are_read_only():
+    v = H.apply(StateVector.basis_state(2, 0))
+    assert H.apply(StateVector.basis_state(2, 0)) is v
+    with pytest.raises(ValueError):
+        v._num[0, 0] = 0
+    with pytest.raises(ValueError):
+        v._abs_sq_rows()[0][0, 0] = 0
 
 
 def test_big_values_stay_exact():

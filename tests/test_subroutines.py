@@ -5,7 +5,8 @@ import pytest
 from qmodw.algebra import AlgebraicNumber, ONE
 from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
 from qmodw.linalg import SquareMatrix, StateVector, inner
-from qmodw.oracle import CountingOracle
+from qmodw.oracle import BlockView, CountingOracle
+from qmodw import subroutines
 from qmodw.subroutines import (
     ALL_3BIT, H, PI0, PI1, PI2, QFT, U, V,
     deutsch, fourier_oracle, gram_closed_form, gram_matrix, mod3,
@@ -204,3 +205,79 @@ def test_closed_form_rejects_bad_signs():
         gram_closed_form((1, 1, 1), (1, 2, 1), "48")
     with pytest.raises(ValueError):
         gram_closed_form((1, 1, 1), (1, 1, 1), "32")
+
+
+# ---------------------------------------------------------
+# Memoised apply/mass against matrices with an empty memo
+# ---------------------------------------------------------
+
+def _fresh(m):
+    return SquareMatrix._from_packed(m._num, m._den)
+
+
+def _memo_matches_fresh(matrix, v):
+    """Cold and warm memo results, and the shared matrix's, equal a fresh one's."""
+    memo = _fresh(matrix)
+    cold = memo.apply(v)
+    warm = memo.apply(v)
+    assert warm is cold
+    ref = _fresh(matrix).apply(v)
+    for got in (cold, warm, matrix.apply(v)):
+        assert got == ref and got._exact_key() == ref._exact_key()
+    return cold
+
+
+def _masses_match_fresh(state):
+    ref = [p.mass(StateVector._from_packed(state._num, state._den))
+           for p in (PI0, PI1, PI2)]
+    cold = [p.mass(state) for p in (PI0, PI1, PI2)]
+    warm = [p.mass(state) for p in (PI0, PI1, PI2)]
+    assert cold == warm == ref
+    return ref
+
+
+@pytest.mark.parametrize("bits", ALL_3BIT)
+def test_mod3_memo_matches_fresh_matrices(bits):
+    o = CountingOracle(bits)
+    view = BlockView((1, 2, 3), padding=2)
+    mid = _memo_matches_fresh(subroutines._MID,
+                              o.phase_apply(view, subroutines._QFT_KET0))
+    second = o.phase_apply(view, mid)
+    masses = _masses_match_fresh(_memo_matches_fresh(subroutines._FIN, second))
+    # The shared matrix's result may be a memo hit carrying cached masses.
+    assert _masses_match_fresh(subroutines._FIN.apply(second)) == masses
+    assert masses[weight(bits) % 3] == 1
+
+
+@pytest.mark.parametrize("bits", ["00", "01", "10", "11"])
+def test_deutsch_memo_matches_fresh_matrix(bits):
+    o = CountingOracle(bits)
+    state = _memo_matches_fresh(
+        H, o.phase_apply(BlockView((1, 2)), subroutines._H_KET0))
+    assert state.support() == {weight(bits) % 2}
+
+
+def test_memo_hits_still_make_every_query():
+    # Warm every memo on these local patterns, then repeat them: each call
+    # must still make, count and log its queries.
+    mod3(CountingOracle("110"), (1, 2, 3))
+    deutsch(CountingOracle("10"), (1, 2))
+    sizes = [len(m._memo) for m in (subroutines._MID, subroutines._FIN, H)]
+    o = CountingOracle("11010")
+    expected = []
+    for call in range(3):
+        assert mod3(o, (1, 2, 3)) == 2
+        assert deutsch(o, (4, 5)) == 1
+        assert o.query_count == 3 * (call + 1)
+        base = 3 * call
+        expected += [
+            {"kind": "phase", "indices": [1, 2, 3], "padding": 2,
+             "count": base + 1},
+            {"kind": "phase", "indices": [1, 2, 3], "padding": 2,
+             "count": base + 2},
+            {"kind": "phase", "indices": [4, 5], "padding": 0,
+             "count": base + 3},
+        ]
+    assert o.transcript == expected
+    assert [len(m._memo) for m in (subroutines._MID, subroutines._FIN, H)] \
+        == sizes
