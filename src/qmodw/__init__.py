@@ -3,11 +3,12 @@
 certifies the matching ceil(n(1 - 1/m)) lower bound."""
 
 from .algebra import AlgebraicNumber, I, OMEGA, ONE, SQRT2, SQRT3, SQRT6, ZERO
-from .linalg import Projector, SquareMatrix, StateVector, inner, project_mass
+from .linalg import Projector, SquareMatrix, StateVector, inner
 from .oracle import BlockView, CountingOracle
 from .subroutines import (
     H, QFT, U, V, PI0, PI1, PI2, InvariantViolation,
-    deutsch, gram_closed_form, gram_matrix, mod3, trace_mod3,
+    deutsch, gram_closed_form, gram_closed_form_mismatches, gram_matrix,
+    mod3, trace_mod3,
 )
 from .hamming_mod import (
     ModulusSchedule, PartitionResult, UnsupportedModulus,
@@ -23,10 +24,11 @@ from .sweep import SweepRow, run_sweep, verify_cell
 
 __all__ = [
     "AlgebraicNumber", "I", "OMEGA", "ONE", "SQRT2", "SQRT3", "SQRT6", "ZERO",
-    "Projector", "SquareMatrix", "StateVector", "inner", "project_mass",
+    "Projector", "SquareMatrix", "StateVector", "inner",
     "BlockView", "CountingOracle",
     "H", "QFT", "U", "V", "PI0", "PI1", "PI2", "InvariantViolation",
-    "deutsch", "gram_closed_form", "gram_matrix", "mod3", "trace_mod3",
+    "deutsch", "gram_closed_form", "gram_closed_form_mismatches",
+    "gram_matrix", "mod3", "trace_mod3",
     "ModulusSchedule", "PartitionResult", "UnsupportedModulus",
     "factor_split", "partition_weight", "query_bound", "weight_mod",
     "DomainError", "HypothesisViolated", "MultilinearPolynomial",

@@ -18,7 +18,7 @@ from .hamming_mod import UnsupportedModulus, partition_weight, query_bound
 from .linalg import format_state_table
 from .oracle import CountingOracle
 from .polymethod import DomainError, mod_m_spec, ndeg_lower_bound
-from .subroutines import ALL_3BIT, gram_closed_form, gram_matrix, signs_of, trace_mod3
+from .subroutines import gram_closed_form_mismatches, gram_matrix, trace_mod3
 from .sweep import DEFAULT_MODULI, default_threads, parse_threads, run_sweep
 
 EXIT_OK = 0
@@ -139,11 +139,12 @@ def cmd_sweep(args) -> int:
         return EXIT_UNSUPPORTED_MODULUS
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "m", "inputs", "failures",
-                     "max_queries", "bound", "all_correct"])
+                     "max_queries", "bound", "all_correct", "tight"])
     failed = False
     for row in rows:
         writer.writerow([row.n, row.m, row.inputs, row.failures,
-                         row.max_queries, row.bound, row.all_correct])
+                         row.max_queries, row.bound, row.all_correct,
+                         row.tight])
         failed = failed or row.failures > 0
     return EXIT_VERIFICATION if failed else EXIT_OK
 
@@ -183,14 +184,8 @@ def cmd_gram(args) -> int:
             if gram[i][j] != frozen[i][j]:
                 problems.append(f"G[{i}][{j}] differs from frozen matrix")
     if args.closed_form:
-        for xi, x in enumerate(ALL_3BIT):
-            for yi, y in enumerate(ALL_3BIT):
-                a, b = signs_of(x), signs_of(y)
-                for variant in ("48", "16"):
-                    val = gram_closed_form(a, b, variant)
-                    if val != gram[xi][yi]:
-                        problems.append(
-                            f"closed form {variant} differs at ({x}, {y})")
+        problems.extend(f"closed form {variant} differs at ({x}, {y})"
+                        for x, y, variant in gram_closed_form_mismatches(gram))
     if args.format == "json":
         print(json.dumps({
             "entries": [[e.to_json() for e in row] for row in gram],

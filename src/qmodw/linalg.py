@@ -1,24 +1,20 @@
 """Exact dense vectors and matrices over Q(i, sqrt2, sqrt3).
 
-Internally a vector is stored "packed": an integer coefficient array of
-shape (dim, 8) over the field basis together with a single positive common
-denominator, always reduced so the gcd of all numerators and the
-denominator is 1.  This keeps every operation exact while letting the hot
-matrix-vector products run as one integer matmul: each matrix carries a
-lazily-built kernel with the basis multiplication tensor pre-contracted
-into its entries.
-
-Arithmetic uses int64 arrays while the values provably fit and falls back
-to arbitrary-precision Python integers otherwise, so results never depend
-on the representation chosen.
+Internally a vector is stored "packed": an array of shape (dim, 8) of
+Python integers (object dtype) holding the coefficients over the field
+basis, together with a single positive common denominator, always reduced
+so the gcd of all numerators and the denominator is 1.  Python integers
+never overflow, so there is one exact integer representation whatever the
+size of the values.  Each matrix carries a lazily-built kernel with the
+basis multiplication tensor pre-contracted into its entries, so a
+matrix-vector product is one integer matmul and a matrix product is the
+same kernel applied to every column of the other matrix.
 
 Packed arrays are never written after construction (they are marked
 read-only), so a state can be shared and its derived values cached on it:
 
-* its exact key, ``(den, num.tobytes())`` for int64 and ``(den, tuple of
-  Python ints)`` for the object dtype, whose ``tobytes()`` would be
-  pointers; equal states have equal keys because the canonical form, dtype
-  included, is unique.  ``__hash__`` uses it;
+* its exact key, ``(den, tuple of the numerators)``; equal states have
+  equal keys because the canonical form is unique.  ``__hash__`` uses it;
 * its support, its per-entry ``|z|^2`` rows, and the mass of each
   projector.
 
@@ -44,13 +40,11 @@ from .algebra import BASIS_MUL, AlgebraicNumber
 
 # Structure tensor of the basis: _T[a, b, c] = coefficient of basis c in
 # (basis a * basis b).
-_T = np.zeros((8, 8, 8), dtype=np.int64)
+_T = np.zeros((8, 8, 8), dtype=object)
 for _a in range(8):
     for _b in range(8):
         _idx, _coef = BASIS_MUL[_a][_b]
         _T[_a, _b, _idx] = _coef
-
-_INT64_SAFE = 2 ** 62
 
 # Distinct inputs stored per matrix.  The circuits see a handful of states
 # (19 distinct apply results over all 4096 inputs at n = 12); the cap only
@@ -70,29 +64,26 @@ def _pack(entries: Sequence[AlgebraicNumber]):
 
 
 def _canonical(num: np.ndarray, den: int):
-    """Reduce to lowest terms and pick the narrowest safe dtype."""
+    """Reduce to lowest terms as a read-only array of Python ints.
+
+    ``num`` must not be written by the caller afterwards.
+    """
+    num = np.asarray(num, dtype=object)
     g = den
     for v in num.flat:
-        g = math.gcd(g, int(v))
+        g = math.gcd(g, v)
         if g == 1:
             break
     if g > 1:
         num = num // g
         den //= g
-    mx = max((abs(int(v)) for v in num.flat), default=0)
-    if mx < _INT64_SAFE:
-        num = num.astype(np.int64)
-    else:
-        num = num.astype(object)
     num.flags.writeable = False
-    return num, den, mx
+    return num, den
 
 
 def _packed_key(num: np.ndarray, den: int):
     """A hashable key equal for equal canonical packed values."""
-    if num.dtype == object:
-        return den, tuple(int(v) for v in num.flat)
-    return den, num.tobytes()
+    return den, tuple(num.flat)
 
 
 def _unpack_one(row, den) -> AlgebraicNumber:
@@ -102,8 +93,8 @@ def _unpack_one(row, den) -> AlgebraicNumber:
 class StateVector:
     """An exact vector over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_max", "_key", "_support",
-                 "_abs_sq", "_masses")
+    __slots__ = ("dim", "_num", "_den", "_key", "_support", "_abs_sq",
+                 "_masses")
 
     def __init__(self, entries: Iterable[AlgebraicNumber]):
         entries = tuple(entries)
@@ -111,9 +102,9 @@ class StateVector:
             raise ValueError("empty state vector")
         self._init(*_pack(entries))
 
-    def _init(self, num: np.ndarray, den: int, mx: int):
+    def _init(self, num: np.ndarray, den: int):
         self.dim = num.shape[0]
-        self._num, self._den, self._max = num, den, mx
+        self._num, self._den = num, den
         self._key = self._support = self._abs_sq = self._masses = None
 
     @classmethod
@@ -125,20 +116,20 @@ class StateVector:
     def _negated(self, rows) -> "StateVector":
         """This state with the given entries negated.
 
-        Negation keeps the gcd and the largest magnitude, so the result is
-        already canonical and skips :func:`_canonical`.
+        Negation keeps the gcd, so the result is already canonical and
+        skips :func:`_canonical`.
         """
         num = self._num.copy()
         for j in rows:
             num[j] = -num[j]
         num.flags.writeable = False
         v = object.__new__(type(self))
-        v._init(num, self._den, self._max)
+        v._init(num, self._den)
         return v
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
-        num = np.zeros((dim, 8), dtype=np.int64)
+        num = np.zeros((dim, 8), dtype=object)
         num[index, 0] = 1
         return cls._from_packed(num, 1)
 
@@ -180,25 +171,9 @@ class StateVector:
         return self._abs_sq
 
     def _compute_abs_sq_rows(self):
-        if (self._num.dtype != object
-                and self._max * self._max * 64 < _INT64_SAFE):
-            conj = self._num.copy()
-            conj[:, 4:] = -conj[:, 4:]
-            rows = np.einsum("ja,jb,abc->jc", conj, self._num, _T)
-        else:
-            rows = np.zeros((self.dim, 8), dtype=object)
-            for i in range(self.dim):
-                c = [int(v) for v in self._num[i]]
-                for a in range(8):
-                    if not c[a]:
-                        continue
-                    sa = -c[a] if a >= 4 else c[a]
-                    for b in range(8):
-                        if not c[b]:
-                            continue
-                        idx, coef = BASIS_MUL[a][b]
-                        rows[i, idx] += sa * c[b] * coef
-        return rows
+        conj = self._num.copy()
+        conj[:, 4:] = -conj[:, 4:]
+        return np.einsum("ja,jb,abc->jc", conj, self._num, _T)
 
     def norm_sq(self) -> AlgebraicNumber:
         """Sum of |entry|^2; a real field element."""
@@ -230,7 +205,7 @@ def inner(u: StateVector, v: StateVector) -> AlgebraicNumber:
 class SquareMatrix:
     """An exact square matrix over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_max", "_kernel", "_memo")
+    __slots__ = ("dim", "_num", "_den", "_kernel", "_memo")
 
     def __init__(self, rows: Iterable[Iterable[AlgebraicNumber]]):
         rows = [tuple(r) for r in rows]
@@ -238,7 +213,7 @@ class SquareMatrix:
         if any(len(r) != self.dim for r in rows):
             raise ValueError("matrix is not square")
         flat = [e for r in rows for e in r]
-        num, self._den, self._max = _pack(flat)
+        num, self._den = _pack(flat)
         self._num = num.reshape(self.dim, self.dim, 8)
         self._kernel = None
         self._memo = {}
@@ -247,7 +222,7 @@ class SquareMatrix:
     def _from_packed(cls, num: np.ndarray, den: int) -> "SquareMatrix":
         m = object.__new__(cls)
         m.dim = num.shape[0]
-        flat, m._den, m._max = _canonical(num.reshape(-1, 8), den)
+        flat, m._den = _canonical(num.reshape(-1, 8), den)
         m._num = flat.reshape(num.shape)
         m._kernel = None
         m._memo = {}
@@ -255,7 +230,7 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "SquareMatrix":
-        num = np.zeros((dim, dim, 8), dtype=np.int64)
+        num = np.zeros((dim, dim, 8), dtype=object)
         for i in range(dim):
             num[i, i, 0] = 1
         return cls._from_packed(num, 1)
@@ -288,13 +263,9 @@ class SquareMatrix:
         # K[i, c, j, b] = sum_a num[i, j, a] * T[a, b, c], flattened to a
         # (dim*8) x (dim*8) integer matrix so apply() is a single matmul.
         if self._kernel is None:
-            k = np.tensordot(self._num.astype(object), _T.astype(object),
-                             axes=([2], [0]))            # (i, j, b, c)
-            k = k.transpose(0, 3, 1, 2).reshape(self.dim * 8, self.dim * 8)
-            mx = max((abs(int(v)) for v in k.flat), default=0)
-            if mx < _INT64_SAFE:
-                k = k.astype(np.int64)
-            self._kernel = (k, mx)
+            d8 = self.dim * 8
+            k = np.tensordot(self._num, _T, axes=([2], [0]))  # (i, j, b, c)
+            self._kernel = k.transpose(0, 3, 1, 2).reshape(d8, d8)
         return self._kernel
 
     def apply(self, v: StateVector) -> StateVector:
@@ -310,36 +281,19 @@ class SquareMatrix:
         return out
 
     def _product(self, v: StateVector) -> StateVector:
-        k, kmax = self._get_kernel()
-        vec = v._num.reshape(-1)
-        # One multiply-accumulate stays well inside int64 iff this bound does.
-        if kmax * v._max * self.dim * 8 < _INT64_SAFE:
-            if k.dtype == object:
-                k = k.astype(np.int64)
-            out = k @ vec.astype(np.int64)
-        else:
-            out = k.astype(object) @ vec.astype(object)
+        out = self._get_kernel() @ v._num.reshape(-1)
         return StateVector._from_packed(out.reshape(self.dim, 8),
                                         self._den * v._den)
 
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
-        """Exact matrix product."""
+        """Exact matrix product: the kernel applied to each column of other."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
-        a = self.entries
-        b = other.entries
-        rows = []
-        for i in range(self.dim):
-            row = []
-            for k in range(self.dim):
-                acc = AlgebraicNumber.from_rational(0)
-                for j in range(self.dim):
-                    if a[i][j].is_zero() or b[j][k].is_zero():
-                        continue
-                    acc = acc + a[i][j] * b[j][k]
-                row.append(acc)
-            rows.append(row)
-        return SquareMatrix(rows)
+        d = self.dim
+        cols = other._num.transpose(0, 2, 1).reshape(d * 8, d)  # (j, b), k
+        out = self._get_kernel() @ cols                          # (i, c), k
+        return SquareMatrix._from_packed(
+            out.reshape(d, 8, d).transpose(0, 2, 1), self._den * other._den)
 
     __matmul__ = matmul
 
@@ -395,10 +349,6 @@ class Projector:
             value = AlgebraicNumber(Fraction(v, den_sq) for v in total)
             raise ValueError(f"projected mass {value} is not rational")
         return Fraction(total[0], den_sq)
-
-
-def project_mass(p: Projector, v: StateVector) -> Fraction:
-    return p.mass(v)
 
 
 def format_state_table(columns: "dict[str, list[StateVector]]",

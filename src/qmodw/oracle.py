@@ -45,12 +45,13 @@ class CountingOracle:
         if not all(c in "01" for c in bits):
             raise ValueError(f"not a bit string: {bits!r}")
         self._hidden = tuple(int(c) for c in bits)
+        self._n = len(self._hidden)
         self._queries = 0
         self._transcript = []
 
     @property
     def n(self) -> int:
-        return len(self._hidden)
+        return self._n
 
     @property
     def query_count(self) -> int:
@@ -62,13 +63,15 @@ class CountingOracle:
         return list(self._transcript)
 
     def _check_index(self, i: int):
-        if not 1 <= i <= self.n:
-            raise IndexError(f"index {i} out of range [1, {self.n}]")
+        if not 1 <= i <= self._n:
+            raise IndexError(f"index {i} out of range [1, {self._n}]")
 
     def phase_apply(self, view: BlockView, v: StateVector) -> StateVector:
         """One phase query: entry j picks up (-1)^{x_map[j]}; padding is untouched."""
+        n = self._n
         for i in view.map:
-            self._check_index(i)
+            if not 1 <= i <= n:
+                raise IndexError(f"index {i} out of range [1, {n}]")
         if v.dim != view.dim:
             raise ValueError(
                 f"state dim {v.dim} != view dim {view.dim}")

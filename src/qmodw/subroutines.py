@@ -236,3 +236,17 @@ def gram_closed_form(a, b, variant: str = "16") -> AlgebraicNumber:
 def signs_of(bits: str) -> tuple:
     """a_i = (-1)^{x_i} for a bit string."""
     return tuple(-1 if c == "1" else 1 for c in bits)
+
+
+def gram_closed_form_mismatches(gram) -> list:
+    """(x, y, variant) for every closed form that differs from ``gram``.
+
+    ``gram`` is indexed like :func:`gram_matrix`; both variants are checked
+    on all 64 input pairs, so an empty list means every evaluation agrees.
+    """
+    return [(x, y, variant)
+            for xi, x in enumerate(ALL_3BIT)
+            for yi, y in enumerate(ALL_3BIT)
+            for variant in ("48", "16")
+            if gram_closed_form(signs_of(x), signs_of(y), variant)
+            != gram[xi][yi]]

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from qmodw import cli
+from qmodw.algebra import ONE
 from qmodw.cli import main
+from qmodw.subroutines import gram_matrix
 
 
 def run_cli(capsys, *argv):
@@ -72,10 +75,12 @@ def test_sweep_small(capsys):
                            "--moduli", "2,3,4,6", "--threads", "1")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,m,inputs,failures,max_queries,bound,all_correct"
+    assert lines[0] == ("n,m,inputs,failures,max_queries,bound,all_correct,"
+                        "tight")
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 5 * 4
-    assert all(r[3] == "0" and r[6] == "True" for r in rows)
+    assert all(r[3] == "0" and r[6] == "True" and r[7] == "True"
+               for r in rows)
     # row (5, 3): bound = 4
     row = next(r for r in rows if r[0] == "5" and r[1] == "3")
     assert row[4] == "4" and row[5] == "4"
@@ -150,6 +155,23 @@ def test_gram_closed_form_agreement(capsys):
     code, out, _ = run_cli(capsys, "gram", "--closed-form")
     assert code == 0
     assert "all 64 pairs" in out
+
+
+def test_gram_closed_form_check_bites(capsys, monkeypatch):
+    # Corrupt G[001][010] in both the computed and the frozen matrix, so
+    # only the closed-form check can notice.
+    gram = [list(row) for row in gram_matrix()]
+    gram[1][2] = gram[1][2] + ONE
+    monkeypatch.setattr(cli, "gram_matrix", lambda: gram)
+    monkeypatch.setattr(cli, "load_gram", lambda: gram)
+    code, _, err = run_cli(capsys, "gram")
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "gram", "--closed-form")
+    assert code == 3
+    assert "all 64 pairs" not in out
+    assert err.splitlines() == [
+        "MISMATCH: closed form 48 differs at (001, 010)",
+        "MISMATCH: closed form 16 differs at (001, 010)"]
 
 
 def test_gram_json(capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qmodw.hamming_mod import (
     ModulusSchedule, UnsupportedModulus,
@@ -195,11 +195,16 @@ def test_algorithm_never_touches_hidden_string_directly():
 
 
 # ---------------------------------------------------------
-# The floor identity used by the cost analysis
+# Random long inputs
 # ---------------------------------------------------------
 
-@given(st.integers(min_value=1, max_value=10 ** 9),
-       st.integers(min_value=1, max_value=10 ** 4),
-       st.integers(min_value=1, max_value=10 ** 4))
-def test_nested_floor_identity(a, b, c):
-    assert (a // b) // c == a // (b * c)
+@settings(deadline=None)
+@given(st.sampled_from((2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 36)),
+       st.integers(min_value=1, max_value=80).flatmap(
+           lambda n: st.text("01", min_size=n, max_size=n)))
+def test_partition_weight_on_random_inputs(m, bits):
+    n = len(bits)
+    o, result = run(bits, m)
+    assert result.w2 % m == bits.count("1") % m
+    assert result.queries == o.query_count <= query_bound(n, m)
+    assert audit_partition(result, bits, range(1, n + 1)) == []

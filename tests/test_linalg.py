@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qmodw.algebra import AlgebraicNumber, ONE, SQRT2, SQRT3, ZERO
 from qmodw.fixtures import load_state_table
 from qmodw.linalg import (
-    _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner, project_mass,
+    _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner,
 )
 from qmodw.subroutines import H, QFT, U, V
 
@@ -18,6 +18,47 @@ field_elements = st.builds(
 
 def vectors(dim):
     return st.builds(StateVector, st.tuples(*[field_elements] * dim))
+
+
+# Coefficients from the whole field, mixing small values with numerators
+# above 2**62 in magnitude.
+big_ints = st.integers(2 ** 62, 2 ** 70) | st.integers(-2 ** 70, -2 ** 62)
+wide_fractions = st.builds(Fraction, st.integers(-3, 3) | big_ints,
+                           st.integers(1, 6))
+wide_elements = st.builds(AlgebraicNumber, st.tuples(*[wide_fractions] * 8))
+
+
+def wide_rows(dim):
+    return st.tuples(*[st.tuples(*[wide_elements] * dim)] * dim)
+
+
+# The references work on AlgebraicNumber rows and never pack, so a fault
+# in the packed form cannot cancel out on both sides of a comparison.
+def reference_matmul(a, b):
+    """The product of two matrices given as rows, entry by entry."""
+    rows = []
+    for i in range(len(a)):
+        row = []
+        for k in range(len(a)):
+            acc = AlgebraicNumber.from_rational(0)
+            for j in range(len(a)):
+                if a[i][j].is_zero() or b[j][k].is_zero():
+                    continue
+                acc = acc + a[i][j] * b[j][k]
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reference_apply(a, v):
+    """The product of a matrix given as rows and a vector, entry by entry."""
+    out = []
+    for row in a:
+        acc = AlgebraicNumber.from_rational(0)
+        for x, y in zip(row, v):
+            acc = acc + x * y
+        out.append(acc)
+    return tuple(out)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +118,7 @@ def test_is_unitary_rejects_scaling():
 
 def test_project_mass_basis_state():
     p = Projector(3, frozenset({0}))
-    assert project_mass(p, StateVector.basis_state(3, 0)) == 1
+    assert p.mass(StateVector.basis_state(3, 0)) == 1
 
 
 def test_project_mass_on_final_states(psi4):
@@ -136,6 +177,19 @@ def test_apply_is_entrywise_product(v, seed):
         assert got[i] == expected
 
 
+@settings(deadline=None, max_examples=30)
+@given(wide_rows(3), wide_rows(3), st.tuples(*[wide_elements] * 3))
+def test_kernel_matches_entrywise_reference(a, b, v):
+    # apply and matmul share one kernel; check both against plain entry
+    # arithmetic on values that do not fit in 64 bits
+    ab = reference_matmul(a, b)
+    m = SquareMatrix(a)
+    assert m.matmul(SquareMatrix(b)).entries == ab
+    assert (m @ SquareMatrix(b) @ SquareMatrix(b)).entries == \
+        reference_matmul(ab, b)
+    assert m.apply(StateVector(v)).entries == reference_apply(a, v)
+
+
 def test_entries_roundtrip():
     v = StateVector([ONE, SQRT2 + SQRT3, ZERO])
     assert StateVector(v.entries) == v
@@ -162,8 +216,8 @@ def _fresh(m):
 
 
 def test_apply_memo_keys_big_values_by_value():
-    # Object-dtype states are keyed by their Python ints, not by pointers:
-    # two separately built equal states share one memo entry.
+    # States are keyed by the values of their Python ints, not by
+    # pointers: two separately built equal states share one memo entry.
     big = AlgebraicNumber.from_rational(10 ** 40)
     u = StateVector([big, ONE])
     w = StateVector([big, SQRT2 * SQRT2 - ONE])
@@ -200,7 +254,7 @@ def test_shared_states_are_read_only():
 
 
 def test_big_values_stay_exact():
-    # force the arbitrary-precision fallback path
+    # values far beyond 64 bits round-trip through H exactly
     big = AlgebraicNumber.from_rational(10 ** 40)
     v = StateVector([big, ONE])
     w = H.apply(H.apply(v))

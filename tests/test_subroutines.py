@@ -9,8 +9,8 @@ from qmodw.oracle import BlockView, CountingOracle
 from qmodw import subroutines
 from qmodw.subroutines import (
     ALL_3BIT, H, PI0, PI1, PI2, QFT, U, V,
-    deutsch, fourier_oracle, gram_closed_form, gram_matrix, mod3,
-    mod3_final_state, oracle_matrix, signs_of, trace_mod3,
+    deutsch, fourier_oracle, gram_closed_form, gram_closed_form_mismatches,
+    gram_matrix, mod3, mod3_final_state, oracle_matrix, signs_of, trace_mod3,
 )
 
 
@@ -196,6 +196,14 @@ def test_closed_forms_match_states_on_all_64_pairs(gram):
             for variant in ("48", "16"):
                 assert gram_closed_form(a, b, variant) == gram[xi][yi], \
                     (x, y, variant)
+    assert gram_closed_form_mismatches(gram) == []
+
+
+def test_closed_form_mismatches_name_a_corrupted_entry(gram):
+    corrupted = [list(row) for row in gram]
+    corrupted[1][2] = corrupted[1][2] + ONE
+    assert gram_closed_form_mismatches(corrupted) == [
+        ("001", "010", "48"), ("001", "010", "16")]
 
 
 def test_closed_form_rejects_bad_signs():
