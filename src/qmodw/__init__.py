@@ -18,7 +18,7 @@ from .polymethod import (
     DomainError, HypothesisViolated, MultilinearPolynomial,
     SymmetricFunctionSpec, UnivariatePolynomial, certificate_roundtrip,
     is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound, symmetrize,
-    symmetrize_bruteforce,
+    symmetrize_bruteforce, weight_certificate,
 )
 from .sweep import SweepRow, run_sweep, verify_cell
 
@@ -34,7 +34,7 @@ __all__ = [
     "DomainError", "HypothesisViolated", "MultilinearPolynomial",
     "SymmetricFunctionSpec", "UnivariatePolynomial", "certificate_roundtrip",
     "is_nondeterministic_poly", "mod_m_spec", "ndeg_lower_bound",
-    "symmetrize", "symmetrize_bruteforce",
+    "symmetrize", "symmetrize_bruteforce", "weight_certificate",
     "SweepRow", "run_sweep", "verify_cell",
 ]
 

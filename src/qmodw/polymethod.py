@@ -7,6 +7,17 @@ with value 1 at weight 0 needs a certifying polynomial of degree at least
 the number of Hamming weights on which it vanishes.  For the weight-
 divisibility function this count equals ceil(n(1 - 1/m)), matching the
 query algorithm's cost exactly.
+
+Values on the whole Boolean cube come from one subset-sum (zeta)
+transform: the coefficients are packed as in ``linalg`` (rows of 8
+Python-int numerators over one common denominator) into a (2^n, 8) array
+indexed by bitmask, and for each variable every row with that bit set
+adds the row without it.  That is n numpy steps and n * 2^(n-1) * 8
+integer additions, in place of evaluating every monomial at every point
+(O(4^n) field additions).  The support check and the brute-force
+symmetrization both read this table; it is exact and no float enters.
+``weight_certificate`` builds the matching upper-bound certificate, so
+the certifying degree of |x| mod m is pinned from both sides.
 """
 
 from __future__ import annotations
@@ -17,7 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
 from .algebra import AlgebraicNumber, ZERO, ONE
+from .linalg import _pack
 
 
 class DomainError(ValueError):
@@ -151,16 +165,42 @@ def _shift_mul(poly, root):
     return out
 
 
-def symmetrize_bruteforce(p: MultilinearPolynomial, k: int) -> AlgebraicNumber:
-    """Independent oracle: the literal average of p over all weight-k inputs."""
+def _cube_values(p: MultilinearPolynomial):
+    """p at every point of {0,1}^n: (numerator rows of shape (2^n, 8), den).
+
+    Row ``mask`` is the point whose bit string, read with x_1 as the most
+    significant bit, is ``mask`` -- the truth-table order -- so variable
+    i sets bit ``1 << (n - i)``.  Each monomial's coefficient starts at
+    its own mask and the subset-sum transform adds it into every point
+    above it.
+    """
     n = p.n
-    total = ZERO
-    for ones in itertools.combinations(range(1, n + 1), k):
-        bits = [0] * n
-        for i in ones:
-            bits[i - 1] = 1
-        total = total + p.eval(bits)
-    return total * AlgebraicNumber.from_rational(Fraction(1, math.comb(n, k)))
+    vals = np.zeros((1 << n, 8), dtype=object)
+    if not p.coeffs:
+        return vals, 1
+    num, den = _pack(list(p.coeffs.values()))
+    vals[[sum(1 << (n - i) for i in s) for s in p.coeffs]] = num
+    for b in range(n):
+        v = vals.reshape(-1, 2, 1 << b, 8)
+        v[:, 1] += v[:, 0]
+    return vals, den
+
+
+def _weights(n: int) -> np.ndarray:
+    """Hamming weight of every point of {0,1}^n, in truth-table order."""
+    return np.array([x.bit_count() for x in range(1 << n)])
+
+
+def symmetrize_bruteforce(p: MultilinearPolynomial, k: int) -> AlgebraicNumber:
+    """Independent oracle: the literal average of p over all weight-k inputs.
+
+    Sums the weight-k rows of the cube table; shares nothing with the
+    falling-factorial formula of :func:`symmetrize`.
+    """
+    count = math.comb(p.n, k)
+    vals, den = _cube_values(p)
+    total = vals[_weights(p.n) == k].sum(axis=0)
+    return AlgebraicNumber(Fraction(int(c), den * count) for c in total)
 
 
 @dataclass(frozen=True)
@@ -197,22 +237,46 @@ def mod_m_spec(n: int, m: int) -> SymmetricFunctionSpec:
         n, tuple(1 if w % m == 0 else 0 for w in range(n + 1)))
 
 
+def weight_certificate(n: int, m: int) -> MultilinearPolynomial:
+    """p(x) = prod over the zero weights w of |x| mod m of (x_1+...+x_n - w).
+
+    Reduced with x_i^2 = x_i.  On the cube p depends only on t = |x|, and
+    Newton's forward-difference formula P(t) = sum_k D^k P(0) C(t, k) for
+    P(t) = prod (t - w) gives the coefficient D^k P(0) on every k-subset.
+    Its degree is the number of zero weights, the lower bound itself.
+    """
+    zeros = mod_m_spec(n, m).zero_weights()
+    diffs = [math.prod(t - w for w in zeros) for t in range(n + 1)]
+    level = []
+    while diffs:
+        level.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return MultilinearPolynomial(n, {
+        s: level[k] for k in range(n + 1) if level[k]
+        for s in itertools.combinations(range(1, n + 1), k)})
+
+
 def is_nondeterministic_poly(p: MultilinearPolynomial, f) -> bool:
-    """True iff p and f have the same support on the Boolean cube."""
+    """True iff p and f have the same support on the Boolean cube.
+
+    ``f`` is a :class:`SymmetricFunctionSpec` or a truth table of 0/1
+    entries indexed by the input read as a binary number, x_1 first.
+    """
     if isinstance(f, SymmetricFunctionSpec):
         if f.n != p.n:
             raise ValueError(f"size mismatch: {f.n} != {p.n}")
-        truth = f.eval
+        table = np.array(f.values)[_weights(p.n)]
     else:
         table = list(f)
         if len(table) != 2 ** p.n:
             raise ValueError(
                 f"truth table size {len(table)} != 2^{p.n}")
-        truth = lambda bits: table[int("".join(map(str, bits)), 2) if bits else 0]
-    for bits in itertools.product((0, 1), repeat=p.n):
-        if p.eval(bits).is_zero() != (truth(bits) == 0):
-            return False
-    return True
+        for i, v in enumerate(table):
+            if v not in (0, 1):
+                raise ValueError(f"truth table entry {i} is {v!r}, not 0 or 1")
+    vals, _ = _cube_values(p)
+    return np.array_equal((vals != 0).any(axis=1),
+                          np.array(table, dtype=bool))
 
 
 def ndeg_lower_bound(f: SymmetricFunctionSpec) -> int:

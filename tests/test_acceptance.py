@@ -16,8 +16,9 @@ from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_tabl
 from qmodw.hamming_mod import partition_weight, query_bound
 from qmodw.oracle import CountingOracle
 from qmodw.polymethod import (
-    MultilinearPolynomial, mod_m_spec, ndeg_lower_bound, symmetrize,
-    symmetrize_bruteforce,
+    MultilinearPolynomial, certificate_roundtrip, is_nondeterministic_poly,
+    mod_m_spec, ndeg_lower_bound, symmetrize, symmetrize_bruteforce,
+    weight_certificate,
 )
 from qmodw.subroutines import (
     ALL_3BIT, H, PI0, PI1, PI2, QFT, U, V,
@@ -28,6 +29,7 @@ from qmodw.sweep import run_sweep
 
 SWEEP_N_MAX = 15
 SWEEP_MODULI = (2, 3, 4, 6, 8, 9, 12)
+CERT_N_MAX = 10
 
 
 def report(name, ok):
@@ -117,6 +119,24 @@ def test_zero_weight_count_equals_query_bound():
         for n in range(2, 21) for m in range(2, n + 1))
     report("zero-weight count of |x| mod m equals n - floor(n/m) for all "
            "2 <= m <= n <= 20", ok)
+
+
+def test_weight_certificate_pins_ndeg():
+    # Lower bound: the zero-weight count.  Upper bound: an explicit
+    # certificate of that degree.  Together with the query algorithm,
+    # ndeg = n - floor(n/m) = the query count.
+    ok = True
+    for n in range(2, CERT_N_MAX + 1):
+        for m in range(2, n + 1):
+            f = mod_m_spec(n, m)
+            p = weight_certificate(n, m)
+            bound = query_bound(n, m)
+            ok = (ok and is_nondeterministic_poly(p, f)
+                  and p.degree == bound == ndeg_lower_bound(f)
+                  and certificate_roundtrip(p, f) == (True, bound))
+    report(f"prod over zero weights w of (x_1 + ... + x_n - w) certifies "
+           f"|x| mod m with degree n - floor(n/m), 2 <= m <= n <= "
+           f"{CERT_N_MAX}", ok)
 
 
 def test_composite_query_count_at_all_zeros():

@@ -1,15 +1,17 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qmodw.algebra import AlgebraicNumber, I, ONE, SQRT2
+from qmodw.algebra import AlgebraicNumber, I, ONE, SQRT2, ZERO
 from qmodw.hamming_mod import query_bound
 from qmodw.polymethod import (
     DomainError, HypothesisViolated, MultilinearPolynomial,
     SymmetricFunctionSpec, UnivariatePolynomial, certificate_roundtrip,
     is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound, symmetrize,
-    symmetrize_bruteforce,
+    symmetrize_bruteforce, weight_certificate,
 )
 
 
@@ -33,6 +35,26 @@ def random_polynomial(rng, n, max_terms=12):
             [Fraction(rng.randint(-4, 4), rng.randint(1, 4))
              for _ in range(8)])
     return MultilinearPolynomial(n, coeffs)
+
+
+def reference_is_nondeterministic_poly(p, f):
+    """The per-point definition: p.eval on every input of the cube."""
+    if isinstance(f, SymmetricFunctionSpec):
+        truth = f.eval
+    else:
+        table = list(f)
+        truth = lambda bits: table[int("".join(map(str, bits)), 2) if bits else 0]
+    for bits in itertools.product((0, 1), repeat=p.n):
+        if p.eval(bits).is_zero() != (truth(bits) == 0):
+            return False
+    return True
+
+
+def sparse_field_element(rng):
+    """Small coordinates, about half of them zero, so that sums cancel."""
+    return AlgebraicNumber(
+        [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+         if rng.random() < 0.5 else 0 for _ in range(8)])
 
 
 # ---------------------------------------------------------
@@ -97,6 +119,27 @@ def test_symmetrize_matches_bruteforce_randomized():
             assert q.eval(k) == symmetrize_bruteforce(p, k), (n, k)
 
 
+def test_bruteforce_is_the_literal_average():
+    third = Fraction(1, 3)
+    x1 = poly(3, p_1=1)
+    assert symmetrize_bruteforce(x1, 0) == ZERO
+    assert symmetrize_bruteforce(x1, 1) == AlgebraicNumber.from_rational(third)
+    assert symmetrize_bruteforce(x1, 2) == AlgebraicNumber.from_rational(2 * third)
+    assert symmetrize_bruteforce(x1, 3) == ONE
+    # x1 x2 + i x3 at weight 2: 1 on 110, i on 101 and on 011
+    p = MultilinearPolynomial(3, {(1, 2): ONE, (3,): I})
+    assert symmetrize_bruteforce(p, 2) == (ONE + I + I) * third
+    # sqrt2 - x1 x2 x3 + x4/2 on 4 bits.  Of the six weight-2 points, x4
+    # is set on three and x1 x2 x3 on none; of the four weight-3 points,
+    # x1 x2 x3 is set on 1110 and x4 on the other three.
+    p = MultilinearPolynomial(4, {(): SQRT2, (1, 2, 3): -ONE,
+                                  (4,): Fraction(1, 2)})
+    assert symmetrize_bruteforce(p, 2) == SQRT2 + 3 * Fraction(1, 2) / 6
+    assert symmetrize_bruteforce(p, 3) == SQRT2 + (-1 + 3 * Fraction(1, 2)) / 4
+    assert symmetrize_bruteforce(MultilinearPolynomial(2, {}), 1) == ZERO
+    assert symmetrize_bruteforce(poly(0, p_=I), 0) == I
+
+
 def test_symmetrize_degree_never_grows():
     rng = random.Random(7)
     for _ in range(10):
@@ -133,6 +176,69 @@ def test_certificate_size_mismatch():
         is_nondeterministic_poly(poly(2, p_1=1), [0, 1])
     with pytest.raises(ValueError):
         is_nondeterministic_poly(poly(2, p_1=1), SymmetricFunctionSpec(3, (1, 0, 0, 0)))
+
+
+def test_truth_table_bit_order():
+    # x_1 is the most significant bit of the truth-table index
+    x1 = poly(3, p_1=1)
+    assert is_nondeterministic_poly(x1, [0, 0, 0, 0, 1, 1, 1, 1])
+    assert not is_nondeterministic_poly(x1, [1, 1, 1, 1, 0, 0, 0, 0])
+    assert not is_nondeterministic_poly(x1, [0, 1, 0, 1, 0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("table, bad", [
+    ("0001", "entry 0 is '0'"),
+    (["0", "0", "0", "1"], "entry 0 is '0'"),
+    ([0, 0, 0, 2], "entry 3 is 2"),
+])
+def test_truth_table_entries_must_be_bits(table, bad):
+    with pytest.raises(ValueError, match=bad):
+        is_nondeterministic_poly(poly(2, p_12=1), table)
+
+
+def test_support_check_matches_reference_randomized():
+    rng = random.Random(20261018)
+    # the certificates have symmetric supports with zeros at some weights
+    cases = [MultilinearPolynomial(0, {}), MultilinearPolynomial(3, {}),
+             poly(0, p_=SQRT2), weight_certificate(5, 2),
+             weight_certificate(6, 3)]
+    for _ in range(120):
+        n = rng.randint(0, 7)
+        coeffs = {}
+        for _ in range(rng.randint(0, 10)):
+            subset = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            coeffs[subset] = sparse_field_element(rng)
+        cases.append(MultilinearPolynomial(n, coeffs))
+    for p in cases:
+        n = p.n
+        table = [0 if p.eval(bits).is_zero() else 1
+                 for bits in itertools.product((0, 1), repeat=n)]
+        # the support at 1^t 0^(n-t), read as a symmetric function
+        spec = SymmetricFunctionSpec(
+            n, tuple(table[(1 << n) - (1 << (n - t))] for t in range(n + 1)))
+        flipped = list(table)
+        flipped[rng.randrange(len(table))] ^= 1
+        assert is_nondeterministic_poly(p, table)
+        assert not is_nondeterministic_poly(p, flipped)
+        for f in (table, flipped, spec):
+            assert (is_nondeterministic_poly(p, f)
+                    == reference_is_nondeterministic_poly(p, f)), (p, f)
+        for k in range(n + 1):
+            assert symmetrize_bruteforce(p, k) == sum(
+                (p.eval(bits) for bits in itertools.product((0, 1), repeat=n)
+                 if sum(bits) == k), ZERO) * Fraction(1, math.comb(n, k))
+
+
+def test_weight_certificate_small_cases():
+    # n = 3, m = 2: zero weights 1 and 3, so p = (t - 1)(t - 3), t = |x|
+    p = weight_certificate(3, 2)
+    assert p.degree == 2
+    for bits in itertools.product((0, 1), repeat=3):
+        t = sum(bits)
+        assert p.eval(bits) == (t - 1) * (t - 3)
+    assert is_nondeterministic_poly(p, mod_m_spec(3, 2))
+    with pytest.raises(DomainError):
+        weight_certificate(3, 4)
 
 
 def test_complex_coefficients_allowed():
