@@ -140,12 +140,16 @@ def cmd_sweep(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "m", "inputs", "failures",
                      "max_queries", "bound", "all_correct", "tight"])
-    failed = False
     for row in rows:
         writer.writerow([row.n, row.m, row.inputs, row.failures,
                          row.max_queries, row.bound, row.all_correct,
                          row.tight])
-        failed = failed or row.failures > 0
+    failed = [row for row in rows if row.failures]
+    for row in failed:
+        print(f"FAIL: n={row.n} m={row.m}: {row.failures} of {row.inputs} "
+              "inputs failed", file=sys.stderr)
+        for bits, reasons in row.first_failures:
+            print(f"  x={bits}: " + "; ".join(reasons), file=sys.stderr)
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 

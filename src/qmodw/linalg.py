@@ -14,17 +14,23 @@ Packed arrays are never written after construction (they are marked
 read-only), so a state can be shared and its derived values cached on it:
 
 * its exact key, ``(den, tuple of the numerators)``; equal states have
-  equal keys because the canonical form is unique.  ``__hash__`` uses it;
+  equal keys because the canonical form is unique, so ``__eq__`` compares
+  keys;
+* the hash of that key, which ``__hash__`` returns, so a state is hashed
+  once however many tables it is looked up in;
 * its support, its per-entry ``|z|^2`` rows, and the mass of each
   projector.
 
-Each :class:`SquareMatrix` memoises :meth:`SquareMatrix.apply` from the
-input's key to the result state, filled lazily and capped at
-``_APPLY_MEMO_CAP`` entries per matrix (once full, further inputs are
-computed but not stored).  The memo sits below the oracle: the keys are
-only states the caller already holds, so a phase query is made, counted
-and logged before any state it produced can be looked up, and a memo hit
-saves arithmetic, never a query.
+Each :class:`SquareMatrix` memoises :meth:`SquareMatrix.apply` on the
+input state itself, mapped to the result state, filled lazily and capped
+at ``_APPLY_MEMO_CAP`` entries per matrix (once full, further inputs are
+computed but not stored).  A state that came out of a memo or the
+oracle's flip table is found by identity; an equal state built elsewhere
+is found through ``__hash__`` and ``__eq__``, which compare exact values.
+The memo sits below the oracle: the keys are only states the caller
+already holds, so a phase query is made, counted and logged before any
+state it produced can be looked up, and a memo hit saves arithmetic,
+never a query.
 """
 
 from __future__ import annotations
@@ -93,8 +99,8 @@ def _unpack_one(row, den) -> AlgebraicNumber:
 class StateVector:
     """An exact vector over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_key", "_support", "_abs_sq",
-                 "_masses")
+    __slots__ = ("dim", "_num", "_den", "_key", "_hash", "_support",
+                 "_abs_sq", "_masses")
 
     def __init__(self, entries: Iterable[AlgebraicNumber]):
         entries = tuple(entries)
@@ -105,7 +111,8 @@ class StateVector:
     def _init(self, num: np.ndarray, den: int):
         self.dim = num.shape[0]
         self._num, self._den = num, den
-        self._key = self._support = self._abs_sq = self._masses = None
+        self._key = self._hash = None
+        self._support = self._abs_sq = self._masses = None
 
     @classmethod
     def _from_packed(cls, num: np.ndarray, den: int) -> "StateVector":
@@ -144,8 +151,8 @@ class StateVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return (self.dim == other.dim and self._den == other._den
-                and np.array_equal(self._num, other._num))
+        return (self.dim == other.dim
+                and self._exact_key() == other._exact_key())
 
     def _exact_key(self):
         if self._key is None:
@@ -153,7 +160,9 @@ class StateVector:
         return self._key
 
     def __hash__(self):
-        return hash(self._exact_key())
+        if self._hash is None:
+            self._hash = hash(self._exact_key())
+        return self._hash
 
     def support(self) -> frozenset:
         """Indices with a nonzero amplitude."""
@@ -269,15 +278,14 @@ class SquareMatrix:
         return self._kernel
 
     def apply(self, v: StateVector) -> StateVector:
-        """Exact matrix-vector product (memoised on the input's exact key)."""
+        """Exact matrix-vector product (memoised on the input state)."""
         if self.dim != v.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {v.dim}")
-        key = v._exact_key()
-        out = self._memo.get(key)
+        out = self._memo.get(v)
         if out is None:
             out = self._product(v)
             if len(self._memo) < _APPLY_MEMO_CAP:
-                self._memo[key] = out
+                self._memo[v] = out
         return out
 
     def _product(self, v: StateVector) -> StateVector:

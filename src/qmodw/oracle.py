@@ -7,13 +7,37 @@ query.  The oracle may act on extra trailing "padding" dimensions where it
 is the identity; such queries still count.
 
 Indices are 1-based, matching the convention x = x_1 x_2 ... x_n.
+
+The sign-flipped states are interned in one module-private table keyed on
+``(input state, flipped local rows)``: the rows are the local sign
+pattern, never global indices, so the table says nothing about which
+input it was filled from.  :meth:`CountingOracle.phase_apply` reads and
+fills it only after the query has been counted and logged, so a repeated
+query still costs a query and returns the stored state, on which the
+circuit memos then hit by identity.  The table holds at most
+``linalg._APPLY_MEMO_CAP`` entries; once full, further flips are built
+with ``StateVector._negated`` and not stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import StateVector
+from .linalg import _APPLY_MEMO_CAP, StateVector
+
+# (input state, tuple of flipped local rows) -> the flipped state.
+_FLIPS = {}
+
+
+def _flipped(v: StateVector, rows: tuple) -> StateVector:
+    """``v`` with ``rows`` negated, interned in the flip table."""
+    key = v, rows
+    out = _FLIPS.get(key)
+    if out is None:
+        out = v._negated(rows)
+        if len(_FLIPS) < _APPLY_MEMO_CAP:
+            _FLIPS[key] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,12 +99,13 @@ class CountingOracle:
         if v.dim != view.dim:
             raise ValueError(
                 f"state dim {v.dim} != view dim {view.dim}")
-        flipped = [j for j, i in enumerate(view.map) if self._hidden[i - 1]]
+        hidden = self._hidden
+        flipped = tuple([j for j, i in enumerate(view.map) if hidden[i - 1]])
         self._queries += 1
         self._transcript.append(
             {"kind": "phase", "indices": list(view.map),
              "padding": view.padding, "count": self._queries})
-        return v._negated(flipped)
+        return _flipped(v, flipped)
 
     def query_bit(self, i: int) -> int:
         """Classical read of bit x_i; costs one query."""

@@ -65,7 +65,7 @@ class MultilinearPolynomial:
             if not isinstance(a, AlgebraicNumber):
                 a = AlgebraicNumber.from_rational(a)
             if not a.is_zero():
-                clean[s] = clean.get(s, ZERO) + a
+                clean[s] = clean[s] + a if s in clean else a
         self.coeffs = {s: a for s, a in clean.items() if not a.is_zero()}
 
     @property

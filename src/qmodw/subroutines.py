@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import OMEGA, SQRT2, SQRT3, AlgebraicNumber, ONE, ZERO
-from .linalg import Projector, SquareMatrix, StateVector, inner
+from .linalg import _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner
 from .oracle import BlockView, CountingOracle
 
 
@@ -142,14 +142,35 @@ def mod3_final_state(o: CountingOracle, triple) -> StateVector:
     return _FIN.apply(v)
 
 
+# Exact final state -> measured residue, capped like the apply memos.  Only
+# deterministic outcomes are stored, so a state that fails the check fails
+# it again on every call.
+_OUTCOMES = {}
+
+
 def mod3(o: CountingOracle, triple) -> int:
     """Hamming weight of three input bits modulo 3, with two queries.
 
     Measures the final state against the three weight-residue projectors;
-    in exact arithmetic exactly one mass is 1 and the others are 0.
+    in exact arithmetic exactly one mass is 1 and the others are 0.  The
+    outcome is memoised per exact final state; both queries are made on
+    every call.
     """
     state = mod3_final_state(o, triple)
-    masses = [p.mass(state) for p in (PI0, PI1, PI2)]
+    outcome = _OUTCOMES.get(state)
+    if outcome is None:
+        outcome = _measure_mod3(state)
+        if len(_OUTCOMES) < _APPLY_MEMO_CAP:
+            _OUTCOMES[state] = outcome
+    return outcome
+
+
+def _measure_mod3(state: StateVector) -> int:
+    """The residue whose projector has mass 1; InvariantViolation otherwise."""
+    try:
+        masses = [p.mass(state) for p in (PI0, PI1, PI2)]
+    except ValueError as exc:
+        raise InvariantViolation(str(exc)) from exc
     hits = [r for r, m in enumerate(masses) if m == 1]
     if len(hits) != 1 or any(m not in (0, 1) for m in masses):
         raise InvariantViolation(f"projector masses {masses} not deterministic")

@@ -4,7 +4,11 @@ For every input the harness replays the partition algorithm against a
 fresh counting oracle and then audits the result against the hidden
 string it chose itself: residue correctness, the query budget, and the
 partition contract (disjoint constant blocks of size m whose union with
-the remainder is everything, with the remainder weight exact).
+the remainder is everything, with the remainder weight exact).  An
+``InvariantViolation`` raised while running one input (an impossible
+measurement outcome) counts as that input's failure; the sweep goes on.
+Each row keeps the first ``FAILURES_KEPT`` failing inputs with their
+reasons.
 
 Cells (one per (n, m) pair) can fan out across worker processes; the
 QMODW_THREADS environment variable bounds the pool.  Aggregation is
@@ -20,8 +24,12 @@ from typing import Optional, Sequence
 
 from .hamming_mod import partition_weight, query_bound
 from .oracle import CountingOracle
+from .subroutines import InvariantViolation
 
 DEFAULT_MODULI = (2, 3, 4, 6, 8, 9, 12)
+
+# Failing inputs kept per row, with their reasons.
+FAILURES_KEPT = 3
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,8 @@ class SweepRow:
     max_queries: int
     bound: int
     zero_input_queries: int
+    # The first FAILURES_KEPT failing inputs: (bit string, reasons) pairs.
+    first_failures: tuple = ()
 
     @property
     def all_correct(self) -> bool:
@@ -69,27 +79,47 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
     """Run the algorithm on all 2^n inputs for one modulus."""
     bound = query_bound(n, m)
     failures = 0
+    first_failures = []
     max_queries = 0
     zero_queries = -1
     indices = range(1, n + 1)
     for value in range(2 ** n):
         bits = format(value, f"0{n}b")
         oracle = CountingOracle(bits)
-        result = partition_weight(oracle, indices, m)
-        residue = result.w2 % m
-        ok = (residue == bits.count("1") % m
-              and result.queries <= bound
-              and oracle.query_count == result.queries)
-        if ok and audit:
-            ok = not audit_partition(result, bits, indices)
-        if not ok:
+        try:
+            result = partition_weight(oracle, indices, m)
+        except InvariantViolation as exc:
+            reasons = [f"InvariantViolation: {exc}"]
+        else:
+            reasons = _run_problems(result, bits, m, bound, oracle)
+            if not reasons and audit:
+                reasons = audit_partition(result, bits, indices)
+            max_queries = max(max_queries, result.queries)
+            if value == 0:
+                zero_queries = result.queries
+        if reasons:
             failures += 1
-        max_queries = max(max_queries, result.queries)
-        if value == 0:
-            zero_queries = result.queries
+            if len(first_failures) < FAILURES_KEPT:
+                first_failures.append((bits, tuple(reasons)))
     return SweepRow(n=n, m=m, inputs=2 ** n, failures=failures,
                     max_queries=max_queries, bound=bound,
-                    zero_input_queries=zero_queries)
+                    zero_input_queries=zero_queries,
+                    first_failures=tuple(first_failures))
+
+
+def _run_problems(result, bits: str, m: int, bound: int, oracle) -> list:
+    """Residue and query-budget mismatches of one run."""
+    problems = []
+    residue = result.w2 % m
+    expected = bits.count("1") % m
+    if residue != expected:
+        problems.append(f"residue {residue} but |x| mod {m} = {expected}")
+    if result.queries > bound:
+        problems.append(f"used {result.queries} queries, bound {bound}")
+    if oracle.query_count != result.queries:
+        problems.append(f"oracle counted {oracle.query_count} queries, "
+                        f"result reports {result.queries}")
+    return problems
 
 
 def _cell_args(args):

@@ -1,0 +1,101 @@
+"""Injected faults must fail the sweep, with the circuit tables cold or warm.
+
+Each fault makes ``verify_cell`` report failing inputs with reasons and
+``qmodw sweep --n-max 4`` exit 3.  A warm run first fills the oracle's
+flip table, the ``mod3`` outcome memo and the circuit ``apply`` memos
+with a correct sweep, so a fault that a stored entry could hide would
+show up as a passing warm run.  The ``fresh_tables`` fixture empties those
+tables for the test and puts them back afterwards.
+"""
+
+import pytest
+
+from qmodw import hamming_mod, oracle, subroutines
+from qmodw.cli import main
+from qmodw.linalg import SquareMatrix
+from qmodw.sweep import DEFAULT_MODULI, FAILURES_KEPT, verify_cell
+
+N_MAX = 4
+
+
+def _cells():
+    return [verify_cell(n, m) for n in range(1, N_MAX + 1)
+            for m in DEFAULT_MODULI]
+
+
+def corrupt_u(monkeypatch):
+    # Negating U[0][0] breaks the mod-3 circuit on every non-constant
+    # triple: the final masses are no longer 0/1, an InvariantViolation.
+    # (Corrupting U[1][3] instead goes unseen by the sweep: the states that
+    # reach U have zero amplitude on dimensions 3 and 4, so columns 3-4 of
+    # U never act.  test_constants_unitary guards those entries.)
+    rows = [list(r) for r in subroutines.U.entries]
+    rows[0][0] = -rows[0][0]
+    mid = (subroutines.QFT.matmul(SquareMatrix(rows))
+           .matmul(subroutines._QFT_DAG))
+    monkeypatch.setattr(subroutines, "_MID", mid)
+
+
+def corrupt_v(monkeypatch):
+    # Negating V[1][1] splits the weight-1 outcome's mass.  (Negating
+    # V[0][0] goes unseen by the sweep: it only flips the phase of the
+    # final state |0> of the constant triples.  V stays unitary; the frozen
+    # state table guards that entry.)
+    rows = [list(r) for r in subroutines.V.entries]
+    rows[1][1] = -rows[1][1]
+    monkeypatch.setattr(subroutines, "_FIN",
+                        SquareMatrix(rows).matmul(subroutines._QFT_DAG))
+
+
+def drop_flip(monkeypatch):
+    # phase_apply still counts and logs the query but leaves the first
+    # flipped row unflipped.
+    real = oracle._flipped
+    monkeypatch.setattr(oracle, "_flipped",
+                        lambda v, rows: real(v, rows[1:]))
+
+
+def skip_query(monkeypatch):
+    # The last leftover index is put in s2 without being read.
+    real = hamming_mod._base_case
+
+    def base_case(o, indices, m):
+        if len(indices) % m == 0:
+            return real(o, indices, m)
+        blocks, s2, w2 = real(o, indices[:-1], m)
+        return blocks, s2 + [indices[-1]], w2
+    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+
+
+def w2_off_by_one(monkeypatch):
+    real = hamming_mod._base_case
+
+    def base_case(o, indices, m):
+        blocks, s2, w2 = real(o, indices, m)
+        return blocks, s2, w2 + 1
+    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+
+
+FAULTS = [corrupt_u, corrupt_v, drop_flip, skip_query, w2_off_by_one]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__)
+def test_fault_fails_the_sweep(fresh_tables, monkeypatch, capsys, fault,
+                               warm):
+    if warm:
+        assert all(row.failures == 0 for row in _cells())
+        assert oracle._FLIPS and subroutines._OUTCOMES
+    fault(monkeypatch)
+    failing = [row for row in _cells() if row.failures]
+    assert failing
+    for row in failing:
+        assert 0 < len(row.first_failures) <= min(FAILURES_KEPT, row.failures)
+        for bits, reasons in row.first_failures:
+            assert len(bits) == row.n and reasons
+    assert main(["sweep", "--n-max", str(N_MAX), "--threads", "1"]) == 3
+    err = capsys.readouterr().err
+    row = failing[0]
+    bits, reasons = row.first_failures[0]
+    assert f"FAIL: n={row.n} m={row.m}: {row.failures} of {row.inputs}" in err
+    assert f"  x={bits}: " + "; ".join(reasons) in err

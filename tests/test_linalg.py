@@ -260,3 +260,30 @@ def test_big_values_stay_exact():
     w = H.apply(H.apply(v))
     assert w == v
     assert v.norm_sq() == AlgebraicNumber.from_rational(10 ** 80 + 1)
+
+
+def test_state_hash_is_cached_and_exact():
+    big = AlgebraicNumber.from_rational(10 ** 40)
+    u = StateVector([big, ONE])
+    w = StateVector([big, SQRT2 * SQRT2 - ONE])
+    assert u._hash is None
+    assert hash(u) == hash(u._exact_key()) == hash(w)
+    assert u._hash == hash(u)
+    assert StateVector([big, -ONE]) != u
+
+
+def test_apply_memo_finds_its_own_states_by_identity(monkeypatch):
+    # A memo hit on a state the memo holds is found without comparing
+    # values; an equal state built elsewhere is compared exactly.
+    h = _fresh(H)
+    v = StateVector([ONE, SQRT3])
+    out = h.apply(v)
+    assert list(h._memo) == [v]
+    compared = []
+    real_eq = StateVector.__eq__
+    monkeypatch.setattr(StateVector, "__eq__",
+                        lambda a, b: compared.append(1) or real_eq(a, b))
+    assert h.apply(v) is out
+    assert compared == []
+    assert h.apply(StateVector([ONE, SQRT3])) is out
+    assert compared == [1]

@@ -1,10 +1,13 @@
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qmodw import oracle, subroutines
 from qmodw.algebra import AlgebraicNumber, SQRT3
-from qmodw.linalg import StateVector
+from qmodw.linalg import _APPLY_MEMO_CAP, StateVector
 from qmodw.oracle import BlockView, CountingOracle
 
 
@@ -104,3 +107,126 @@ def test_hidden_string_not_on_public_surface():
     public = [name for name in dir(o) if not name.startswith("_")]
     assert sorted(public) == ["n", "phase_apply", "query_bit",
                               "query_count", "transcript"]
+
+
+# ---------------------------------------------------------
+# The interned flip table
+# ---------------------------------------------------------
+
+def fresh_negation(v, rows):
+    """``v`` with ``rows`` negated, rebuilt through ``_from_packed``."""
+    num = np.array(v._num)
+    for j in rows:
+        num[j] = -num[j]
+    return StateVector._from_packed(num, v._den)
+
+
+def assert_interned_flip(v, got, rows):
+    ref = fresh_negation(v, rows)
+    assert got == ref
+    assert got._exact_key() == ref._exact_key()
+    assert hash(got) == hash(ref)
+    assert oracle._FLIPS[(v, rows)] is got
+
+
+def deutsch_flips():
+    """The flipped state of each of the 4 Deutsch local patterns."""
+    out = {}
+    for bits in ("00", "01", "10", "11"):
+        o = CountingOracle(bits)
+        got = o.phase_apply(BlockView((1, 2)), subroutines._H_KET0)
+        rows = tuple(j for j, c in enumerate(bits) if c == "1")
+        assert_interned_flip(subroutines._H_KET0, got, rows)
+        out[bits] = got
+    return out
+
+
+def mod3_flips():
+    """Both flipped states of each of the 8 mod-3 local patterns."""
+    out = {}
+    view = BlockView((1, 2, 3), padding=2)
+    for bits in subroutines.ALL_3BIT:
+        o = CountingOracle(bits)
+        rows = tuple(j for j, c in enumerate(bits) if c == "1")
+        first = o.phase_apply(view, subroutines._QFT_KET0)
+        assert_interned_flip(subroutines._QFT_KET0, first, rows)
+        mid = subroutines._MID.apply(first)
+        second = o.phase_apply(view, mid)
+        assert_interned_flip(mid, second, rows)
+        out[bits] = first, second
+    return out
+
+
+def test_flip_table_interns_every_local_pattern(fresh_tables):
+    cold = deutsch_flips(), mod3_flips()
+    # 4 Deutsch keys and 15 mod-3 keys: on 000 the mid state is the start
+    # state QFT|0>, so the second query's key is the first query's.
+    assert len(oracle._FLIPS) == 19
+    warm = deutsch_flips(), mod3_flips()
+    # A warm query returns the very state the cold one stored.
+    for bits, state in cold[0].items():
+        assert warm[0][bits] is state
+    for bits, states in cold[1].items():
+        assert all(w is c for w, c in zip(warm[1][bits], states))
+    assert len(oracle._FLIPS) == 19
+
+
+def test_flip_table_hits_an_equal_state_built_elsewhere(fresh_tables):
+    o = CountingOracle("10")
+    view = BlockView((1, 2))
+    got = o.phase_apply(view, subroutines._H_KET0)
+    copy = StateVector._from_packed(subroutines._H_KET0._num,
+                                    subroutines._H_KET0._den)
+    assert copy is not subroutines._H_KET0
+    assert o.phase_apply(view, copy) is got
+    assert o.query_count == 2
+
+
+@pytest.mark.parametrize("view, state", [
+    (BlockView((0, 1)), StateVector([AlgebraicNumber.from_rational(7),
+                                     AlgebraicNumber.from_rational(5)])),
+    (BlockView((2, 3)), StateVector([AlgebraicNumber.from_rational(7),
+                                     AlgebraicNumber.from_rational(5)])),
+    (BlockView((1, 2), padding=1),
+     StateVector([AlgebraicNumber.from_rational(7),
+                  AlgebraicNumber.from_rational(5)])),
+], ids=["index-0", "index-past-n", "dim-mismatch"])
+def test_failed_query_leaves_count_transcript_and_table(fresh_tables, view,
+                                                        state):
+    # Index 0 would read the last hidden bit if the rows were computed
+    # before the check; the dim-mismatched view maps two valid indices.
+    o = CountingOracle("11")
+    o.phase_apply(BlockView((1, 2)), subroutines._H_KET0)
+    table = dict(oracle._FLIPS)
+    transcript = o.transcript
+    with pytest.raises((IndexError, ValueError)):
+        o.phase_apply(view, state)
+    assert o.query_count == 1
+    assert o.transcript == transcript
+    assert oracle._FLIPS == table
+
+
+def test_flip_table_stays_capped_and_exact(fresh_tables):
+    # 10 000 phase queries alternate over random oracles on one 12-dim
+    # state the caller holds and feeds back: the table fills up to its
+    # cap, then flips are built without storing, and every state stays
+    # exactly the caller's signed copy of the start.
+    rng = random.Random(5)
+    dim = 12
+    start = StateVector([AlgebraicNumber.from_rational(k + 1)
+                         for k in range(dim)])
+    strings = ["".join(rng.choice("01") for _ in range(dim))
+               for _ in range(64)]
+    oracles = [CountingOracle(bits) for bits in strings]
+    view = BlockView(tuple(range(1, dim + 1)))
+    signs = [1] * dim
+    state = start
+    for q in range(10_000):
+        k = q % 2 * 32 + rng.randrange(32)
+        state = oracles[k].phase_apply(view, state)
+        signs = [-s if b == "1" else s for s, b in zip(signs, strings[k])]
+        assert state == fresh_negation(
+            start, [j for j, s in enumerate(signs) if s < 0])
+        assert len(oracle._FLIPS) <= _APPLY_MEMO_CAP
+    assert len(oracle._FLIPS) == _APPLY_MEMO_CAP
+    assert sum(o.query_count for o in oracles) == 10_000

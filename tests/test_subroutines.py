@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from qmodw.algebra import AlgebraicNumber, ONE
+from qmodw.algebra import AlgebraicNumber, ONE, SQRT2, ZERO
 from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
 from qmodw.linalg import SquareMatrix, StateVector, inner
 from qmodw.oracle import BlockView, CountingOracle
 from qmodw import subroutines
+from qmodw.sweep import verify_cell
 from qmodw.subroutines import (
-    ALL_3BIT, H, PI0, PI1, PI2, QFT, U, V,
+    ALL_3BIT, H, PI0, PI1, PI2, QFT, U, V, InvariantViolation,
     deutsch, fourier_oracle, gram_closed_form, gram_closed_form_mismatches,
     gram_matrix, mod3, mod3_final_state, oracle_matrix, signs_of, trace_mod3,
 )
@@ -289,3 +290,46 @@ def test_memo_hits_still_make_every_query():
     assert o.transcript == expected
     assert [len(m._memo) for m in (subroutines._MID, subroutines._FIN, H)] \
         == sizes
+
+
+# ---------------------------------------------------------
+# The mod3 outcome memo
+# ---------------------------------------------------------
+
+def _fresh_outcome(state):
+    masses = _masses_match_fresh(state)
+    assert sorted(masses) == [0, 0, 1]
+    return masses.index(1)
+
+
+def test_mod3_outcome_memo_matches_fresh_measurement(fresh_tables):
+    # Cold, then warm: 000 and 111 share the final state |0>, so the
+    # 8 patterns leave 7 entries.
+    assert not subroutines._OUTCOMES
+    for warm in (False, True):
+        for bits in ALL_3BIT:
+            state = mod3_final_state(CountingOracle(bits), (1, 2, 3))
+            assert not warm or state in subroutines._OUTCOMES
+            got = mod3(CountingOracle(bits), (1, 2, 3))
+            assert got == _fresh_outcome(state) == weight(bits) % 3
+            assert subroutines._OUTCOMES[state] == got
+    assert len(subroutines._OUTCOMES) == 7
+
+
+def test_irrational_mass_is_an_invariant_violation(fresh_tables, monkeypatch):
+    # |1 + sqrt2|^2 = 3 + 2 sqrt2: Projector.mass raises ValueError, and
+    # mod3 reports it as an impossible outcome, storing nothing.
+    state = StateVector([ONE + SQRT2] + [ZERO] * 4)
+    monkeypatch.setattr(subroutines, "mod3_final_state", lambda o, t: state)
+    o = CountingOracle("000")
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="not rational"):
+            mod3(o, (1, 2, 3))
+    assert state not in subroutines._OUTCOMES
+    # The sweep counts each such input as a failure and goes on.
+    row = verify_cell(3, 3)
+    assert row.failures == row.inputs == 8
+    assert [bits for bits, _ in row.first_failures] == ["000", "001", "010"]
+    for _, reasons in row.first_failures:
+        assert len(reasons) == 1
+        assert reasons[0].startswith("InvariantViolation: projected mass")
