@@ -126,6 +126,10 @@ def cmd_sweep(args) -> int:
     if not moduli:
         print("error: empty moduli list", file=sys.stderr)
         return EXIT_USAGE
+    if min(moduli) < 2:
+        print(f"error: modulus must be at least 2, got {min(moduli)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         threads = (default_threads() if args.threads is None
                    else parse_threads(args.threads, "--threads"))

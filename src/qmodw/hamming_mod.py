@@ -16,13 +16,21 @@ set whose exact weight is known, using at most n - floor(n/m) queries:
 Leftover indices that do not fill a block are read individually.  All
 choices the underlying math leaves free (factor order, block grouping,
 representatives) are fixed deterministically so runs are replayable.
+
+The split of each modulus is computed once and memoised (an unsupported
+modulus raises on every call).  Each call of :func:`partition_weight`
+checks its indices: the range with one ``min`` and one ``max``, and
+duplicates with one set.  The recursion calls it, and the base case calls
+:func:`deutsch` and :func:`mod3`, through this module's globals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
+from .linalg import _APPLY_MEMO_CAP
 from .oracle import CountingOracle
 from .subroutines import deutsch, mod3
 
@@ -48,6 +56,7 @@ class ModulusSchedule:
     split: Optional[tuple] = None
 
 
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
 def factor_split(m: int) -> ModulusSchedule:
     """Validate m and fix the recursion split (smallest prime factor first)."""
     if m < 2:
@@ -82,9 +91,9 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
     schedule = factor_split(m)
     indices = list(indices)
     n = o.n
-    for i in indices:
-        if not 1 <= i <= n:
-            raise IndexError(f"index {i} out of oracle range [1, {n}]")
+    if indices and (min(indices) < 1 or max(indices) > n):
+        bad = next(i for i in indices if not 1 <= i <= n)
+        raise IndexError(f"index {bad} out of oracle range [1, {n}]")
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate indices")
     start = o.query_count
@@ -94,8 +103,8 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
     else:
         blocks, s2, w2 = _composite_case(o, indices, schedule.split)
 
-    return PartitionResult(m=m, blocks=tuple(blocks), s2=tuple(sorted(s2)),
-                           w2=w2, queries=o.query_count - start)
+    return PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
+                           o.query_count - start)
 
 
 def _base_case(o: CountingOracle, indices, m: int):
@@ -103,9 +112,10 @@ def _base_case(o: CountingOracle, indices, m: int):
     s2 = []
     w2 = 0
     full = len(indices) - len(indices) % m
+    measure = deutsch if m == 2 else mod3
     for start in range(0, full, m):
         group = tuple(indices[start:start + m])
-        outcome = deutsch(o, group) if m == 2 else mod3(o, group)
+        outcome = measure(o, group)
         if outcome == 0:
             blocks.append(group)
         else:
@@ -124,8 +134,8 @@ def _composite_case(o: CountingOracle, indices, split):
     inner = partition_weight(o, indices, m1)
     # One representative per constant m1-block; x is constant on the block,
     # so the representative's bit stands for all m1 of them.
-    reps = [min(b) for b in inner.blocks]
     rep_block = {min(b): b for b in inner.blocks}
+    reps = list(rep_block)
     outer = partition_weight(o, reps, m2)
 
     blocks = []

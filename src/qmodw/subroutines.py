@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .algebra import OMEGA, SQRT2, SQRT3, AlgebraicNumber, ONE, ZERO
 from .linalg import _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner
-from .oracle import BlockView, CountingOracle
+from .oracle import CountingOracle, block_view
 
 
 class InvariantViolation(RuntimeError):
@@ -120,8 +120,7 @@ def deutsch(o: CountingOracle, pair) -> int:
     i, j = pair
     if i == j:
         raise ValueError("indices must be distinct")
-    view = BlockView((i, j))
-    state = H.apply(o.phase_apply(view, _H_KET0))
+    state = H.apply(o.phase_apply(block_view((i, j)), _H_KET0))
     support = state.support()
     if support == {0}:
         return 0
@@ -135,7 +134,7 @@ def mod3_final_state(o: CountingOracle, triple) -> StateVector:
     i, j, k = triple
     if len({i, j, k}) != 3:
         raise ValueError("indices must be distinct")
-    view = BlockView((i, j, k), padding=2)
+    view = block_view((i, j, k), 2)
     v = o.phase_apply(view, _QFT_KET0)
     v = _MID.apply(v)
     v = o.phase_apply(view, v)

@@ -4,15 +4,19 @@ For every input the harness replays the partition algorithm against a
 fresh counting oracle and then audits the result against the hidden
 string it chose itself: residue correctness, the query budget, and the
 partition contract (disjoint constant blocks of size m whose union with
-the remainder is everything, with the remainder weight exact).  An
+the remainder is everything, with the remainder weight exact).  The
+audit runs on every input, over bitmasks: the input and each block and
+the remainder become ints with bit i - 1 for index i, so a block is
+constant when its mask meets the input's in nothing or in all of it.  An
 ``InvariantViolation`` raised while running one input (an impossible
 measurement outcome) counts as that input's failure; the sweep goes on.
 Each row keeps the first ``FAILURES_KEPT`` failing inputs with their
 reasons.
 
 Cells (one per (n, m) pair) can fan out across worker processes; the
-QMODW_THREADS environment variable bounds the pool.  Aggregation is
-deterministic: rows come back sorted by (n, m).
+QMODW_THREADS environment variable bounds the pool.  Every modulus is
+checked before any cell runs, so a bad one raises before a worker
+starts.  Aggregation is deterministic: rows come back sorted by (n, m).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .hamming_mod import partition_weight, query_bound
+from .hamming_mod import factor_split, partition_weight, query_bound
 from .oracle import CountingOracle
 from .subroutines import InvariantViolation
 
@@ -56,23 +60,59 @@ class SweepRow:
 
 
 def audit_partition(result, bits: str, indices: Sequence[int]) -> list:
-    """Check a PartitionResult against the hidden input, post hoc."""
+    """Check a PartitionResult against the hidden input, post hoc.
+
+    The reasons, in order: each block of the wrong size or not constant
+    on ``bits``, then blocks and s2 that are not a partition of
+    ``indices`` (an index missing, extra or repeated), then a wrong
+    ``w2``, then any index of the result outside [1, n].  Queried
+    ``indices`` that repeat or fall outside [1, n] fail the partition
+    check.
+    """
     problems = []
-    seen = []
+    n = len(bits)
+    ones = int(bits[::-1], 2) if bits else 0    # bit i - 1 is x_i
+    m = result.m
+    outside = []
+    covered = 0    # union of the blocks and s2
+    seen = 0       # their total length, repeats included
     for block in result.blocks:
-        if len(block) != result.m:
-            problems.append(f"block {block} has size != {result.m}")
-        vals = {bits[i - 1] for i in block}
-        if len(vals) != 1:
+        if len(block) != m:
+            problems.append(f"block {block} has size != {m}")
+        mask = _bitmask(block, n, outside)
+        if not block or (ones & mask) not in (0, mask):
             problems.append(f"block {block} not constant on input {bits}")
-        seen.extend(block)
-    seen.extend(result.s2)
-    if sorted(seen) != sorted(indices):
+        covered |= mask
+        seen += len(block)
+    true_w2 = 0
+    for i in result.s2:
+        if 0 < i <= n:
+            covered |= 1 << (i - 1)
+            true_w2 += ones >> (i - 1) & 1
+        else:
+            outside.append(i)
+    seen += len(result.s2)
+    queried = _bitmask(indices, n, [])
+    if not (covered == queried
+            and seen == len(indices) == queried.bit_count()):
         problems.append("blocks and s2 do not partition the queried indices")
-    true_w2 = sum(int(bits[i - 1]) for i in result.s2)
     if result.w2 != true_w2:
         problems.append(f"w2={result.w2} but |x_S2|={true_w2}")
+    if outside:
+        problems.append(f"indices {outside} out of range [1, {n}]")
     return problems
+
+
+def _bitmask(indices, n: int, outside: list) -> int:
+    """Bit i - 1 set for each i of ``indices`` in [1, n]; the rest go to
+    ``outside``."""
+    mask = 0
+    for i in indices:
+        if 0 < i <= n:
+            mask |= 1 << (i - 1)
+        else:
+            outside.append(i)
+    return mask
 
 
 def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
@@ -147,9 +187,15 @@ def default_threads() -> int:
 
 def run_sweep(n_max: int, moduli: Sequence[int] = DEFAULT_MODULI,
               threads: Optional[int] = None, audit: bool = True) -> list:
-    """Verify every (n, m) cell with n <= n_max; rows sorted by (n, m)."""
+    """Verify every (n, m) cell with n <= n_max; rows sorted by (n, m).
+
+    Raises ValueError (``UnsupportedModulus`` for a bad modulus) before
+    any cell runs or any worker starts.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
+    for m in set(moduli):
+        factor_split(m)
     cells = sorted((n, m) for n in range(1, n_max + 1) for m in set(moduli))
     if threads is None:
         threads = default_threads()

@@ -1,10 +1,11 @@
 """Shared fixtures.
 
 ``fresh_tables`` gives a test empty circuit tables: the oracle's flip
-table, the ``mod3`` outcome memo and the ``apply`` memos of the three
-circuit matrices (``_MID``, ``_FIN`` and ``H``).  Their contents are put
-back afterwards, into the same dict objects, so a test that injects a
-fault cannot leave entries behind for the tests that run after it.
+table and view table, the ``mod3`` outcome memo and the ``apply`` memos
+of the three circuit matrices (``_MID``, ``_FIN`` and ``H``).  Their
+contents are put back afterwards, into the same dict objects, so a test
+that injects a fault cannot leave entries behind for the tests that run
+after it.
 """
 
 import pytest
@@ -13,8 +14,9 @@ from qmodw import oracle, subroutines
 
 
 def _circuit_tables():
-    return [oracle._FLIPS, subroutines._OUTCOMES, subroutines._MID._memo,
-            subroutines._FIN._memo, subroutines.H._memo]
+    return [oracle._FLIPS, oracle._VIEWS, subroutines._OUTCOMES,
+            subroutines._MID._memo, subroutines._FIN._memo,
+            subroutines.H._memo]
 
 
 @pytest.fixture

@@ -121,6 +121,17 @@ def test_sweep_bad_threads_flag_exits_1(capsys, value):
         f"error: --threads must be a positive integer, got {value!r}"]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("modulus", ["1", "0", "-6"])
+def test_sweep_modulus_below_two_exits_1(capsys, modulus, threads):
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "3",
+                             "--moduli", modulus, "--threads", threads)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: modulus must be at least 2, got {modulus}"]
+
+
 # ---------------------------------------------------------
 # verify-states / gram
 # ---------------------------------------------------------

@@ -14,6 +14,8 @@ from qmodw import hamming_mod, oracle, subroutines
 from qmodw.cli import main
 from qmodw.linalg import SquareMatrix
 from qmodw.sweep import DEFAULT_MODULI, FAILURES_KEPT, verify_cell
+from qmodw.oracle import CountingOracle
+from qmodw.sweep import _run_problems, audit_partition
 
 N_MAX = 4
 
@@ -96,6 +98,86 @@ def test_fault_fails_the_sweep(fresh_tables, monkeypatch, capsys, fault,
     assert main(["sweep", "--n-max", str(N_MAX), "--threads", "1"]) == 3
     err = capsys.readouterr().err
     row = failing[0]
+    bits, reasons = row.first_failures[0]
+    assert f"FAIL: n={row.n} m={row.m}: {row.failures} of {row.inputs}" in err
+    assert f"  x={bits}: " + "; ".join(reasons) in err
+
+
+# ---------------------------------------------------------
+# Faults that keep the residue and the query budget right
+# ---------------------------------------------------------
+
+def glue_next_block(monkeypatch):
+    # Each representative brings the m1-block of the representative after
+    # it (the last one brings its own), so a glued block can mix blocks
+    # of different values or repeat one while another goes missing.  s2
+    # and w2 stay exact, so only the audit can tell.
+    def composite_case(o, indices, split):
+        m1, m2 = split
+        inner = hamming_mod.partition_weight(o, indices, m1)
+        rep_block = {min(b): b for b in inner.blocks}
+        reps = list(rep_block)
+        outer = hamming_mod.partition_weight(o, reps, m2)
+        glued = dict(zip(reps, reps[1:] + reps[-1:]))
+        blocks = [tuple(sorted(i for rep in group
+                               for i in rep_block[glued[rep]]))
+                  for group in outer.blocks]
+        s2 = list(inner.s2) + [i for rep in outer.s2 for i in rep_block[rep]]
+        return blocks, s2, inner.w2 + m1 * outer.w2
+    monkeypatch.setattr(hamming_mod, "_composite_case", composite_case)
+
+
+def leftover_read_not_in_s2(monkeypatch):
+    # The last leftover bit is read and counted into w2, but its index is
+    # left out of s2.
+    real = hamming_mod._base_case
+
+    def base_case(o, indices, m):
+        blocks, s2, w2 = real(o, indices, m)
+        if len(indices) % m:
+            s2 = s2[:-1]
+        return blocks, s2, w2
+    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+
+
+AUDIT_ONLY_FAULTS = [glue_next_block, leftover_read_not_in_s2]
+
+
+def _audit_failures(n, m, bound):
+    """(bits, reasons) of every input the audit fails, in sweep order.
+
+    Checks on the way that no input has a residue or budget mismatch.
+    """
+    indices = range(1, n + 1)
+    failures = []
+    for value in range(2 ** n):
+        bits = format(value, f"0{n}b")
+        o = CountingOracle(bits)
+        result = hamming_mod.partition_weight(o, indices, m)
+        assert _run_problems(result, bits, m, bound, o) == []
+        reasons = audit_partition(result, bits, indices)
+        if reasons:
+            failures.append((bits, tuple(reasons)))
+    return failures
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("fault", AUDIT_ONLY_FAULTS, ids=lambda f: f.__name__)
+def test_only_the_audit_catches_fault(fresh_tables, monkeypatch, capsys,
+                                      fault, warm):
+    if warm:
+        assert all(row.failures == 0 for row in _cells())
+        assert oracle._FLIPS and oracle._VIEWS and subroutines._OUTCOMES
+    fault(monkeypatch)
+    rows = _cells()
+    assert any(row.failures for row in rows)
+    for row in rows:
+        failures = _audit_failures(row.n, row.m, row.bound)
+        assert row.failures == len(failures)
+        assert row.first_failures == tuple(failures[:FAILURES_KEPT])
+    assert main(["sweep", "--n-max", str(N_MAX), "--threads", "1"]) == 3
+    err = capsys.readouterr().err
+    row = next(row for row in rows if row.failures)
     bits, reasons = row.first_failures[0]
     assert f"FAIL: n={row.n} m={row.m}: {row.failures} of {row.inputs}" in err
     assert f"  x={bits}: " + "; ".join(reasons) in err

@@ -65,6 +65,20 @@ def test_factor_split_rejects_other_primes(m):
         factor_split(m)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 36])
+def test_factor_split_is_memoised(m):
+    first = factor_split(m)
+    assert all(factor_split(m) is first for _ in range(3))
+
+
+def test_factor_split_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(UnsupportedModulus, match="prime factor"):
+            factor_split(5)
+        with pytest.raises(UnsupportedModulus, match="at least 2"):
+            factor_split(1)
+
+
 def test_factor_split_rejects_tiny():
     with pytest.raises(UnsupportedModulus):
         factor_split(1)
@@ -128,6 +142,15 @@ def test_rejects_out_of_range_indices():
     o = CountingOracle("111")
     with pytest.raises(IndexError):
         partition_weight(o, (1, 2, 4), 3)
+
+
+@pytest.mark.parametrize("indices, bad", [((1, 2, 4), 4), ((3, 0, 1), 0),
+                                          ((5, 2, -1), 5)])
+def test_out_of_range_error_names_the_first_bad_index(indices, bad):
+    o = CountingOracle("111")
+    with pytest.raises(IndexError, match=rf"^index {bad} out of oracle"):
+        partition_weight(o, indices, 3)
+    assert o.query_count == 0
 
 
 def test_unsupported_modulus_propagates():

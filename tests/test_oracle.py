@@ -230,3 +230,117 @@ def test_flip_table_stays_capped_and_exact(fresh_tables):
         assert len(oracle._FLIPS) <= _APPLY_MEMO_CAP
     assert len(oracle._FLIPS) == _APPLY_MEMO_CAP
     assert sum(o.query_count for o in oracles) == 10_000
+
+
+# ---------------------------------------------------------
+# Interned views, the bitmask input and the compact log
+# ---------------------------------------------------------
+
+def test_view_table_interns_and_stays_capped(fresh_tables):
+    first = oracle.block_view((1, 2))
+    assert oracle.block_view((1, 2)) is first
+    assert oracle.block_view((1, 2), 1) is not first
+    for k in range(_APPLY_MEMO_CAP + 20):
+        view = oracle.block_view((k + 1, k + 2))
+        assert view.map == (k + 1, k + 2) and view.dim == 2
+        assert len(oracle._VIEWS) <= _APPLY_MEMO_CAP
+    assert len(oracle._VIEWS) == _APPLY_MEMO_CAP
+    assert oracle.block_view((1, 2)) is first
+    # Once full, a new view is still built and checked, and not stored.
+    with pytest.raises(ValueError):
+        oracle.block_view((7, 7), 5)
+    assert len(oracle._VIEWS) == _APPLY_MEMO_CAP
+
+
+@pytest.mark.parametrize("map, padding", [((1, 1), 0), ((2, 3, 2), 2),
+                                          ((1,), -1)],
+                         ids=["duplicate", "duplicate-padded", "negative"])
+def test_bad_view_raises_and_is_not_stored(fresh_tables, map, padding):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            oracle.block_view(map, padding)
+    assert oracle._VIEWS == {}
+
+
+def test_view_precomputes_range_and_dim():
+    view = BlockView([4, 2, 7], padding=2)
+    assert view.map == (4, 2, 7)
+    assert (view.lo, view.hi, view.dim) == (2, 7, 5)
+    assert view == BlockView((4, 2, 7), 2)
+    assert hash(view) == hash(BlockView((4, 2, 7), 2))
+    # An empty map has no range to break, even on an empty input.
+    empty = BlockView((), padding=1)
+    o = CountingOracle("")
+    state = StateVector.basis_state(1, 0)
+    assert o.phase_apply(empty, state) == state
+    assert o.query_count == 1
+
+
+def test_logged_view_does_not_follow_a_mutated_list():
+    indices = [1, 2]
+    view = BlockView(indices)
+    o = CountingOracle("10")
+    o.phase_apply(view, subroutines._H_KET0)
+    indices[0] = 9
+    indices.append(5)
+    assert view.map == (1, 2)
+    assert o.transcript == [
+        {"kind": "phase", "indices": [1, 2], "padding": 0, "count": 1}]
+
+
+def test_transcript_is_fresh_on_every_read():
+    o = CountingOracle("101")
+    o.phase_apply(BlockView((1, 2, 3), padding=2), uniform5())
+    o.query_bit(2)
+    first = o.transcript
+    first[0]["indices"].append(99)
+    first[1]["count"] = 0
+    first.append({"kind": "bit"})
+    second = o.transcript
+    assert second == [
+        {"kind": "phase", "indices": [1, 2, 3], "padding": 2, "count": 1},
+        {"kind": "bit", "indices": [2], "count": 2},
+    ]
+    assert all(a is not b for a, b in zip(first, second))
+    assert first[0]["indices"] is not second[0]["indices"]
+
+
+@pytest.mark.parametrize("index", [0, 4])
+def test_count_matches_transcript_after_failed_bit_read(index):
+    # test_failed_query_leaves_count_transcript_and_table covers phase_apply.
+    o = CountingOracle("011")
+    o.query_bit(3)
+    with pytest.raises(IndexError):
+        o.query_bit(index)
+    assert o.query_count == len(o.transcript) == 1
+
+
+def test_queries_agree_with_the_bit_string_on_every_6bit_input():
+    n = 6
+    rows_view = BlockView(tuple(range(1, n + 1)))
+    start = StateVector([AlgebraicNumber.from_rational(k + 1)
+                         for k in range(n)])
+    for value in range(2 ** n):
+        bits = format(value, f"0{n}b")
+        o = CountingOracle(bits)
+        assert [o.query_bit(i) for i in range(1, n + 1)] == [
+            int(c) for c in bits]
+        assert o.phase_apply(rows_view, start) == fresh_negation(
+            start, [j for j, c in enumerate(bits) if c == "1"])
+        # Each single index, and each index in a reversed view.
+        for i in range(1, n + 1):
+            got = o.phase_apply(BlockView((i,), padding=1),
+                                StateVector.basis_state(2, 0))
+            sign = -1 if bits[i - 1] == "1" else 1
+            assert got == StateVector([AlgebraicNumber.from_rational(sign),
+                                       AlgebraicNumber.from_rational(0)])
+        reversed_view = BlockView(tuple(range(n, 0, -1)))
+        assert o.phase_apply(reversed_view, start) == fresh_negation(
+            start, [j for j, c in enumerate(reversed(bits)) if c == "1"])
+        assert o.query_count == len(o.transcript) == 2 * n + 2
+
+
+@pytest.mark.parametrize("bits", [" 01", "1 0", "01\n", "1_0", "0b1"])
+def test_bit_string_that_int_would_parse_is_rejected(bits):
+    with pytest.raises(ValueError):
+        CountingOracle(bits)

@@ -1,0 +1,127 @@
+"""The bitmask audit against the list-based reference; sweep input checks."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qmodw import sweep
+from qmodw.hamming_mod import (PartitionResult, UnsupportedModulus,
+                               partition_weight)
+from qmodw.oracle import CountingOracle
+from qmodw.sweep import DEFAULT_MODULI, audit_partition, run_sweep
+
+
+def reference_audit(result, bits, indices):
+    """The list-based audit that ``audit_partition`` replaced."""
+    problems = []
+    seen = []
+    for block in result.blocks:
+        if len(block) != result.m:
+            problems.append(f"block {block} has size != {result.m}")
+        vals = {bits[i - 1] for i in block}
+        if len(vals) != 1:
+            problems.append(f"block {block} not constant on input {bits}")
+        seen.extend(block)
+    seen.extend(result.s2)
+    if sorted(seen) != sorted(indices):
+        problems.append("blocks and s2 do not partition the queried indices")
+    true_w2 = sum(int(bits[i - 1]) for i in result.s2)
+    if result.w2 != true_w2:
+        problems.append(f"w2={result.w2} but |x_S2|={true_w2}")
+    return problems
+
+
+@pytest.mark.parametrize("m", DEFAULT_MODULI)
+def test_audit_matches_reference_on_every_sweep_result(m):
+    for n in range(1, 9):
+        indices = range(1, n + 1)
+        for value in range(2 ** n):
+            bits = format(value, f"0{n}b")
+            result = partition_weight(CountingOracle(bits), indices, m)
+            assert audit_partition(result, bits, indices) == []
+            assert reference_audit(result, bits, indices) == []
+
+
+BITS = "00001111"
+
+
+def bad(blocks, s2, w2, m=4):
+    return PartitionResult(m, blocks, s2, w2, 0)
+
+
+BAD_RESULTS = {
+    "wrong-size": (bad(((1, 2, 3), (5, 6, 7, 8)), (4,), 0), range(1, 9)),
+    "non-constant": (bad(((1, 2, 3, 5), (4, 6, 7, 8)), (), 0), range(1, 9)),
+    "overlap": (bad(((1, 2, 3, 4), (4, 5, 6, 7)), (8,), 1), range(1, 9)),
+    "repeat-in-s2": (bad(((1, 2, 3, 4),), (5, 5, 6, 7, 8), 5), range(1, 9)),
+    "missing": (bad(((1, 2, 3, 4),), (5, 6, 7), 3), range(1, 9)),
+    "extra": (bad(((1, 2, 3, 4),), (5, 6, 7, 8), 4), range(1, 8)),
+    "wrong-w2": (bad(((1, 2, 3, 4),), (5, 6, 7, 8), 3), range(1, 9)),
+    "empty-block": (bad(((), (1, 2, 3, 4)), (5, 6, 7, 8), 4), range(1, 9)),
+    "repeat-in-block": (bad(((1, 1, 2, 3), (5, 6, 7, 8)), (4,), 0),
+                        [1, 2, 3, 4, 5, 6, 7, 8]),
+    "everything": (bad(((1, 2, 5), (2, 6, 7, 8)), (3, 3), 2), range(1, 9)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RESULTS)
+def test_audit_matches_reference_on_bad_results(case):
+    result, indices = BAD_RESULTS[case]
+    got = audit_partition(result, BITS, indices)
+    assert got
+    assert got == reference_audit(result, BITS, indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=9).flatmap(lambda n: st.tuples(
+    st.text("01", min_size=n, max_size=n),
+    st.sampled_from(DEFAULT_MODULI),
+    st.lists(st.lists(st.integers(1, n), max_size=4).map(tuple),
+             max_size=4).map(tuple),
+    st.lists(st.integers(1, n), max_size=n).map(tuple),
+    st.integers(0, n),
+    st.lists(st.integers(1, n), unique=True).map(tuple))))
+def test_audit_matches_reference_on_random_results(case):
+    bits, m, blocks, s2, w2, indices = case
+    result = PartitionResult(m, blocks, s2, w2, 0)
+    assert (audit_partition(result, bits, indices)
+            == reference_audit(result, bits, indices))
+
+
+@pytest.mark.parametrize("blocks, s2, outside", [
+    (((1, 2), (3, 9)), (4, 5, 6, 7, 8), [9]),
+    (((0, 1),), (2, 3, 4, 5, 6, 7, 8), [0]),
+    (((1, 2),), (3, 4, 5, 6, 7, 8, -2), [-2]),
+])
+def test_audit_reports_an_index_outside_the_input(blocks, s2, outside):
+    # The reference raised IndexError past n and read a wrapped bit below 1.
+    result = PartitionResult(2, blocks, s2, 0, 0)
+    problems = audit_partition(result, "0" * 8, range(1, 9))
+    assert "blocks and s2 do not partition the queried indices" in problems
+    assert problems[-1] == f"indices {outside} out of range [1, 8]"
+
+
+def test_audit_rejects_queried_indices_that_repeat():
+    # Same union and the same count as the queried indices, but 1 and 2
+    # swap which one repeats.
+    result = PartitionResult(2, ((1, 2),), (1,), 0, 0)
+    expected = ["blocks and s2 do not partition the queried indices"]
+    assert reference_audit(result, "00", (1, 2, 2)) == expected
+    assert audit_partition(result, "00", (1, 2, 2)) == expected
+
+
+@pytest.mark.parametrize("moduli, error", [
+    ((2, 1), ValueError), ((0,), ValueError), ((-6, 3), ValueError),
+    ((2, 5), UnsupportedModulus),
+])
+def test_run_sweep_rejects_moduli_before_any_cell(monkeypatch, moduli,
+                                                  error):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell was run")
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sweep, "verify_cell", no_cell)
+    for threads in (1, 2):
+        with pytest.raises(error):
+            run_sweep(3, moduli, threads=threads)
