@@ -6,16 +6,24 @@ fixed basis
 
     (1, sqrt2, sqrt3, sqrt6, i, i*sqrt2, i*sqrt3, i*sqrt6)
 
-with rational coordinates kept in lowest terms (``fractions.Fraction``).
-The basis is linearly independent over Q, so structural equality of the
-coordinate tuple coincides with mathematical equality and zero-testing is
-a plain all-zero check.  All values are immutable; nothing here ever
-rounds.
+as eight Python-int numerators over one positive common denominator, in
+lowest terms: the gcd of the numerators and the denominator is 1, so zero
+is ``(0,)*8 / 1``.  This is the canonical form of a row in ``linalg``, so
+a number moves between the two as a tuple of ints and no ``Fraction`` is
+built on the way.  The basis is linearly independent over Q and the form
+is unique, so structural equality coincides with mathematical equality and
+zero-testing is a plain all-zero check.  Only exact rationals
+(``numbers.Rational``: ints, numpy integers, ``Fraction``) are accepted;
+a float, complex, string or Decimal raises ``TypeError``.  ``Fraction``
+appears only where a coordinate is handed out (``coeffs``,
+``rational_part``, ``as_rational``).  All values are immutable; nothing
+here ever rounds.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -51,91 +59,143 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
 
 
+def _ratio(value) -> tuple:
+    """(numerator, denominator) of an exact rational, as Python ints.
+
+    Raises TypeError for anything that is not a ``numbers.Rational``, so
+    no float, complex, string or Decimal enters the field.
+    """
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, numbers.Rational):
+        return int(value.numerator), int(value.denominator)
+    raise TypeError(
+        f"expected an exact rational, got {type(value).__name__} {value!r}")
+
+
+def _lowest_terms(num: tuple, den: int) -> tuple:
+    """Canonical form of int numerators over a positive denominator.
+
+    Divides out the gcd of every numerator and the denominator, so equal
+    values get equal ``(num, den)`` and zero is ``(0, ..., 0), 1``.  The
+    rows of ``linalg`` are reduced by the same rule.
+    """
+    g = math.gcd(den, *num)
+    if g == 1:
+        return num, den
+    return tuple(x // g for x in num), den // g
+
+
+def _make(num: tuple, den: int) -> "AlgebraicNumber":
+    """An AlgebraicNumber from a numerator tuple and den already canonical."""
+    out = object.__new__(AlgebraicNumber)
+    out._num = num
+    out._den = den
+    return out
+
+
 class AlgebraicNumber:
     """An exact element of Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        c = tuple(Fraction(x) for x in coeffs)
-        if len(c) != 8:
-            raise ValueError(f"need 8 basis coordinates, got {len(c)}")
-        self._c = c
+        pairs = [_ratio(x) for x in coeffs]
+        if len(pairs) != 8:
+            raise ValueError(f"need 8 basis coordinates, got {len(pairs)}")
+        den = math.lcm(*(q for _, q in pairs))
+        self._num, self._den = _lowest_terms(
+            tuple(p * (den // q) for p, q in pairs), den)
+
+    @classmethod
+    def _from_row(cls, row: Iterable[int], den: int) -> "AlgebraicNumber":
+        """The number ``row / den`` for 8 int numerators and den > 0."""
+        return _make(*_lowest_terms(tuple(int(v) for v in row), den))
 
     @property
     def coeffs(self) -> tuple:
-        return self._c
+        """The 8 coordinates as Fractions in lowest terms."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     @classmethod
     def from_rational(cls, value: Scalar) -> "AlgebraicNumber":
-        return cls((Fraction(value), 0, 0, 0, 0, 0, 0, 0))
+        p, q = _ratio(value)
+        return _make(*_lowest_terms((p, 0, 0, 0, 0, 0, 0, 0), q))
 
     def __bool__(self) -> bool:
-        return any(self._c)
+        return any(self._num)
 
     def is_zero(self) -> bool:
-        return not any(self._c)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self._c[1:])
+        return not any(self._num[1:])
 
     def rational_part(self) -> Fraction:
         """The coordinate on basis element 1."""
-        return self._c[0]
+        return Fraction(self._num[0], self._den)
 
     def as_rational(self) -> Fraction:
         """This value as a Fraction; raises if any irrational coordinate is set."""
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self._c[0]
+        return Fraction(self._num[0], self._den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, AlgebraicNumber):
-            return self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self._c[0] == other
+        if type(other) is AlgebraicNumber:
+            return self._num == other._num and self._den == other._den
+        if isinstance(other, numbers.Rational):
+            p, q = _ratio(other)
+            return self.is_rational() and self._num[0] * q == p * self._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        # A rational value hashes like the equal int or Fraction.
+        if self.is_rational():
+            if self._den == 1:
+                return hash(self._num[0])
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self._num, self._den))
 
     def __add__(self, other) -> "AlgebraicNumber":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return AlgebraicNumber(a + b for a, b in zip(self._c, other._c))
+        if type(other) is not AlgebraicNumber:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgebraicNumber":
-        return AlgebraicNumber(-a for a in self._c)
+        return _make(tuple([-x for x in self._num]), self._den)
 
     def __sub__(self, other) -> "AlgebraicNumber":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return AlgebraicNumber(a - b for a, b in zip(self._c, other._c))
+        return _add(self, -other)
 
     def __rsub__(self, other) -> "AlgebraicNumber":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return _add(other, -self)
 
     def __mul__(self, other) -> "AlgebraicNumber":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        out = [Fraction(0)] * 8
-        for a, ca in enumerate(self._c):
-            if not ca:
-                continue
-            for b, cb in enumerate(other._c):
-                if not cb:
-                    continue
-                idx, coef = BASIS_MUL[a][b]
-                out[idx] += ca * cb * coef
-        return AlgebraicNumber(out)
+        if type(other) is not AlgebraicNumber:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        out = [0] * 8
+        right = [(b, y) for b, y in enumerate(other._num) if y]
+        for a, x in enumerate(self._num):
+            if x:
+                row = BASIS_MUL[a]
+                for b, y in right:
+                    idx, coef = row[b]
+                    out[idx] += coef * x * y
+        return _make(*_lowest_terms(tuple(out), self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -147,8 +207,8 @@ class AlgebraicNumber:
 
     def conj(self) -> "AlgebraicNumber":
         """Complex conjugate: negates the four imaginary coordinates."""
-        c = self._c
-        return AlgebraicNumber(c[:4] + tuple(-x for x in c[4:]))
+        c = self._num
+        return _make(c[:4] + tuple([-x for x in c[4:]]), self._den)
 
     def abs_sq(self) -> "AlgebraicNumber":
         """|a|^2 = a * conj(a); real (imaginary coordinates all zero)."""
@@ -165,23 +225,27 @@ class AlgebraicNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(i, sqrt2, sqrt3)")
         r = self.abs_sq()
-        s2 = AlgebraicNumber((r._c[0], -r._c[1], r._c[2], -r._c[3], 0, 0, 0, 0))
-        s3 = AlgebraicNumber((r._c[0], r._c[1], -r._c[2], -r._c[3], 0, 0, 0, 0))
-        s23 = AlgebraicNumber((r._c[0], -r._c[1], -r._c[2], r._c[3], 0, 0, 0, 0))
+        r0, r1, r2, r3 = r._num[:4]
+        den = r._den
+        # A sign flip keeps the gcd, so each conjugate is already canonical.
+        s2 = _make((r0, -r1, r2, -r3, 0, 0, 0, 0), den)
+        s3 = _make((r0, r1, -r2, -r3, 0, 0, 0, 0), den)
+        s23 = _make((r0, -r1, -r2, r3, 0, 0, 0, 0), den)
         prod = s2 * s3 * s23
         norm = (r * prod).as_rational()  # full Galois product, rational by construction
         return self.conj() * prod * AlgebraicNumber.from_rational(1 / norm)
 
     def approx(self) -> complex:
         """Floating approximation for reports only; never used in decisions."""
-        c = [float(x) for x in self._c]
+        # int / int is correctly rounded, so this equals float(Fraction).
+        c = [x / self._den for x in self._num]
         re = c[0] + c[1] * _SQRT2 + c[2] * _SQRT3 + c[3] * _SQRT6
         im = c[4] + c[5] * _SQRT2 + c[6] * _SQRT3 + c[7] * _SQRT6
         return complex(re, im)
 
     def to_json(self) -> list:
         """Exact encoding: 8 [numerator, denominator] pairs."""
-        return [[f.numerator, f.denominator] for f in self._c]
+        return [[f.numerator, f.denominator] for f in self.coeffs]
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[int]]) -> "AlgebraicNumber":
@@ -189,7 +253,7 @@ class AlgebraicNumber:
 
     def __str__(self) -> str:
         terms = []
-        for f, name in zip(self._c, BASIS_NAMES):
+        for f, name in zip(self.coeffs, BASIS_NAMES):
             if not f:
                 continue
             if name == "1":
@@ -211,10 +275,21 @@ class AlgebraicNumber:
         return f"AlgebraicNumber({self})"
 
 
+def _add(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
+    x, dx = a._num, a._den
+    y, dy = b._num, b._den
+    if dx == dy:
+        num = tuple([p + q for p, q in zip(x, y)])
+    else:
+        num = tuple([p * dy + q * dx for p, q in zip(x, y)])
+        dx *= dy
+    return _make(*_lowest_terms(num, dx))
+
+
 def _coerce(value) -> "AlgebraicNumber | None":
     if isinstance(value, AlgebraicNumber):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, numbers.Rational):
         return AlgebraicNumber.from_rational(value)
     return None
 

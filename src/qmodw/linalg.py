@@ -3,12 +3,17 @@
 Internally a vector is stored "packed": an array of shape (dim, 8) of
 Python integers (object dtype) holding the coefficients over the field
 basis, together with a single positive common denominator, always reduced
-so the gcd of all numerators and the denominator is 1.  Python integers
-never overflow, so there is one exact integer representation whatever the
-size of the values.  Each matrix carries a lazily-built kernel with the
-basis multiplication tensor pre-contracted into its entries, so a
-matrix-vector product is one integer matmul and a matrix product is the
-same kernel applied to every column of the other matrix.
+so the gcd of all numerators and the denominator is 1.  A row and an
+:class:`AlgebraicNumber` share this canonical form (8 int numerators over
+one denominator, reduced by the same gcd rule), so packing scales each
+number's int row to the common denominator and reading an entry builds
+the number from its row with one reduction; no ``Fraction`` is made
+either way.  Python integers never overflow, so there is one exact
+integer representation whatever the size of the values.  Each matrix
+carries a lazily-built kernel with the basis multiplication tensor
+pre-contracted into its entries, so a matrix-vector product is one
+integer matmul and a matrix product is the same kernel applied to every
+column of the other matrix.
 
 Packed arrays are never written after construction (they are marked
 read-only), so a state can be shared and its derived values cached on it:
@@ -59,27 +64,24 @@ _APPLY_MEMO_CAP = 256
 
 
 def _pack(entries: Sequence[AlgebraicNumber]):
-    """Flatten AlgebraicNumbers to (int array of shape (len, 8), common den)."""
-    den = 1
-    for e in entries:
-        for f in e.coeffs:
-            den = den * f.denominator // math.gcd(den, f.denominator)
-    num = [[f.numerator * (den // f.denominator) for f in e.coeffs]
-           for e in entries]
-    return _canonical(np.array(num, dtype=object), den)
+    """Stack AlgebraicNumbers as (int array of shape (len, 8), common den).
+
+    Each entry's int row is scaled to the lcm of the denominators.
+    """
+    den = math.lcm(*(e._den for e in entries))
+    num = [[x * (den // e._den) for x in e._num] for e in entries]
+    return _canonical(np.array(num, dtype=object).reshape(-1, 8), den)
 
 
 def _canonical(num: np.ndarray, den: int):
     """Reduce to lowest terms as a read-only array of Python ints.
 
-    ``num`` must not be written by the caller afterwards.
+    The rule is :func:`algebra._lowest_terms`'s: divide out the gcd of every
+    numerator and the denominator.  ``num`` must not be written by the
+    caller afterwards.
     """
     num = np.asarray(num, dtype=object)
-    g = den
-    for v in num.flat:
-        g = math.gcd(g, v)
-        if g == 1:
-            break
+    g = math.gcd(den, *num.flat)
     if g > 1:
         num = num // g
         den //= g
@@ -90,10 +92,6 @@ def _canonical(num: np.ndarray, den: int):
 def _packed_key(num: np.ndarray, den: int):
     """A hashable key equal for equal canonical packed values."""
     return den, tuple(num.flat)
-
-
-def _unpack_one(row, den) -> AlgebraicNumber:
-    return AlgebraicNumber(Fraction(int(v), den) for v in row)
 
 
 class StateVector:
@@ -142,11 +140,10 @@ class StateVector:
 
     @property
     def entries(self) -> tuple:
-        return tuple(_unpack_one(self._num[i], self._den)
-                     for i in range(self.dim))
+        return tuple(self[i] for i in range(self.dim))
 
     def __getitem__(self, i: int) -> AlgebraicNumber:
-        return _unpack_one(self._num[i], self._den)
+        return AlgebraicNumber._from_row(self._num[i], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
@@ -187,8 +184,7 @@ class StateVector:
     def norm_sq(self) -> AlgebraicNumber:
         """Sum of |entry|^2; a real field element."""
         rows, den_sq = self._abs_sq_rows()
-        total = rows.sum(axis=0)
-        return AlgebraicNumber(Fraction(int(v), den_sq) for v in total)
+        return AlgebraicNumber._from_row(rows.sum(axis=0), den_sq)
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.entries]
@@ -246,13 +242,12 @@ class SquareMatrix:
 
     @property
     def entries(self) -> tuple:
-        return tuple(tuple(_unpack_one(self._num[i, j], self._den)
-                           for j in range(self.dim))
+        return tuple(tuple(self[i, j] for j in range(self.dim))
                      for i in range(self.dim))
 
     def __getitem__(self, ij) -> AlgebraicNumber:
         i, j = ij
-        return _unpack_one(self._num[i, j], self._den)
+        return AlgebraicNumber._from_row(self._num[i, j], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrix):
@@ -354,7 +349,7 @@ class Projector:
             for c in range(8):
                 total[c] += int(rows[i, c])
         if any(total[1:]):
-            value = AlgebraicNumber(Fraction(v, den_sq) for v in total)
+            value = AlgebraicNumber._from_row(total, den_sq)
             raise ValueError(f"projected mass {value} is not rational")
         return Fraction(total[0], den_sq)
 

@@ -8,9 +8,13 @@ the number of Hamming weights on which it vanishes.  For the weight-
 divisibility function this count equals ceil(n(1 - 1/m)), matching the
 query algorithm's cost exactly.
 
+Coefficients are handled as packed int rows, the canonical form that
+``AlgebraicNumber`` and ``linalg`` share (8 Python-int numerators over
+one common denominator).  ``symmetrize`` sums each degree level's rows in
+one numpy step and scales each level once.
+
 Values on the whole Boolean cube come from one subset-sum (zeta)
-transform: the coefficients are packed as in ``linalg`` (rows of 8
-Python-int numerators over one common denominator) into a (2^n, 8) array
+transform: the packed coefficients are placed into a (2^n, 8) array
 indexed by bitmask, and for each variable every row with that bit set
 adds the row without it.  That is n numpy steps and n * 2^(n-1) * 8
 integer additions, in place of evaluating every monomial at every point
@@ -30,7 +34,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraicNumber, ZERO, ONE
+from .algebra import AlgebraicNumber, ZERO, _ratio
 from .linalg import _pack
 
 
@@ -112,9 +116,10 @@ class UnivariatePolynomial:
         return not self.coeffs
 
     def eval(self, t: Union[int, Fraction]) -> AlgebraicNumber:
-        t = Fraction(t)
+        p, q = _ratio(t)
+        t = p if q == 1 else Fraction(p, q)
         total = ZERO
-        power = Fraction(1)
+        power = 1
         for c in self.coeffs:
             total = total + c * AlgebraicNumber.from_rational(power)
             power *= t
@@ -139,26 +144,27 @@ def symmetrize(p: MultilinearPolynomial) -> UnivariatePolynomial:
         q(t) = sum_k c_k * t (t-1) ... (t-k+1) / k!.
     """
     n = p.n
-    level_sums = {}
-    for s, a in p.coeffs.items():
-        level_sums[len(s)] = level_sums.get(len(s), ZERO) + a
     out = [ZERO] * (p.degree + 1)
-    for k, total in level_sums.items():
-        c_k = total * AlgebraicNumber.from_rational(
-            Fraction(1, math.comb(n, k)))
-        # t(t-1)...(t-k+1)/k! expanded in the monomial basis
-        falling = [Fraction(1)]
+    num, den = _pack(list(p.coeffs.values()))
+    sizes = [len(s) for s in p.coeffs]
+    level_sums = np.zeros((p.degree + 1, 8), dtype=object)
+    np.add.at(level_sums, sizes, num)
+    for k in set(sizes):
+        # 1/C(n, k) for the average and 1/k! for the falling factorial.
+        c_k = (AlgebraicNumber._from_row(level_sums[k], den)
+               * AlgebraicNumber.from_rational(Fraction(1, math.perm(n, k))))
+        # t(t-1)...(t-k+1) expanded in the monomial basis
+        falling = [1]
         for j in range(k):
             falling = _shift_mul(falling, -j)
-        scale = Fraction(1, math.factorial(k))
         for d, coef in enumerate(falling):
-            out[d] = out[d] + c_k * AlgebraicNumber.from_rational(coef * scale)
+            out[d] = out[d] + c_k * AlgebraicNumber.from_rational(coef)
     return UnivariatePolynomial(out)
 
 
 def _shift_mul(poly, root):
-    """Multiply a rational-coefficient polynomial by (t + root)."""
-    out = [Fraction(0)] * (len(poly) + 1)
+    """Multiply an integer-coefficient polynomial by (t + root)."""
+    out = [0] * (len(poly) + 1)
     for d, c in enumerate(poly):
         out[d] += c * root
         out[d + 1] += c
@@ -176,8 +182,6 @@ def _cube_values(p: MultilinearPolynomial):
     """
     n = p.n
     vals = np.zeros((1 << n, 8), dtype=object)
-    if not p.coeffs:
-        return vals, 1
     num, den = _pack(list(p.coeffs.values()))
     vals[[sum(1 << (n - i) for i in s) for s in p.coeffs]] = num
     for b in range(n):
@@ -200,7 +204,7 @@ def symmetrize_bruteforce(p: MultilinearPolynomial, k: int) -> AlgebraicNumber:
     count = math.comb(p.n, k)
     vals, den = _cube_values(p)
     total = vals[_weights(p.n) == k].sum(axis=0)
-    return AlgebraicNumber(Fraction(int(c), den * count) for c in total)
+    return AlgebraicNumber._from_row(total, den * count)
 
 
 @dataclass(frozen=True)

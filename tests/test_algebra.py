@@ -1,11 +1,16 @@
+import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmodw.algebra import (
-    AlgebraicNumber, BASIS_MUL, I, OMEGA, ONE, SQRT2, SQRT3, SQRT6, ZERO,
+    AlgebraicNumber, BASIS_MUL, BASIS_NAMES, I, OMEGA, ONE, SQRT2, SQRT3,
+    SQRT6, ZERO,
 )
+from qmodw.fixtures import STAGES, _load
 
 
 small_fractions = st.fractions(
@@ -181,3 +186,242 @@ def test_approx_matches_exact_on_random(
             c[0] + c[1] * math.sqrt(2) + c[2] * math.sqrt(3) + c[3] * math.sqrt(6),
             c[4] + c[5] * math.sqrt(2) + c[6] * math.sqrt(3) + c[7] * math.sqrt(6))
         assert abs(a.approx() - expected) < 1e-9
+
+
+# ---------------------------------------------------------
+# The integer representation against a Fraction-tuple reference
+# ---------------------------------------------------------
+
+class FractionReference:
+    """The field stored as 8 Fractions, one per basis coordinate.
+
+    The representation the integer one replaced, kept as an independent
+    reference: every operation here works coordinate by coordinate on
+    ``fractions.Fraction`` and shares no code with ``AlgebraicNumber``
+    beyond the basis product table.
+    """
+
+    def __init__(self, coeffs):
+        self.c = tuple(Fraction(x) for x in coeffs)
+
+    def __add__(self, other):
+        return FractionReference(a + b for a, b in zip(self.c, other.c))
+
+    def __sub__(self, other):
+        return FractionReference(a - b for a, b in zip(self.c, other.c))
+
+    def __neg__(self):
+        return FractionReference(-a for a in self.c)
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * 8
+        for a, ca in enumerate(self.c):
+            for b, cb in enumerate(other.c):
+                idx, coef = BASIS_MUL[a][b]
+                out[idx] += ca * cb * coef
+        return FractionReference(out)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def conj(self):
+        return FractionReference(self.c[:4] + tuple(-x for x in self.c[4:]))
+
+    def abs_sq(self):
+        return self * self.conj()
+
+    def inv(self):
+        r = self.abs_sq().c
+        s2 = FractionReference((r[0], -r[1], r[2], -r[3], 0, 0, 0, 0))
+        s3 = FractionReference((r[0], r[1], -r[2], -r[3], 0, 0, 0, 0))
+        s23 = FractionReference((r[0], -r[1], -r[2], r[3], 0, 0, 0, 0))
+        prod = s2 * s3 * s23
+        norm = (self.abs_sq() * prod).c[0]
+        return self.conj() * prod * FractionReference((1 / norm,) + (0,) * 7)
+
+    def approx(self):
+        c = [float(x) for x in self.c]
+        re = c[0] + c[1] * math.sqrt(2) + c[2] * math.sqrt(3) + c[3] * math.sqrt(6)
+        im = c[4] + c[5] * math.sqrt(2) + c[6] * math.sqrt(3) + c[7] * math.sqrt(6)
+        return complex(re, im)
+
+    def to_json(self):
+        return [[f.numerator, f.denominator] for f in self.c]
+
+    def __str__(self):
+        terms = []
+        for f, name in zip(self.c, BASIS_NAMES):
+            if not f:
+                continue
+            if name == "1":
+                terms.append(str(f))
+            elif f == 1:
+                terms.append(name)
+            elif f == -1:
+                terms.append(f"-{name}")
+            else:
+                terms.append(f"{f}·{name}")
+        if not terms:
+            return "0"
+        out = terms[0]
+        for t in terms[1:]:
+            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+        return out
+
+
+coordinate_tuples = st.tuples(*[small_fractions] * 8)
+sparse_tuples = st.tuples(*[st.one_of(st.just(Fraction(0)), small_fractions)] * 8)
+any_tuples = st.one_of(coordinate_tuples, sparse_tuples)
+
+
+def assert_canonical(z):
+    """Python ints over a positive denominator, gcd 1, zero as 0/1."""
+    assert type(z._den) is int and z._den > 0
+    assert len(z._num) == 8 and all(type(x) is int for x in z._num)
+    assert math.gcd(z._den, *z._num) == 1
+    if z.is_zero():
+        assert z._den == 1
+
+
+def assert_agrees(z, ref):
+    assert_canonical(z)
+    assert z.coeffs == ref.c
+    assert all(type(f) is Fraction for f in z.coeffs)
+
+
+@given(any_tuples, any_tuples)
+def test_binary_ops_match_reference(x, y):
+    a, b = AlgebraicNumber(x), AlgebraicNumber(y)
+    ra, rb = FractionReference(x), FractionReference(y)
+    assert_agrees(a, ra)
+    assert_agrees(a + b, ra + rb)
+    assert_agrees(a - b, ra - rb)
+    assert_agrees(a * b, ra * rb)
+    if not b.is_zero():
+        assert_agrees(a / b, ra / rb)
+
+
+@settings(deadline=1000)
+@given(any_tuples)
+def test_unary_ops_match_reference(x):
+    a, ra = AlgebraicNumber(x), FractionReference(x)
+    assert_agrees(-a, -ra)
+    assert_agrees(a.conj(), ra.conj())
+    assert_agrees(a.abs_sq(), ra.abs_sq())
+    if not a.is_zero():
+        assert_agrees(a.inv(), ra.inv())
+    assert a.to_json() == ra.to_json()
+    assert str(a) == str(ra)
+    assert a.approx() == ra.approx()
+    assert a.rational_part() == ra.c[0]
+
+
+def test_canonical_form_of_zero_results():
+    half = AlgebraicNumber.from_rational(Fraction(1, 2))
+    for z in (half - half, ZERO * half, OMEGA + -OMEGA, ZERO.conj(),
+              AlgebraicNumber((Fraction(0, 7),) * 8)):
+        assert_canonical(z)
+        assert z == ZERO and z._num == (0,) * 8
+
+
+def test_equal_values_built_differently():
+    forms = [AlgebraicNumber.from_rational(Fraction(2, 4)),
+             AlgebraicNumber.from_rational(Fraction(1, 2)),
+             AlgebraicNumber((Fraction(3, 6), 0, 0, 0, 0, 0, 0, 0)),
+             AlgebraicNumber.from_json([[2, 4]] + [[0, 3]] * 7),
+             ONE / 2, ONE - AlgebraicNumber.from_rational(Fraction(1, 2)),
+             SQRT2 * SQRT2 / 4, I * I / -2]
+    for z in forms:
+        assert_canonical(z)
+        assert z == forms[0] and hash(z) == hash(forms[0])
+        assert z == Fraction(1, 2) and hash(z) == hash(Fraction(1, 2))
+    assert len(set(forms)) == 1
+
+
+# ---------------------------------------------------------
+# Hash contract across field elements, ints and Fractions
+# ---------------------------------------------------------
+
+def _rational_forms(r):
+    forms = [r, AlgebraicNumber.from_rational(r),
+             AlgebraicNumber((r,) + (0,) * 7) + ZERO]
+    if r.denominator == 1:
+        forms += [int(r), np.int64(int(r))]
+    return st.sampled_from(forms)
+
+
+field_or_rational = st.one_of(
+    field_elements, small_fractions.flatmap(_rational_forms))
+
+
+@given(field_or_rational, field_or_rational)
+def test_equal_implies_equal_hash(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_rational_values_hash_like_python_numbers():
+    assert hash(ONE) == hash(1)
+    assert len({ONE, 1}) == 1
+    assert ONE in {1: 0}
+    assert {Fraction(-3, 2): "x"}[AlgebraicNumber.from_rational(Fraction(-3, 2))] == "x"
+    assert ZERO in {0}
+
+
+# ---------------------------------------------------------
+# Only exact rationals enter the field
+# ---------------------------------------------------------
+
+NOT_RATIONAL = [0.1, 1.0, 1 + 0j, "1/3", Decimal("0.1")]
+
+
+@pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
+def test_constructor_rejects_non_rationals(value):
+    with pytest.raises(TypeError):
+        AlgebraicNumber([value, 0, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(TypeError):
+        AlgebraicNumber([0, 0, 0, 0, 0, 0, 0, value])
+
+
+@pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
+def test_from_rational_rejects_non_rationals(value):
+    with pytest.raises(TypeError):
+        AlgebraicNumber.from_rational(value)
+
+
+@pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
+def test_arithmetic_rejects_non_rationals(value):
+    for op in (lambda: ONE + value, lambda: value + ONE, lambda: ONE - value,
+               lambda: ONE * value, lambda: value * ONE, lambda: ONE / value):
+        with pytest.raises(TypeError):
+            op()
+    assert ONE != value
+
+
+def test_numpy_integers_are_exact_rationals():
+    big = np.int64(2 ** 62)
+    a = AlgebraicNumber([big, 0, 0, 0, 0, 0, 0, np.int32(-3)])
+    assert_canonical(a)
+    # Stored as Python ints, so squaring does not wrap at 64 bits.
+    assert (a * a).rational_part() == 2 ** 124 - 6 * 9
+    assert AlgebraicNumber.from_rational(np.int64(5)) == 5
+    assert ONE + np.int64(1) == 2
+
+
+# ---------------------------------------------------------
+# The frozen fixtures re-encode to their stored pairs
+# ---------------------------------------------------------
+
+def test_gram_fixture_reencodes_exactly():
+    for row in _load("gram.json")["entries"]:
+        for p, q in row:
+            z = AlgebraicNumber.from_rational(Fraction(p, q))
+            assert z.to_json() == [[p, q]] + [[0, 1]] * 7
+
+
+def test_state_table_fixture_reencodes_exactly():
+    raw = _load("state_table.json")
+    for stage in STAGES:
+        for bits in raw["order"]:
+            for entry in raw[stage][bits]:
+                assert AlgebraicNumber.from_json(entry).to_json() == entry

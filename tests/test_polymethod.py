@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qmodw.algebra import AlgebraicNumber, I, ONE, SQRT2, ZERO
@@ -82,6 +84,24 @@ def test_coefficients_merge_and_drop_zeros():
     p = MultilinearPolynomial(2, {(1,): ONE, frozenset({1}): -ONE})
     assert p.coeffs == {}
     assert p.degree == 0
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, 1 + 0j, "1/3", Decimal("0.1")],
+                         ids=repr)
+def test_polynomials_reject_non_rationals(value):
+    with pytest.raises(TypeError):
+        UnivariatePolynomial([1, 2]).eval(value)
+    with pytest.raises(TypeError):
+        UnivariatePolynomial([1, value])
+    with pytest.raises(TypeError):
+        MultilinearPolynomial(2, {(1,): value})
+
+
+def test_univariate_eval_at_exact_rationals():
+    q = UnivariatePolynomial([1, 2, 3])
+    assert q.eval(Fraction(1, 3)) == Fraction(2)
+    assert q.eval(np.int64(2)) == 17
+    assert q.eval(-1) == 2
 
 
 # ---------------------------------------------------------
