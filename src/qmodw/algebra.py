@@ -13,8 +13,9 @@ a number moves between the two as a tuple of ints and no ``Fraction`` is
 built on the way.  The basis is linearly independent over Q and the form
 is unique, so structural equality coincides with mathematical equality and
 zero-testing is a plain all-zero check.  Only exact rationals
-(``numbers.Rational``: ints, numpy integers, ``Fraction``) are accepted;
-a float, complex, string or Decimal raises ``TypeError``.  ``Fraction``
+(``numbers.Rational``: ints, ``Fraction``, and the integer types other
+libraries register there, stored as Python ints) are accepted; a float,
+complex, string or Decimal raises ``TypeError``.  ``Fraction``
 appears only where a coordinate is handed out (``coeffs``,
 ``rational_part``, ``as_rational``).  All values are immutable; nothing
 here ever rounds.
@@ -86,6 +87,27 @@ def _lowest_terms(num: tuple, den: int) -> tuple:
     return tuple(x // g for x in num), den // g
 
 
+def _conj_row(row: tuple) -> tuple:
+    """Complex conjugate of a coordinate row: the imaginary four negated."""
+    return row[:4] + tuple([-x for x in row[4:]])
+
+
+def _mul_into(out: list, x: Sequence[int], y: Sequence[int]) -> list:
+    """Add the product of the coordinate rows ``x`` and ``y`` into ``out``.
+
+    Zero coordinates are skipped, so a sparse row costs only its nonzero
+    pairs.  Returns ``out``.
+    """
+    right = [(b, q) for b, q in enumerate(y) if q]
+    for a, p in enumerate(x):
+        if p:
+            row = BASIS_MUL[a]
+            for b, q in right:
+                idx, coef = row[b]
+                out[idx] += coef * p * q
+    return out
+
+
 def _make(num: tuple, den: int) -> "AlgebraicNumber":
     """An AlgebraicNumber from a numerator tuple and den already canonical."""
     out = object.__new__(AlgebraicNumber)
@@ -109,8 +131,8 @@ class AlgebraicNumber:
 
     @classmethod
     def _from_row(cls, row: Iterable[int], den: int) -> "AlgebraicNumber":
-        """The number ``row / den`` for 8 int numerators and den > 0."""
-        return _make(*_lowest_terms(tuple(int(v) for v in row), den))
+        """The number ``row / den`` for 8 Python-int numerators, den > 0."""
+        return _make(*_lowest_terms(tuple(row), den))
 
     @property
     def coeffs(self) -> tuple:
@@ -187,14 +209,7 @@ class AlgebraicNumber:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        out = [0] * 8
-        right = [(b, y) for b, y in enumerate(other._num) if y]
-        for a, x in enumerate(self._num):
-            if x:
-                row = BASIS_MUL[a]
-                for b, y in right:
-                    idx, coef = row[b]
-                    out[idx] += coef * x * y
+        out = _mul_into([0] * 8, self._num, other._num)
         return _make(*_lowest_terms(tuple(out), self._den * other._den))
 
     __rmul__ = __mul__
@@ -207,8 +222,7 @@ class AlgebraicNumber:
 
     def conj(self) -> "AlgebraicNumber":
         """Complex conjugate: negates the four imaginary coordinates."""
-        c = self._num
-        return _make(c[:4] + tuple([-x for x in c[4:]]), self._den)
+        return _make(_conj_row(self._num), self._den)
 
     def abs_sq(self) -> "AlgebraicNumber":
         """|a|^2 = a * conj(a); real (imaginary coordinates all zero)."""

@@ -1,28 +1,31 @@
 """Exact dense vectors and matrices over Q(i, sqrt2, sqrt3).
 
-Internally a vector is stored "packed": an array of shape (dim, 8) of
-Python integers (object dtype) holding the coefficients over the field
-basis, together with a single positive common denominator, always reduced
-so the gcd of all numerators and the denominator is 1.  A row and an
+Internally a vector is stored "packed": a tuple of ``dim`` rows, each a
+tuple of the 8 Python-int coefficients of one entry over the field basis,
+together with a single positive common denominator, always reduced so the
+gcd of all numerators and the denominator is 1.  A matrix holds a tuple of
+such row tuples per matrix row, over one denominator.  A row and an
 :class:`AlgebraicNumber` share this canonical form (8 int numerators over
 one denominator, reduced by the same gcd rule), so packing scales each
 number's int row to the common denominator and reading an entry builds
 the number from its row with one reduction; no ``Fraction`` is made
 either way.  Python integers never overflow, so there is one exact
-integer representation whatever the size of the values.  Each matrix
-carries a lazily-built kernel with the basis multiplication tensor
-pre-contracted into its entries, so a matrix-vector product is one
-integer matmul and a matrix product is the same kernel applied to every
-column of the other matrix.
+integer representation whatever the size of the values.
 
-Packed arrays are never written after construction (they are marked
-read-only), so a state can be shared and its derived values cached on it:
+Each matrix carries a lazily-built sparse kernel with the basis
+multiplication table folded into its entries: for every input coordinate
+(entry j, basis b) the (output coordinate, integer coefficient) pairs it
+feeds, zeros dropped.  A matrix-vector product walks the nonzero
+coordinates of the vector through it, and a matrix product applies the
+same kernel to every column of the other matrix.
 
-* its exact key, ``(den, tuple of the numerators)``; equal states have
-  equal keys because the canonical form is unique, so ``__eq__`` compares
-  keys;
-* the hash of that key, which ``__hash__`` returns, so a state is hashed
-  once however many tables it is looked up in;
+Tuples cannot be written, so a state can be shared and its derived values
+cached on it:
+
+* the hash of its exact key ``(den, rows)``; equal states have equal keys
+  because the canonical form is unique, so ``__eq__`` compares keys and
+  ``__hash__`` hashes a state once however many tables it is looked up
+  in;
 * its support, its per-entry ``|z|^2`` rows, and the mass of each
   projector.
 
@@ -43,62 +46,53 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .algebra import BASIS_MUL, AlgebraicNumber
-
-# Structure tensor of the basis: _T[a, b, c] = coefficient of basis c in
-# (basis a * basis b).
-_T = np.zeros((8, 8, 8), dtype=object)
-for _a in range(8):
-    for _b in range(8):
-        _idx, _coef = BASIS_MUL[_a][_b]
-        _T[_a, _b, _idx] = _coef
+from .algebra import BASIS_MUL, AlgebraicNumber, _conj_row, _mul_into
 
 # Distinct inputs stored per matrix.  The circuits see a handful of states
 # (19 distinct apply results over all 4096 inputs at n = 12); the cap only
 # bounds memory when a matrix is applied to arbitrary vectors.
 _APPLY_MEMO_CAP = 256
 
+_ZERO_ROW = (0,) * 8
+_ONE_ROW = (1,) + (0,) * 7
+
+
+def _rows(flat: list, width: int = 8) -> tuple:
+    """``flat`` cut into consecutive tuples of ``width`` items."""
+    return tuple(zip(*[iter(flat)] * width))
+
+
+def _canonical(flat: list, den: int):
+    """Reduce int numerators, 8 per row, to lowest terms: (rows, den).
+
+    The rule is :func:`algebra._lowest_terms`'s: divide out the gcd of every
+    numerator and the denominator, only when it is above 1.
+    """
+    g = math.gcd(den, *flat)
+    if g > 1:
+        flat = [x // g for x in flat]
+        den //= g
+    return _rows(flat), den
+
 
 def _pack(entries: Sequence[AlgebraicNumber]):
-    """Stack AlgebraicNumbers as (int array of shape (len, 8), common den).
+    """Stack AlgebraicNumbers as (tuple of int rows, common den).
 
     Each entry's int row is scaled to the lcm of the denominators.
     """
     den = math.lcm(*(e._den for e in entries))
-    num = [[x * (den // e._den) for x in e._num] for e in entries]
-    return _canonical(np.array(num, dtype=object).reshape(-1, 8), den)
-
-
-def _canonical(num: np.ndarray, den: int):
-    """Reduce to lowest terms as a read-only array of Python ints.
-
-    The rule is :func:`algebra._lowest_terms`'s: divide out the gcd of every
-    numerator and the denominator.  ``num`` must not be written by the
-    caller afterwards.
-    """
-    num = np.asarray(num, dtype=object)
-    g = math.gcd(den, *num.flat)
-    if g > 1:
-        num = num // g
-        den //= g
-    num.flags.writeable = False
-    return num, den
-
-
-def _packed_key(num: np.ndarray, den: int):
-    """A hashable key equal for equal canonical packed values."""
-    return den, tuple(num.flat)
+    return _canonical([x * (den // e._den) for e in entries for x in e._num],
+                      den)
 
 
 class StateVector:
     """An exact vector over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_key", "_hash", "_support",
-                 "_abs_sq", "_masses")
+    __slots__ = ("dim", "_num", "_den", "_hash", "_support", "_abs_sq",
+                 "_masses")
 
     def __init__(self, entries: Iterable[AlgebraicNumber]):
         entries = tuple(entries)
@@ -106,17 +100,27 @@ class StateVector:
             raise ValueError("empty state vector")
         self._init(*_pack(entries))
 
-    def _init(self, num: np.ndarray, den: int):
-        self.dim = num.shape[0]
+    def _init(self, num: tuple, den: int):
+        self.dim = len(num)
         self._num, self._den = num, den
-        self._key = self._hash = None
-        self._support = self._abs_sq = self._masses = None
+        self._hash = self._support = self._abs_sq = self._masses = None
 
     @classmethod
-    def _from_packed(cls, num: np.ndarray, den: int) -> "StateVector":
+    def _new(cls, num: tuple, den: int) -> "StateVector":
+        """A state from rows of Python ints already in canonical form."""
         v = object.__new__(cls)
-        v._init(*_canonical(num, den))
+        v._init(num, den)
         return v
+
+    @classmethod
+    def _from_packed(cls, num, den) -> "StateVector":
+        """The state ``num / den`` for rows of 8 integers of any int type.
+
+        Each numerator is converted with ``int``, so rows from another
+        library (numpy integers, say) are stored as exact Python ints.
+        """
+        return cls._new(*_canonical([int(x) for row in num for x in row],
+                                    int(den)))
 
     def _negated(self, rows) -> "StateVector":
         """This state with the given entries negated.
@@ -124,19 +128,15 @@ class StateVector:
         Negation keeps the gcd, so the result is already canonical and
         skips :func:`_canonical`.
         """
-        num = self._num.copy()
+        num = list(self._num)
         for j in rows:
-            num[j] = -num[j]
-        num.flags.writeable = False
-        v = object.__new__(type(self))
-        v._init(num, self._den)
-        return v
+            num[j] = tuple([-x for x in num[j]])
+        return self._new(tuple(num), self._den)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
-        num = np.zeros((dim, 8), dtype=object)
-        num[index, 0] = 1
-        return cls._from_packed(num, 1)
+        return cls._new(tuple(_ONE_ROW if i == index else _ZERO_ROW
+                              for i in range(dim)), 1)
 
     @property
     def entries(self) -> tuple:
@@ -148,13 +148,10 @@ class StateVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return (self.dim == other.dim
-                and self._exact_key() == other._exact_key())
+        return self._den == other._den and self._num == other._num
 
     def _exact_key(self):
-        if self._key is None:
-            self._key = _packed_key(self._num, self._den)
-        return self._key
+        return self._den, self._num
 
     def __hash__(self):
         if self._hash is None:
@@ -165,26 +162,22 @@ class StateVector:
         """Indices with a nonzero amplitude."""
         if self._support is None:
             self._support = frozenset(
-                i for i in range(self.dim) if self._num[i].any())
+                i for i, row in enumerate(self._num) if any(row))
         return self._support
 
     def _abs_sq_rows(self):
-        """Per-entry |z|^2 in packed form: (int array (dim, 8), den)."""
+        """Per-entry |z|^2 in packed form: (tuple of int rows, den)."""
         if self._abs_sq is None:
-            rows = self._compute_abs_sq_rows()
-            rows.flags.writeable = False
-            self._abs_sq = rows, self._den * self._den
+            self._abs_sq = (
+                tuple(tuple(_mul_into([0] * 8, _conj_row(row), row))
+                      for row in self._num),
+                self._den * self._den)
         return self._abs_sq
-
-    def _compute_abs_sq_rows(self):
-        conj = self._num.copy()
-        conj[:, 4:] = -conj[:, 4:]
-        return np.einsum("ja,jb,abc->jc", conj, self._num, _T)
 
     def norm_sq(self) -> AlgebraicNumber:
         """Sum of |entry|^2; a real field element."""
         rows, den_sq = self._abs_sq_rows()
-        return AlgebraicNumber._from_row(rows.sum(axis=0), den_sq)
+        return AlgebraicNumber._from_row(map(sum, zip(*rows)), den_sq)
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.entries]
@@ -198,13 +191,34 @@ class StateVector:
 
 
 def inner(u: StateVector, v: StateVector) -> AlgebraicNumber:
-    """<u|v> = sum_j conj(u_j) * v_j, exactly."""
+    """<u|v> = sum_j conj(u_j) * v_j, exactly.
+
+    The row products are summed over den_u * den_v and reduced once.
+    """
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
-    total = AlgebraicNumber.from_rational(0)
-    for i in range(u.dim):
-        total = total + u[i].conj() * v[i]
-    return total
+    total = [0] * 8
+    for x, y in zip(u._num, v._num):
+        _mul_into(total, _conj_row(x), y)
+    return AlgebraicNumber._from_row(total, u._den * v._den)
+
+
+def _kernel(num: tuple) -> tuple:
+    """The sparse kernel of matrix rows ``num``.
+
+    Entry ``8 * j + b`` lists, for the input coordinate b of entry j, the
+    pairs (``8 * i + c``, coefficient of basis c in num[i][j] * basis b).
+    Basis b times a basis element is one basis element times an int, so
+    each nonzero numerator of num[i][j] yields one pair per b.
+    """
+    cols = [[] for _ in range(8 * len(num))]
+    for i, row in enumerate(num):
+        for j, entry in enumerate(row):
+            for a, x in enumerate(entry):
+                if x:
+                    for b, (c, coef) in enumerate(BASIS_MUL[a]):
+                        cols[8 * j + b].append((8 * i + c, coef * x))
+    return tuple(map(tuple, cols))
 
 
 class SquareMatrix:
@@ -214,31 +228,38 @@ class SquareMatrix:
 
     def __init__(self, rows: Iterable[Iterable[AlgebraicNumber]]):
         rows = [tuple(r) for r in rows]
-        self.dim = len(rows)
-        if any(len(r) != self.dim for r in rows):
+        dim = len(rows)
+        if any(len(r) != dim for r in rows):
             raise ValueError("matrix is not square")
-        flat = [e for r in rows for e in r]
-        num, self._den = _pack(flat)
-        self._num = num.reshape(self.dim, self.dim, 8)
+        num, den = _pack([e for r in rows for e in r])
+        self._init(_rows(num, dim), den)
+
+    def _init(self, num: tuple, den: int):
+        self.dim = len(num)
+        self._num, self._den = num, den
         self._kernel = None
         self._memo = {}
 
     @classmethod
-    def _from_packed(cls, num: np.ndarray, den: int) -> "SquareMatrix":
+    def _new(cls, num: tuple, den: int) -> "SquareMatrix":
+        """A matrix from rows of Python ints already in canonical form."""
         m = object.__new__(cls)
-        m.dim = num.shape[0]
-        flat, m._den = _canonical(num.reshape(-1, 8), den)
-        m._num = flat.reshape(num.shape)
-        m._kernel = None
-        m._memo = {}
+        m._init(num, den)
         return m
 
     @classmethod
+    def _from_packed(cls, num, den) -> "SquareMatrix":
+        """The matrix ``num / den``; ``num[i][j]`` holds 8 integers of any
+        int type, each converted with ``int``."""
+        flat = [int(x) for row in num for entry in row for x in entry]
+        rows, den = _canonical(flat, int(den))
+        return cls._new(_rows(rows, len(num)), den)
+
+    @classmethod
     def identity(cls, dim: int) -> "SquareMatrix":
-        num = np.zeros((dim, dim, 8), dtype=object)
-        for i in range(dim):
-            num[i, i, 0] = 1
-        return cls._from_packed(num, 1)
+        return cls._new(tuple(tuple(_ONE_ROW if i == j else _ZERO_ROW
+                                    for j in range(dim))
+                              for i in range(dim)), 1)
 
     @property
     def entries(self) -> tuple:
@@ -247,29 +268,25 @@ class SquareMatrix:
 
     def __getitem__(self, ij) -> AlgebraicNumber:
         i, j = ij
-        return AlgebraicNumber._from_row(self._num[i, j], self._den)
+        return AlgebraicNumber._from_row(self._num[i][j], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return (self.dim == other.dim and self._den == other._den
-                and np.array_equal(self._num, other._num))
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.dim,) + _packed_key(self._num, self._den))
+        return hash((self._den, self._num))
 
     def dagger(self) -> "SquareMatrix":
-        num = self._num.transpose(1, 0, 2).copy()
-        num[:, :, 4:] = -num[:, :, 4:]
-        return SquareMatrix._from_packed(num, self._den)
+        # Conjugation keeps the gcd, so the result is already canonical.
+        return self._new(tuple(map(tuple, zip(*(map(_conj_row, row)
+                                                 for row in self._num)))),
+                         self._den)
 
-    def _get_kernel(self):
-        # K[i, c, j, b] = sum_a num[i, j, a] * T[a, b, c], flattened to a
-        # (dim*8) x (dim*8) integer matrix so apply() is a single matmul.
+    def _get_kernel(self) -> tuple:
         if self._kernel is None:
-            d8 = self.dim * 8
-            k = np.tensordot(self._num, _T, axes=([2], [0]))  # (i, j, b, c)
-            self._kernel = k.transpose(0, 3, 1, 2).reshape(d8, d8)
+            self._kernel = _kernel(self._num)
         return self._kernel
 
     def apply(self, v: StateVector) -> StateVector:
@@ -283,20 +300,31 @@ class SquareMatrix:
                 self._memo[v] = out
         return out
 
+    def _times(self, flat: Iterable[int]) -> list:
+        """The kernel applied to one column of 8 * dim numerators."""
+        kernel = self._get_kernel()
+        out = [0] * (8 * self.dim)
+        for p, x in enumerate(flat):
+            if x:
+                for o, k in kernel[p]:
+                    out[o] += k * x
+        return out
+
     def _product(self, v: StateVector) -> StateVector:
-        out = self._get_kernel() @ v._num.reshape(-1)
-        return StateVector._from_packed(out.reshape(self.dim, 8),
-                                        self._den * v._den)
+        out = self._times(chain.from_iterable(v._num))
+        return StateVector._new(*_canonical(out, self._den * v._den))
 
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
         """Exact matrix product: the kernel applied to each column of other."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
-        d = self.dim
-        cols = other._num.transpose(0, 2, 1).reshape(d * 8, d)  # (j, b), k
-        out = self._get_kernel() @ cols                          # (i, c), k
-        return SquareMatrix._from_packed(
-            out.reshape(d, 8, d).transpose(0, 2, 1), self._den * other._den)
+        cols = [self._times(chain.from_iterable(col))
+                for col in zip(*other._num)]
+        # cols[k][8 * i + c] is coordinate c of entry (i, k).
+        flat = [x for i in range(0, 8 * self.dim, 8)
+                for col in cols for x in col[i:i + 8]]
+        rows, den = _canonical(flat, self._den * other._den)
+        return self._new(_rows(rows, self.dim), den)
 
     __matmul__ = matmul
 
@@ -346,8 +374,8 @@ class Projector:
         rows, den_sq = v._abs_sq_rows()
         total = [0] * 8
         for i in self.indices:
-            for c in range(8):
-                total[c] += int(rows[i, c])
+            for c, x in enumerate(rows[i]):
+                total[c] += x
         if any(total[1:]):
             value = AlgebraicNumber._from_row(total, den_sq)
             raise ValueError(f"projected mass {value} is not rational")

@@ -11,15 +11,17 @@ query algorithm's cost exactly.
 Coefficients are handled as packed int rows, the canonical form that
 ``AlgebraicNumber`` and ``linalg`` share (8 Python-int numerators over
 one common denominator).  ``symmetrize`` sums each degree level's rows in
-one numpy step and scales each level once.
+a plain loop and scales each level once.
 
 Values on the whole Boolean cube come from one subset-sum (zeta)
-transform: the packed coefficients are placed into a (2^n, 8) array
-indexed by bitmask, and for each variable every row with that bit set
-adds the row without it.  That is n numpy steps and n * 2^(n-1) * 8
-integer additions, in place of evaluating every monomial at every point
-(O(4^n) field additions).  The support check and the brute-force
-symmetrization both read this table; it is exact and no float enters.
+transform per coordinate column that is nonzero in some coefficient: the
+column's numerators are placed into a list of 2^n ints indexed by
+bitmask, and for each variable every point with that bit set adds the
+point without it, a slice at a time.  That is n * 2^(n-1) integer
+additions per column (the certificates are rational, so one column of
+eight), in place of evaluating every monomial at every point (O(4^n)
+field additions).  The support check and the brute-force symmetrization
+both read these columns; they are exact and no float enters.
 ``weight_certificate`` builds the matching upper-bound certificate, so
 the certifying degree of |x| mod m is pinned from both sides.
 """
@@ -30,9 +32,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
-
-import numpy as np
 
 from .algebra import AlgebraicNumber, ZERO, _ratio
 from .linalg import _pack
@@ -145,10 +146,13 @@ def symmetrize(p: MultilinearPolynomial) -> UnivariatePolynomial:
     """
     n = p.n
     out = [ZERO] * (p.degree + 1)
-    num, den = _pack(list(p.coeffs.values()))
+    rows, den = _pack(list(p.coeffs.values()))
     sizes = [len(s) for s in p.coeffs]
-    level_sums = np.zeros((p.degree + 1, 8), dtype=object)
-    np.add.at(level_sums, sizes, num)
+    level_sums = [[0] * 8 for _ in out]
+    for k, row in zip(sizes, rows):
+        level = level_sums[k]
+        for c, x in enumerate(row):
+            level[c] += x
     for k in set(sizes):
         # 1/C(n, k) for the average and 1/k! for the falling factorial.
         c_k = (AlgebraicNumber._from_row(level_sums[k], den)
@@ -172,38 +176,66 @@ def _shift_mul(poly, root):
 
 
 def _cube_values(p: MultilinearPolynomial):
-    """p at every point of {0,1}^n: (numerator rows of shape (2^n, 8), den).
+    """p at every point of {0,1}^n: ({coordinate: 2^n numerators}, den).
 
-    Row ``mask`` is the point whose bit string, read with x_1 as the most
-    significant bit, is ``mask`` -- the truth-table order -- so variable
-    i sets bit ``1 << (n - i)``.  Each monomial's coefficient starts at
-    its own mask and the subset-sum transform adds it into every point
-    above it.
+    Item ``mask`` of a column is the point whose bit string, read with x_1
+    as the most significant bit, is ``mask`` -- the truth-table order --
+    so variable i sets bit ``1 << (n - i)``.  Each monomial's coefficient
+    starts at its own mask and the subset-sum transform adds it into every
+    point above it.  A coordinate that is zero in every coefficient is
+    zero at every point and gets no column.
     """
     n = p.n
-    vals = np.zeros((1 << n, 8), dtype=object)
-    num, den = _pack(list(p.coeffs.values()))
-    vals[[sum(1 << (n - i) for i in s) for s in p.coeffs]] = num
-    for b in range(n):
-        v = vals.reshape(-1, 2, 1 << b, 8)
-        v[:, 1] += v[:, 0]
-    return vals, den
+    masks = [sum(1 << (n - i) for i in s) for s in p.coeffs]
+    rows, den = _pack(list(p.coeffs.values()))
+    cols = {}
+    for c, coords in enumerate(zip(*rows)):
+        if any(coords):
+            col = [0] * (1 << n)
+            for mask, x in zip(masks, coords):
+                col[mask] = x
+            _subset_sums(col)
+            cols[c] = col
+    return cols, den
 
 
-def _weights(n: int) -> np.ndarray:
+def _subset_sums(col: list) -> None:
+    """In place, ``col[mask]`` becomes the sum of col over submasks of mask.
+
+    For each bit, every point with the bit set adds the point without it.
+    The points with bit value s set are s strided slices (one per offset
+    below s) or size / 2s contiguous blocks of s; the shorter list of
+    slices is used, so no bit costs more than sqrt(size) slice steps.
+    """
+    size = len(col)
+    s = 1
+    while s < size:
+        if 2 * s * s < size:
+            for t in range(s):
+                col[s + t::2 * s] = map(add, col[s + t::2 * s], col[t::2 * s])
+        else:
+            for lo in range(s, size, 2 * s):
+                col[lo:lo + s] = map(add, col[lo:lo + s], col[lo - s:lo])
+        s *= 2
+
+
+def _weights(n: int) -> list:
     """Hamming weight of every point of {0,1}^n, in truth-table order."""
-    return np.array([x.bit_count() for x in range(1 << n)])
+    return [x.bit_count() for x in range(1 << n)]
 
 
 def symmetrize_bruteforce(p: MultilinearPolynomial, k: int) -> AlgebraicNumber:
     """Independent oracle: the literal average of p over all weight-k inputs.
 
-    Sums the weight-k rows of the cube table; shares nothing with the
+    Sums the weight-k points of the cube table; shares nothing with the
     falling-factorial formula of :func:`symmetrize`.
     """
     count = math.comb(p.n, k)
-    vals, den = _cube_values(p)
-    total = vals[_weights(p.n) == k].sum(axis=0)
+    cols, den = _cube_values(p)
+    points = [x for x, w in enumerate(_weights(p.n)) if w == k]
+    total = [0] * 8
+    for c, col in cols.items():
+        total[c] = sum([col[x] for x in points])
     return AlgebraicNumber._from_row(total, den * count)
 
 
@@ -269,7 +301,7 @@ def is_nondeterministic_poly(p: MultilinearPolynomial, f) -> bool:
     if isinstance(f, SymmetricFunctionSpec):
         if f.n != p.n:
             raise ValueError(f"size mismatch: {f.n} != {p.n}")
-        table = np.array(f.values)[_weights(p.n)]
+        table = [f.values[w] for w in _weights(p.n)]
     else:
         table = list(f)
         if len(table) != 2 ** p.n:
@@ -278,9 +310,10 @@ def is_nondeterministic_poly(p: MultilinearPolynomial, f) -> bool:
         for i, v in enumerate(table):
             if v not in (0, 1):
                 raise ValueError(f"truth table entry {i} is {v!r}, not 0 or 1")
-    vals, _ = _cube_values(p)
-    return np.array_equal((vals != 0).any(axis=1),
-                          np.array(table, dtype=bool))
+    cols, _ = _cube_values(p)
+    if not cols:
+        return not any(table)
+    return list(map(any, zip(*cols.values()))) == [v == 1 for v in table]
 
 
 def ndeg_lower_bound(f: SymmetricFunctionSpec) -> int:

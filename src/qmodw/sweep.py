@@ -200,7 +200,8 @@ def run_sweep(n_max: int, moduli: Sequence[int] = DEFAULT_MODULI,
     if threads is None:
         threads = default_threads()
     if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # A fork pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             rows = list(pool.map(_cell_args,
                                  [(n, m, audit) for n, m in cells]))
     else:

@@ -6,11 +6,16 @@ input sweep is computed once and shared between the correctness and
 tightness criteria.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qmodw
 from qmodw.algebra import AlgebraicNumber
 from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
 from qmodw.hamming_mod import partition_weight, query_bound
@@ -150,3 +155,33 @@ def test_composite_query_count_at_all_zeros():
         for m in composite for n in range(1, 61))
     report(f"the all-zeros input uses exactly n - floor(n/m) queries for "
            f"m in {composite}, n <= 60", ok)
+
+
+# Blocks numpy (any import of it raises ImportError), then runs a sweep
+# cell, the Gram check and a certificate round trip.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from qmodw import (certificate_roundtrip, gram_matrix, mod_m_spec,
+                   verify_cell, weight_certificate)
+from qmodw.fixtures import load_gram
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "numpy" and module is not None]
+assert not loaded, loaded
+assert verify_cell(6, 6).failures == 0
+assert gram_matrix() == load_gram()
+assert certificate_roundtrip(weight_certificate(6, 3),
+                             mod_m_spec(6, 3)) == (True, 4)
+print("ok")
+"""
+
+
+def test_runs_without_numpy():
+    src = Path(qmodw.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    print(done.stderr)
+    report("qmodw imports, verifies a sweep cell, the Gram matrix and a "
+           "certificate with numpy blocked",
+           done.returncode == 0 and done.stdout.split() == ["ok"])

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -221,7 +222,8 @@ def test_apply_memo_keys_big_values_by_value():
     big = AlgebraicNumber.from_rational(10 ** 40)
     u = StateVector([big, ONE])
     w = StateVector([big, SQRT2 * SQRT2 - ONE])
-    assert u._num.dtype == object and u._num is not w._num
+    assert all(type(x) is int for row in u._num for x in row)
+    assert u._num is not w._num
     assert u == w and hash(u) == hash(w)
     h = _fresh(H)
     cold = h.apply(u)
@@ -247,10 +249,26 @@ def test_apply_memo_is_capped():
 def test_shared_states_are_read_only():
     v = H.apply(StateVector.basis_state(2, 0))
     assert H.apply(StateVector.basis_state(2, 0)) is v
-    with pytest.raises(ValueError):
-        v._num[0, 0] = 0
-    with pytest.raises(ValueError):
-        v._abs_sq_rows()[0][0, 0] = 0
+    with pytest.raises(TypeError):
+        v._num[0][0] = 0
+    with pytest.raises(TypeError):
+        v._num[0] = (0,) * 8
+    with pytest.raises(TypeError):
+        v._abs_sq_rows()[0][0][0] = 0
+
+
+def test_from_packed_stores_exact_python_ints():
+    # Rows of numpy int64 become Python ints, so arithmetic on the state
+    # stays exact past 2**63 where int64 would wrap.
+    big = 2 ** 62
+    v = StateVector._from_packed(np.array([[big, 0, 0, 0, 0, 0, 0, 0],
+                                           [big, 0, 0, 0, 0, 0, 0, 0]],
+                                          dtype=np.int64), 1)
+    assert all(type(x) is int for row in v._num for x in row)
+    assert v.norm_sq() == 2 * big * big
+    w = H.apply(H.apply(v))
+    assert w == v and w[0] == big
+    assert inner(v, v) == 2 ** 125
 
 
 def test_big_values_stay_exact():

@@ -125,3 +125,32 @@ def test_run_sweep_rejects_moduli_before_any_cell(monkeypatch, moduli,
     for threads in (1, 2):
         with pytest.raises(error):
             run_sweep(3, moduli, threads=threads)
+
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, workers", [(64, 14), (14, 14), (3, 3)])
+def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch, threads,
+                                                     workers):
+    # n <= 2 over the seven default moduli is 14 cells.
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    rows = run_sweep(2, DEFAULT_MODULI, threads=threads)
+    assert InProcessPool.sizes == [workers]
+    assert rows == run_sweep(2, DEFAULT_MODULI, threads=1)
