@@ -74,7 +74,7 @@ def _ratio(value) -> tuple:
         f"expected an exact rational, got {type(value).__name__} {value!r}")
 
 
-def _lowest_terms(num: tuple, den: int) -> tuple:
+def _lowest_terms(num: Sequence[int], den: int) -> tuple:
     """Canonical form of int numerators over a positive denominator.
 
     Divides out the gcd of every numerator and the denominator, so equal

@@ -19,15 +19,13 @@ feeds, zeros dropped.  A matrix-vector product walks the nonzero
 coordinates of the vector through it, and a matrix product applies the
 same kernel to every column of the other matrix.
 
-Tuples cannot be written, so a state can be shared and its derived values
-cached on it:
-
-* the hash of its exact key ``(den, rows)``; equal states have equal keys
-  because the canonical form is unique, so ``__eq__`` compares keys and
-  ``__hash__`` hashes a state once however many tables it is looked up
-  in;
-* its support, its per-entry ``|z|^2`` rows, and the mass of each
-  projector.
+Tuples cannot be written, so a state can be shared and caches one derived
+value: the hash of its exact key ``(den, rows)``.  Equal states have equal
+keys because the canonical form is unique, so ``__eq__`` compares keys and
+``__hash__`` hashes a state once however many tables it is looked up in.
+Its support, its per-entry ``|z|^2`` rows and its projector masses are
+computed on each call; the circuits memoise their measured outcome per
+final state instead.
 
 Each :class:`SquareMatrix` memoises :meth:`SquareMatrix.apply` on the
 input state itself, mapped to the result state, filled lazily and capped
@@ -49,7 +47,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .algebra import BASIS_MUL, AlgebraicNumber, _conj_row, _mul_into
+from .algebra import (BASIS_MUL, AlgebraicNumber, _conj_row, _lowest_terms,
+                       _mul_into)
 
 # Distinct inputs stored per matrix.  The circuits see a handful of states
 # (19 distinct apply results over all 4096 inputs at n = 12); the cap only
@@ -68,13 +67,9 @@ def _rows(flat: list, width: int = 8) -> tuple:
 def _canonical(flat: list, den: int):
     """Reduce int numerators, 8 per row, to lowest terms: (rows, den).
 
-    The rule is :func:`algebra._lowest_terms`'s: divide out the gcd of every
-    numerator and the denominator, only when it is above 1.
+    The rule is :func:`algebra._lowest_terms`'s, applied to all the rows.
     """
-    g = math.gcd(den, *flat)
-    if g > 1:
-        flat = [x // g for x in flat]
-        den //= g
+    flat, den = _lowest_terms(flat, den)
     return _rows(flat), den
 
 
@@ -91,8 +86,7 @@ def _pack(entries: Sequence[AlgebraicNumber]):
 class StateVector:
     """An exact vector over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_hash", "_support", "_abs_sq",
-                 "_masses")
+    __slots__ = ("dim", "_num", "_den", "_hash")
 
     def __init__(self, entries: Iterable[AlgebraicNumber]):
         entries = tuple(entries)
@@ -103,7 +97,7 @@ class StateVector:
     def _init(self, num: tuple, den: int):
         self.dim = len(num)
         self._num, self._den = num, den
-        self._hash = self._support = self._abs_sq = self._masses = None
+        self._hash = None
 
     @classmethod
     def _new(cls, num: tuple, den: int) -> "StateVector":
@@ -160,19 +154,13 @@ class StateVector:
 
     def support(self) -> frozenset:
         """Indices with a nonzero amplitude."""
-        if self._support is None:
-            self._support = frozenset(
-                i for i, row in enumerate(self._num) if any(row))
-        return self._support
+        return frozenset(i for i, row in enumerate(self._num) if any(row))
 
     def _abs_sq_rows(self):
         """Per-entry |z|^2 in packed form: (tuple of int rows, den)."""
-        if self._abs_sq is None:
-            self._abs_sq = (
-                tuple(tuple(_mul_into([0] * 8, _conj_row(row), row))
+        return (tuple(tuple(_mul_into([0] * 8, _conj_row(row), row))
                       for row in self._num),
                 self._den * self._den)
-        return self._abs_sq
 
     def norm_sq(self) -> AlgebraicNumber:
         """Sum of |entry|^2; a real field element."""
@@ -357,20 +345,9 @@ class Projector:
             raise IndexError(f"projector indices out of range for dim {self.dim}")
 
     def mass(self, v: StateVector) -> Fraction:
-        """Exact squared norm of the projected component of a unit vector.
-
-        The result is cached on ``v``, keyed by the projected indices.
-        """
+        """Exact squared norm of the projected component of a unit vector."""
         if v.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {v.dim}")
-        if v._masses is None:
-            v._masses = {}
-        mass = v._masses.get(self.indices)
-        if mass is None:
-            mass = v._masses[self.indices] = self._mass(v)
-        return mass
-
-    def _mass(self, v: StateVector) -> Fraction:
         rows, den_sq = v._abs_sq_rows()
         total = [0] * 8
         for i in self.indices:

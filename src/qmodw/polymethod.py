@@ -20,8 +20,9 @@ bitmask, and for each variable every point with that bit set adds the
 point without it, a slice at a time.  That is n * 2^(n-1) integer
 additions per column (the certificates are rational, so one column of
 eight), in place of evaluating every monomial at every point (O(4^n)
-field additions).  The support check and the brute-force symmetrization
-both read these columns; they are exact and no float enters.
+field additions).  The support check reads these columns; it is exact and
+no float enters.  The brute-force symmetrization walks the weight-k
+points one at a time instead, so it shares no code with the transform.
 ``weight_certificate`` builds the matching upper-bound certificate, so
 the certifying degree of |x| mod m is pinned from both sides.
 """
@@ -227,16 +228,19 @@ def _weights(n: int) -> list:
 def symmetrize_bruteforce(p: MultilinearPolynomial, k: int) -> AlgebraicNumber:
     """Independent oracle: the literal average of p over all weight-k inputs.
 
-    Sums the weight-k points of the cube table; shares nothing with the
-    falling-factorial formula of :func:`symmetrize`.
+    At each weight-k point, adds the row of every monomial whose variables
+    are all set there, and reduces once over den * C(n, k); shares nothing
+    with :func:`symmetrize` or the cube transform.
     """
-    count = math.comb(p.n, k)
-    cols, den = _cube_values(p)
-    points = [x for x, w in enumerate(_weights(p.n)) if w == k]
+    rows, den = _pack(list(p.coeffs.values()))
+    masks = [sum(1 << i for i in s) for s in p.coeffs]
     total = [0] * 8
-    for c, col in cols.items():
-        total[c] = sum([col[x] for x in points])
-    return AlgebraicNumber._from_row(total, den * count)
+    for point in itertools.combinations(range(1, p.n + 1), k):
+        ones = sum(1 << i for i in point)
+        for mask, row in zip(masks, rows):
+            if mask & ones == mask:
+                total = list(map(add, total, row))
+    return AlgebraicNumber._from_row(total, den * math.comb(p.n, k))
 
 
 @dataclass(frozen=True)

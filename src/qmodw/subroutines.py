@@ -115,18 +115,42 @@ def oracle_matrix(bits: str, padding: int = 0) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
+# Exact final state -> measured outcome for both circuits, capped like the
+# apply memos.  A parity state has 2 dimensions and a mod-3 state 5, so the
+# two kinds of key never compare equal.  Only deterministic outcomes are
+# stored, so a state that fails its check fails it again on every call.
+_OUTCOMES = {}
+
+
+def _measured(state: StateVector, measure) -> int:
+    """``measure(state)``, memoised in ``_OUTCOMES``."""
+    outcome = _OUTCOMES.get(state)
+    if outcome is None:
+        outcome = measure(state)
+        if len(_OUTCOMES) < _APPLY_MEMO_CAP:
+            _OUTCOMES[state] = outcome
+    return outcome
+
+
 def deutsch(o: CountingOracle, pair) -> int:
-    """Parity of two input bits with one query: measure H O_x H |0>."""
+    """Parity of two input bits with one query: measure H O_x H |0>.
+
+    The outcome is memoised per exact final state; the query is made on
+    every call.
+    """
     i, j = pair
     if i == j:
         raise ValueError("indices must be distinct")
-    state = H.apply(o.phase_apply(block_view((i, j)), _H_KET0))
+    return _measured(H.apply(o.phase_apply(block_view((i, j)), _H_KET0)),
+                     _measure_parity)
+
+
+def _measure_parity(state: StateVector) -> int:
+    """The one index the state is supported on; else InvariantViolation."""
     support = state.support()
-    if support == {0}:
-        return 0
-    if support == {1}:
-        return 1
-    raise InvariantViolation(f"parity state not a basis state: {state!r}")
+    if len(support) != 1:
+        raise InvariantViolation(f"parity state not a basis state: {state!r}")
+    return min(support)
 
 
 def mod3_final_state(o: CountingOracle, triple) -> StateVector:
@@ -141,12 +165,6 @@ def mod3_final_state(o: CountingOracle, triple) -> StateVector:
     return _FIN.apply(v)
 
 
-# Exact final state -> measured residue, capped like the apply memos.  Only
-# deterministic outcomes are stored, so a state that fails the check fails
-# it again on every call.
-_OUTCOMES = {}
-
-
 def mod3(o: CountingOracle, triple) -> int:
     """Hamming weight of three input bits modulo 3, with two queries.
 
@@ -155,13 +173,7 @@ def mod3(o: CountingOracle, triple) -> int:
     outcome is memoised per exact final state; both queries are made on
     every call.
     """
-    state = mod3_final_state(o, triple)
-    outcome = _OUTCOMES.get(state)
-    if outcome is None:
-        outcome = _measure_mod3(state)
-        if len(_OUTCOMES) < _APPLY_MEMO_CAP:
-            _OUTCOMES[state] = outcome
-    return outcome
+    return _measured(mod3_final_state(o, triple), _measure_mod3)
 
 
 def _measure_mod3(state: StateVector) -> int:

@@ -124,7 +124,7 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
     zero_queries = -1
     indices = range(1, n + 1)
     for value in range(2 ** n):
-        bits = format(value, f"0{n}b")
+        bits = format(value, f"0{n}b") if n else ""
         oracle = CountingOracle(bits)
         try:
             result = partition_weight(oracle, indices, m)

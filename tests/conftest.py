@@ -1,8 +1,8 @@
 """Shared fixtures.
 
 ``fresh_tables`` gives a test empty circuit tables: the oracle's flip
-table and view table, the ``mod3`` outcome memo and the ``apply`` memos
-of the three circuit matrices (``_MID``, ``_FIN`` and ``H``).  Their
+table and view table, the outcome memo of ``deutsch`` and ``mod3`` and
+the ``apply`` memos of the three circuit matrices (``_MID``, ``_FIN`` and ``H``).  Their
 contents are put back afterwards, into the same dict objects, so a test
 that injects a fault cannot leave entries behind for the tests that run
 after it.

@@ -2,10 +2,10 @@
 
 Each fault makes ``verify_cell`` report failing inputs with reasons and
 ``qmodw sweep --n-max 4`` exit 3.  A warm run first fills the oracle's
-flip table, the ``mod3`` outcome memo and the circuit ``apply`` memos
-with a correct sweep, so a fault that a stored entry could hide would
-show up as a passing warm run.  The ``fresh_tables`` fixture empties those
-tables for the test and puts them back afterwards.
+flip table, the outcome memo of ``deutsch`` and ``mod3`` and the circuit
+``apply`` memos with a correct sweep, so a fault that a stored entry
+could hide would show up as a passing warm run.  The ``fresh_tables``
+fixture empties those tables for the test and puts them back afterwards.
 """
 
 import pytest
@@ -49,6 +49,15 @@ def corrupt_v(monkeypatch):
                         SquareMatrix(rows).matmul(subroutines._QFT_DAG))
 
 
+def corrupt_h(monkeypatch):
+    # H with its rows swapped sends the even-parity state to |1> and the
+    # odd one to |0>: every parity comes out inverted, and each final state
+    # is one that the correct H gives for the other parity, so the warm
+    # outcome memo holds an entry for it.
+    monkeypatch.setattr(subroutines, "H",
+                        SquareMatrix(subroutines.H.entries[::-1]))
+
+
 def drop_flip(monkeypatch):
     # phase_apply still counts and logs the query but leaves the first
     # flipped row unflipped.
@@ -78,7 +87,8 @@ def w2_off_by_one(monkeypatch):
     monkeypatch.setattr(hamming_mod, "_base_case", base_case)
 
 
-FAULTS = [corrupt_u, corrupt_v, drop_flip, skip_query, w2_off_by_one]
+FAULTS = [corrupt_u, corrupt_v, corrupt_h, drop_flip, skip_query,
+          w2_off_by_one]
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

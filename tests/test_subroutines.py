@@ -293,8 +293,42 @@ def test_memo_hits_still_make_every_query():
 
 
 # ---------------------------------------------------------
-# The mod3 outcome memo
+# The outcome memo shared by deutsch and mod3
 # ---------------------------------------------------------
+
+def test_deutsch_outcome_memo_matches_fresh_measurement(fresh_tables):
+    # Cold, then warm: the 4 patterns end in 4 distinct final states,
+    # +|0>, -|0>, +|1> and -|1>.
+    assert not subroutines._OUTCOMES
+    for warm in (False, True):
+        for bits in ("00", "01", "10", "11"):
+            state = H.apply(CountingOracle(bits).phase_apply(
+                BlockView((1, 2)), subroutines._H_KET0))
+            assert not warm or state in subroutines._OUTCOMES
+            got = deutsch(CountingOracle(bits), (1, 2))
+            assert got == subroutines._measure_parity(state) == weight(bits) % 2
+            assert subroutines._OUTCOMES[state] == got
+    assert len(subroutines._OUTCOMES) == 4
+
+
+def test_non_basis_parity_state_is_an_invariant_violation(fresh_tables,
+                                                          monkeypatch):
+    # Without the final H the state is ±|+> or ±|->, supported on both
+    # indices: deutsch raises on every call and stores nothing.
+    monkeypatch.setattr(subroutines, "H", SquareMatrix.identity(2))
+    o = CountingOracle("01")
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="not a basis state"):
+            deutsch(o, (1, 2))
+    assert o.query_count == 2
+    assert not subroutines._OUTCOMES
+    row = verify_cell(2, 2)
+    assert row.failures == row.inputs == 4
+    for _, reasons in row.first_failures:
+        assert len(reasons) == 1
+        assert reasons[0].startswith("InvariantViolation: parity state")
+    assert not subroutines._OUTCOMES
+
 
 def _fresh_outcome(state):
     masses = _masses_match_fresh(state)

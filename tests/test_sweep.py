@@ -154,3 +154,17 @@ def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch, threads,
     rows = run_sweep(2, DEFAULT_MODULI, threads=threads)
     assert InProcessPool.sizes == [workers]
     assert rows == run_sweep(2, DEFAULT_MODULI, threads=1)
+
+
+def test_verify_cell_zero_checks_the_empty_input(monkeypatch):
+    # format(0, "00b") is "0", a 1-bit input; n = 0 has one input, "".
+    seen = []
+
+    def recorder(bits):
+        seen.append(bits)
+        return CountingOracle(bits)
+    monkeypatch.setattr(sweep, "CountingOracle", recorder)
+    row = sweep.verify_cell(0, 2)
+    assert seen == [""]
+    assert row.inputs == 1 and row.failures == 0
+    assert row.max_queries == row.zero_input_queries == 0
