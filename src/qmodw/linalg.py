@@ -20,20 +20,22 @@ coordinates of the vector through it, and a matrix product applies the
 same kernel to every column of the other matrix.
 
 Tuples cannot be written, so a state can be shared and caches one derived
-value: the hash of its exact key ``(den, rows)``.  Equal states have equal
-keys because the canonical form is unique, so ``__eq__`` compares keys and
-``__hash__`` hashes a state once however many tables it is looked up in.
-Its support, its per-entry ``|z|^2`` rows and its projector masses are
-computed on each call; the circuits memoise their measured outcome per
-final state instead.
+value: the hash of ``(den, rows)``.  Equal states have equal rows and
+denominators because the canonical form is unique, so ``__eq__`` compares
+them and ``__hash__`` hashes a state once however many memos it is looked
+up in.  Its support, its per-entry ``|z|^2`` rows and its projector
+masses are computed on each call; the circuits memoise their measured
+outcome per final state instead.
 
-Each :class:`SquareMatrix` memoises :meth:`SquareMatrix.apply` on the
-input state itself, mapped to the result state, filled lazily and capped
-at ``_APPLY_MEMO_CAP`` entries per matrix (once full, further inputs are
-computed but not stored).  A state that came out of a memo or the
-oracle's flip table is found by identity; an equal state built elsewhere
+``_APPLY_MEMO_CAP`` bounds every memo of the package: the
+``functools.lru_cache`` tables of the oracle, the circuits and
+``hamming_mod``, and the one hand-written memo, which each
+:class:`SquareMatrix` keeps for :meth:`SquareMatrix.apply`.  That memo
+maps the input state itself to the result state, is filled lazily and,
+once full, computes further inputs without storing them.  A state that
+came out of a memo is found by identity; an equal state built elsewhere
 is found through ``__hash__`` and ``__eq__``, which compare exact values.
-The memo sits below the oracle: the keys are only states the caller
+The memos sit below the oracle: the keys are only states the caller
 already holds, so a phase query is made, counted and logged before any
 state it produced can be looked up, and a memo hit saves arithmetic,
 never a query.
@@ -50,8 +52,8 @@ from typing import Iterable, Sequence
 from .algebra import (BASIS_MUL, AlgebraicNumber, _conj_row, _lowest_terms,
                        _mul_into)
 
-# Distinct inputs stored per matrix.  The circuits see a handful of states
-# (19 distinct apply results over all 4096 inputs at n = 12); the cap only
+# Entries stored per memo.  The circuits see a handful of states (19
+# distinct apply results over all 4096 inputs at n = 12); the cap only
 # bounds memory when a matrix is applied to arbitrary vectors.
 _APPLY_MEMO_CAP = 256
 
@@ -106,16 +108,6 @@ class StateVector:
         v._init(num, den)
         return v
 
-    @classmethod
-    def _from_packed(cls, num, den) -> "StateVector":
-        """The state ``num / den`` for rows of 8 integers of any int type.
-
-        Each numerator is converted with ``int``, so rows from another
-        library (numpy integers, say) are stored as exact Python ints.
-        """
-        return cls._new(*_canonical([int(x) for row in num for x in row],
-                                    int(den)))
-
     def _negated(self, rows) -> "StateVector":
         """This state with the given entries negated.
 
@@ -144,12 +136,9 @@ class StateVector:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
-    def _exact_key(self):
-        return self._den, self._num
-
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._exact_key())
+            self._hash = hash((self._den, self._num))
         return self._hash
 
     def support(self) -> frozenset:
@@ -236,14 +225,6 @@ class SquareMatrix:
         return m
 
     @classmethod
-    def _from_packed(cls, num, den) -> "SquareMatrix":
-        """The matrix ``num / den``; ``num[i][j]`` holds 8 integers of any
-        int type, each converted with ``int``."""
-        flat = [int(x) for row in num for entry in row for x in entry]
-        rows, den = _canonical(flat, int(den))
-        return cls._new(_rows(rows, len(num)), den)
-
-    @classmethod
     def identity(cls, dim: int) -> "SquareMatrix":
         return cls._new(tuple(tuple(_ONE_ROW if i == j else _ZERO_ROW
                                     for j in range(dim))
@@ -281,6 +262,9 @@ class SquareMatrix:
         """Exact matrix-vector product (memoised on the input state)."""
         if self.dim != v.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {v.dim}")
+        # A dict per matrix, not lru_cache: a cache per instance costs more
+        # on matrices applied to fresh states, and one keyed on the state
+        # alone would hand a corrupted U or V the true matrix's products.
         out = self._memo.get(v)
         if out is None:
             out = self._product(v)

@@ -14,45 +14,36 @@ the log into fresh dicts on every read, and the query count is the log's
 length.
 
 A :class:`BlockView` is immutable and holds no hidden data, so
-:func:`block_view` interns views by ``(map, padding)`` in one
-module-level table: its duplicate check and its index range run once per
-distinct view, not once per query.
+:func:`block_view` interns views by ``(map, padding)``: its duplicate
+check and its index range run once per distinct view, not once per
+query.
 
-The sign-flipped states are interned in one module-private table keyed on
-``(input state, flipped local rows)``: the rows are the local sign
-pattern, never global indices, so the table says nothing about which
-input it was filled from.  :meth:`CountingOracle.phase_apply` reads and
-fills it only after the query has been counted and logged, so a repeated
-query still costs a query and returns the stored state, on which the
-circuit memos then hit by identity.
+The sign-flipped states are interned by ``(input state, flipped local
+rows)``: the rows are the local sign pattern, never global indices, so
+the memo says nothing about which input it was filled from.
+:meth:`CountingOracle.phase_apply` reads and fills it only after the
+query has been counted and logged, so a repeated query still costs a
+query and returns the stored state, on which the circuit memos then hit
+by identity.
 
-Both tables hold at most ``linalg._APPLY_MEMO_CAP`` entries; once one is
-full, further views and flips are built (and checked) on every call and
-not stored.
+Both memos are ``functools.lru_cache`` tables of at most
+``linalg._APPLY_MEMO_CAP`` entries (a full one drops its least recently
+used entry), and ``cache_info()`` reports their hits and misses.  A view
+that fails its check raises and is never stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .linalg import _APPLY_MEMO_CAP, StateVector
 
-# (input state, tuple of flipped local rows) -> the flipped state.
-_FLIPS = {}
 
-# (map, padding) -> the interned BlockView.
-_VIEWS = {}
-
-
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
 def _flipped(v: StateVector, rows: tuple) -> StateVector:
-    """``v`` with ``rows`` negated, interned in the flip table."""
-    key = v, rows
-    out = _FLIPS.get(key)
-    if out is None:
-        out = v._negated(rows)
-        if len(_FLIPS) < _APPLY_MEMO_CAP:
-            _FLIPS[key] = out
-    return out
+    """``v`` with ``rows`` negated, interned."""
+    return v._negated(rows)
 
 
 @dataclass(frozen=True)
@@ -90,15 +81,10 @@ class BlockView:
                                  for j, i in enumerate(indices)))
 
 
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
 def block_view(map: tuple, padding: int = 0) -> BlockView:
     """The interned view of the tuple ``map`` with ``padding``."""
-    key = map, padding
-    view = _VIEWS.get(key)
-    if view is None:
-        view = BlockView(map, padding)
-        if len(_VIEWS) < _APPLY_MEMO_CAP:
-            _VIEWS[key] = view
-    return view
+    return BlockView(map, padding)
 
 
 class CountingOracle:

@@ -230,8 +230,11 @@ def symmetrize_bruteforce(p: MultilinearPolynomial, k: int) -> AlgebraicNumber:
 
     At each weight-k point, adds the row of every monomial whose variables
     are all set there, and reduces once over den * C(n, k); shares nothing
-    with :func:`symmetrize` or the cube transform.
+    with :func:`symmetrize` or the cube transform.  Raises DomainError for
+    k outside 0..n, where there is no point to average over.
     """
+    if not 0 <= k <= p.n:
+        raise DomainError(f"weight k={k} outside 0..{p.n}")
     rows, den = _pack(list(p.coeffs.values()))
     masks = [sum(1 << i for i in s) for s in p.coeffs]
     total = [0] * 8

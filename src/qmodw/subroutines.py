@@ -12,6 +12,12 @@ two oracle calls, which is exactly equal (associativity in exact
 arithmetic) to the step-by-step product; :func:`trace_mod3` exposes the
 unfused intermediate states for table verification.
 
+Each circuit ends in one exact measurement of its final state, memoised
+per state with ``functools.lru_cache`` (at most ``_APPLY_MEMO_CAP``
+entries, least recently used dropped first).  The queries are made
+before the memo is read, and a state that fails its check raises and is
+never stored, so it fails again on every call.
+
 Also here: the 8x8 Gram matrix of the final states over all 3-bit inputs
 (lexicographic input order) and its two closed-form sign-vector
 polynomials, one scaled by 48 and one by 16.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import OMEGA, SQRT2, SQRT3, AlgebraicNumber, ONE, ZERO
 from .linalg import _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner
@@ -115,23 +122,6 @@ def oracle_matrix(bits: str, padding: int = 0) -> SquareMatrix:
     return SquareMatrix(rows)
 
 
-# Exact final state -> measured outcome for both circuits, capped like the
-# apply memos.  A parity state has 2 dimensions and a mod-3 state 5, so the
-# two kinds of key never compare equal.  Only deterministic outcomes are
-# stored, so a state that fails its check fails it again on every call.
-_OUTCOMES = {}
-
-
-def _measured(state: StateVector, measure) -> int:
-    """``measure(state)``, memoised in ``_OUTCOMES``."""
-    outcome = _OUTCOMES.get(state)
-    if outcome is None:
-        outcome = measure(state)
-        if len(_OUTCOMES) < _APPLY_MEMO_CAP:
-            _OUTCOMES[state] = outcome
-    return outcome
-
-
 def deutsch(o: CountingOracle, pair) -> int:
     """Parity of two input bits with one query: measure H O_x H |0>.
 
@@ -141,10 +131,11 @@ def deutsch(o: CountingOracle, pair) -> int:
     i, j = pair
     if i == j:
         raise ValueError("indices must be distinct")
-    return _measured(H.apply(o.phase_apply(block_view((i, j)), _H_KET0)),
-                     _measure_parity)
+    return _measure_parity(H.apply(o.phase_apply(block_view((i, j)),
+                                                 _H_KET0)))
 
 
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
 def _measure_parity(state: StateVector) -> int:
     """The one index the state is supported on; else InvariantViolation."""
     support = state.support()
@@ -173,9 +164,10 @@ def mod3(o: CountingOracle, triple) -> int:
     outcome is memoised per exact final state; both queries are made on
     every call.
     """
-    return _measured(mod3_final_state(o, triple), _measure_mod3)
+    return _measure_mod3(mod3_final_state(o, triple))
 
 
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
 def _measure_mod3(state: StateVector) -> int:
     """The residue whose projector has mass 1; InvariantViolation otherwise."""
     try:

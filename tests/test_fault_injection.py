@@ -1,11 +1,12 @@
 """Injected faults must fail the sweep, with the circuit tables cold or warm.
 
 Each fault makes ``verify_cell`` report failing inputs with reasons and
-``qmodw sweep --n-max 4`` exit 3.  A warm run first fills the oracle's
-flip table, the outcome memo of ``deutsch`` and ``mod3`` and the circuit
-``apply`` memos with a correct sweep, so a fault that a stored entry
-could hide would show up as a passing warm run.  The ``fresh_tables``
-fixture empties those tables for the test and puts them back afterwards.
+``qmodw sweep --n-max 4`` exit 3.  A warm run first fills every memo
+(the oracle's views and flips, the measured outcomes of ``deutsch`` and
+``mod3``, the modulus splits and the circuit ``apply`` memos) with a
+correct sweep, so a fault that a stored entry could hide would show up as
+a passing warm run.  The ``fresh_tables`` fixture empties those memos
+before and after the test.
 """
 
 import pytest
@@ -97,7 +98,7 @@ def test_fault_fails_the_sweep(fresh_tables, monkeypatch, capsys, fault,
                                warm):
     if warm:
         assert all(row.failures == 0 for row in _cells())
-        assert oracle._FLIPS and subroutines._OUTCOMES
+        assert all(f.cache_info().currsize for f in fresh_tables)
     fault(monkeypatch)
     failing = [row for row in _cells() if row.failures]
     assert failing
@@ -177,7 +178,7 @@ def test_only_the_audit_catches_fault(fresh_tables, monkeypatch, capsys,
                                       fault, warm):
     if warm:
         assert all(row.failures == 0 for row in _cells())
-        assert oracle._FLIPS and oracle._VIEWS and subroutines._OUTCOMES
+        assert all(f.cache_info().currsize for f in fresh_tables)
     fault(monkeypatch)
     rows = _cells()
     assert any(row.failures for row in rows)

@@ -2,7 +2,6 @@ import json
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qmodw import oracle, subroutines
@@ -110,23 +109,20 @@ def test_hidden_string_not_on_public_surface():
 
 
 # ---------------------------------------------------------
-# The interned flip table
+# The interned flip memo
 # ---------------------------------------------------------
 
 def fresh_negation(v, rows):
-    """``v`` with ``rows`` negated, rebuilt through ``_from_packed``."""
-    num = np.array(v._num)
-    for j in rows:
-        num[j] = -num[j]
-    return StateVector._from_packed(num, v._den)
+    """``v`` with ``rows`` negated, rebuilt from signed entries."""
+    return StateVector([-e if j in rows else e
+                        for j, e in enumerate(v.entries)])
 
 
 def assert_interned_flip(v, got, rows):
     ref = fresh_negation(v, rows)
     assert got == ref
-    assert got._exact_key() == ref._exact_key()
     assert hash(got) == hash(ref)
-    assert oracle._FLIPS[(v, rows)] is got
+    assert oracle._flipped(v, rows) is got
 
 
 def deutsch_flips():
@@ -161,22 +157,23 @@ def test_flip_table_interns_every_local_pattern(fresh_tables):
     cold = deutsch_flips(), mod3_flips()
     # 4 Deutsch keys and 15 mod-3 keys: on 000 the mid state is the start
     # state QFT|0>, so the second query's key is the first query's.
-    assert len(oracle._FLIPS) == 19
+    info = oracle._flipped.cache_info()
+    assert info.misses == info.currsize == 19
     warm = deutsch_flips(), mod3_flips()
     # A warm query returns the very state the cold one stored.
     for bits, state in cold[0].items():
         assert warm[0][bits] is state
     for bits, states in cold[1].items():
         assert all(w is c for w, c in zip(warm[1][bits], states))
-    assert len(oracle._FLIPS) == 19
+    info = oracle._flipped.cache_info()
+    assert info.misses == info.currsize == 19
 
 
 def test_flip_table_hits_an_equal_state_built_elsewhere(fresh_tables):
     o = CountingOracle("10")
     view = BlockView((1, 2))
     got = o.phase_apply(view, subroutines._H_KET0)
-    copy = StateVector._from_packed(subroutines._H_KET0._num,
-                                    subroutines._H_KET0._den)
+    copy = StateVector(subroutines._H_KET0.entries)
     assert copy is not subroutines._H_KET0
     assert o.phase_apply(view, copy) is got
     assert o.query_count == 2
@@ -197,20 +194,20 @@ def test_failed_query_leaves_count_transcript_and_table(fresh_tables, view,
     # before the check; the dim-mismatched view maps two valid indices.
     o = CountingOracle("11")
     o.phase_apply(BlockView((1, 2)), subroutines._H_KET0)
-    table = dict(oracle._FLIPS)
+    info = oracle._flipped.cache_info()
     transcript = o.transcript
     with pytest.raises((IndexError, ValueError)):
         o.phase_apply(view, state)
     assert o.query_count == 1
     assert o.transcript == transcript
-    assert oracle._FLIPS == table
+    assert oracle._flipped.cache_info() == info
 
 
 def test_flip_table_stays_capped_and_exact(fresh_tables):
     # 10 000 phase queries alternate over random oracles on one 12-dim
-    # state the caller holds and feeds back: the table fills up to its
-    # cap, then flips are built without storing, and every state stays
-    # exactly the caller's signed copy of the start.
+    # state the caller holds and feeds back: the memo fills up to its
+    # cap, then drops its least recently used entry, and every state
+    # stays exactly the caller's signed copy of the start.
     rng = random.Random(5)
     dim = 12
     start = StateVector([AlgebraicNumber.from_rational(k + 1)
@@ -223,13 +220,16 @@ def test_flip_table_stays_capped_and_exact(fresh_tables):
     state = start
     for q in range(10_000):
         k = q % 2 * 32 + rng.randrange(32)
-        state = oracles[k].phase_apply(view, state)
+        previous, state = state, oracles[k].phase_apply(view, state)
         signs = [-s if b == "1" else s for s, b in zip(signs, strings[k])]
         assert state == fresh_negation(
             start, [j for j, s in enumerate(signs) if s < 0])
-        assert len(oracle._FLIPS) <= _APPLY_MEMO_CAP
-    assert len(oracle._FLIPS) == _APPLY_MEMO_CAP
-    assert sum(o.query_count for o in oracles) == 10_000
+        assert oracle._flipped.cache_info().currsize <= _APPLY_MEMO_CAP
+    info = oracle._flipped.cache_info()
+    assert info.currsize == _APPLY_MEMO_CAP < info.misses
+    # The most recently used entry is never the one dropped.
+    assert oracles[k].phase_apply(view, previous) is state
+    assert sum(o.query_count for o in oracles) == 10_001
 
 
 # ---------------------------------------------------------
@@ -243,13 +243,15 @@ def test_view_table_interns_and_stays_capped(fresh_tables):
     for k in range(_APPLY_MEMO_CAP + 20):
         view = oracle.block_view((k + 1, k + 2))
         assert view.map == (k + 1, k + 2) and view.dim == 2
-        assert len(oracle._VIEWS) <= _APPLY_MEMO_CAP
-    assert len(oracle._VIEWS) == _APPLY_MEMO_CAP
-    assert oracle.block_view((1, 2)) is first
+        # Used on every step, so never the least recently used entry.
+        assert oracle.block_view((1, 2)) is first
+        assert oracle.block_view.cache_info().currsize <= _APPLY_MEMO_CAP
+    assert oracle.block_view.cache_info().currsize == _APPLY_MEMO_CAP
+    assert oracle.block_view((k + 1, k + 2)) is view
     # Once full, a new view is still built and checked, and not stored.
     with pytest.raises(ValueError):
         oracle.block_view((7, 7), 5)
-    assert len(oracle._VIEWS) == _APPLY_MEMO_CAP
+    assert oracle.block_view.cache_info().currsize == _APPLY_MEMO_CAP
 
 
 @pytest.mark.parametrize("map, padding", [((1, 1), 0), ((2, 3, 2), 2),
@@ -259,7 +261,8 @@ def test_bad_view_raises_and_is_not_stored(fresh_tables, map, padding):
     for _ in range(2):
         with pytest.raises(ValueError):
             oracle.block_view(map, padding)
-    assert oracle._VIEWS == {}
+    info = oracle.block_view.cache_info()
+    assert info.misses == 2 and info.currsize == 0
 
 
 def test_view_precomputes_range_and_dim():

@@ -160,6 +160,12 @@ def test_bruteforce_is_the_literal_average():
     assert symmetrize_bruteforce(poly(0, p_=I), 0) == I
 
 
+@pytest.mark.parametrize("k", [4, -1])
+def test_bruteforce_rejects_weight_outside_0_to_n(k):
+    with pytest.raises(DomainError, match=f"k={k}"):
+        symmetrize_bruteforce(poly(3, p_1=1), k)
+
+
 def test_symmetrize_degree_never_grows():
     rng = random.Random(7)
     for _ in range(10):

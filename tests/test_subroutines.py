@@ -221,7 +221,7 @@ def test_closed_form_rejects_bad_signs():
 # ---------------------------------------------------------
 
 def _fresh(m):
-    return SquareMatrix._from_packed(m._num, m._den)
+    return SquareMatrix(m.entries)
 
 
 def _memo_matches_fresh(matrix, v):
@@ -232,12 +232,12 @@ def _memo_matches_fresh(matrix, v):
     assert warm is cold
     ref = _fresh(matrix).apply(v)
     for got in (cold, warm, matrix.apply(v)):
-        assert got == ref and got._exact_key() == ref._exact_key()
+        assert got == ref
     return cold
 
 
 def _masses_match_fresh(state):
-    ref = [p.mass(StateVector._from_packed(state._num, state._den))
+    ref = [p.mass(StateVector(state.entries))
            for p in (PI0, PI1, PI2)]
     cold = [p.mass(state) for p in (PI0, PI1, PI2)]
     warm = [p.mass(state) for p in (PI0, PI1, PI2)]
@@ -293,22 +293,22 @@ def test_memo_hits_still_make_every_query():
 
 
 # ---------------------------------------------------------
-# The outcome memo shared by deutsch and mod3
+# The outcome memos of deutsch and mod3
 # ---------------------------------------------------------
 
 def test_deutsch_outcome_memo_matches_fresh_measurement(fresh_tables):
     # Cold, then warm: the 4 patterns end in 4 distinct final states,
-    # +|0>, -|0>, +|1> and -|1>.
-    assert not subroutines._OUTCOMES
+    # +|0>, -|0>, +|1> and -|1>, measured once each.
+    memo = subroutines._measure_parity
     for warm in (False, True):
         for bits in ("00", "01", "10", "11"):
             state = H.apply(CountingOracle(bits).phase_apply(
                 BlockView((1, 2)), subroutines._H_KET0))
-            assert not warm or state in subroutines._OUTCOMES
             got = deutsch(CountingOracle(bits), (1, 2))
-            assert got == subroutines._measure_parity(state) == weight(bits) % 2
-            assert subroutines._OUTCOMES[state] == got
-    assert len(subroutines._OUTCOMES) == 4
+            assert got == memo.__wrapped__(state) == weight(bits) % 2
+        info = memo.cache_info()
+        assert info.misses == info.currsize == 4
+        assert info.hits == 4 * warm
 
 
 def test_non_basis_parity_state_is_an_invariant_violation(fresh_tables,
@@ -321,13 +321,13 @@ def test_non_basis_parity_state_is_an_invariant_violation(fresh_tables,
         with pytest.raises(InvariantViolation, match="not a basis state"):
             deutsch(o, (1, 2))
     assert o.query_count == 2
-    assert not subroutines._OUTCOMES
+    assert subroutines._measure_parity.cache_info().currsize == 0
     row = verify_cell(2, 2)
     assert row.failures == row.inputs == 4
     for _, reasons in row.first_failures:
         assert len(reasons) == 1
         assert reasons[0].startswith("InvariantViolation: parity state")
-    assert not subroutines._OUTCOMES
+    assert subroutines._measure_parity.cache_info().currsize == 0
 
 
 def _fresh_outcome(state):
@@ -339,15 +339,16 @@ def _fresh_outcome(state):
 def test_mod3_outcome_memo_matches_fresh_measurement(fresh_tables):
     # Cold, then warm: 000 and 111 share the final state |0>, so the
     # 8 patterns leave 7 entries.
-    assert not subroutines._OUTCOMES
+    memo = subroutines._measure_mod3
     for warm in (False, True):
         for bits in ALL_3BIT:
             state = mod3_final_state(CountingOracle(bits), (1, 2, 3))
-            assert not warm or state in subroutines._OUTCOMES
             got = mod3(CountingOracle(bits), (1, 2, 3))
-            assert got == _fresh_outcome(state) == weight(bits) % 3
-            assert subroutines._OUTCOMES[state] == got
-    assert len(subroutines._OUTCOMES) == 7
+            assert got == memo.__wrapped__(state) == _fresh_outcome(state) \
+                == weight(bits) % 3
+        info = memo.cache_info()
+        assert info.misses == info.currsize == 7
+        assert info.hits == 1 + 8 * warm
 
 
 def test_irrational_mass_is_an_invariant_violation(fresh_tables, monkeypatch):
@@ -359,7 +360,8 @@ def test_irrational_mass_is_an_invariant_violation(fresh_tables, monkeypatch):
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not rational"):
             mod3(o, (1, 2, 3))
-    assert state not in subroutines._OUTCOMES
+    info = subroutines._measure_mod3.cache_info()
+    assert info.misses == 2 and info.currsize == 0
     # The sweep counts each such input as a failure and goes on.
     row = verify_cell(3, 3)
     assert row.failures == row.inputs == 8

@@ -1,13 +1,15 @@
-"""The bitmask audit against the list-based reference; sweep input checks."""
+"""The bitmask audit against the list-based reference; sweep input checks;
+the memo counters over a cold sweep."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmodw import sweep
+from qmodw import oracle, subroutines, sweep
 from qmodw.hamming_mod import (PartitionResult, UnsupportedModulus,
                                partition_weight)
+from qmodw.linalg import _APPLY_MEMO_CAP
 from qmodw.oracle import CountingOracle
-from qmodw.sweep import DEFAULT_MODULI, audit_partition, run_sweep
+from qmodw.sweep import DEFAULT_MODULI, audit_partition, run_sweep, verify_cell
 
 
 def reference_audit(result, bits, indices):
@@ -168,3 +170,32 @@ def test_verify_cell_zero_checks_the_empty_input(monkeypatch):
     assert seen == [""]
     assert row.inputs == 1 and row.failures == 0
     assert row.max_queries == row.zero_input_queries == 0
+
+
+# ---------------------------------------------------------
+# Memo counters
+# ---------------------------------------------------------
+
+def test_every_memo_is_capped(fresh_tables):
+    # The fixture finds each memo by its cache_clear, so a memo added
+    # later is cleared by the fault tests and must be bounded like these.
+    assert {f.__name__ for f in fresh_tables} >= {
+        "_flipped", "block_view", "_measure_parity", "_measure_mod3",
+        "factor_split"}
+    for f in fresh_tables:
+        assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
+
+
+def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
+    # Every miss is stored and nothing is dropped, far below the cap: 19
+    # local flip patterns, 4 parity and 7 mod-3 final states.
+    for n in range(1, 11):
+        for m in DEFAULT_MODULI:
+            assert verify_cell(n, m).failures == 0
+    for f in fresh_tables:
+        info = f.cache_info()
+        assert info.misses == info.currsize < info.maxsize, f.__name__
+        assert info.hits > 0, f.__name__
+    assert oracle._flipped.cache_info().currsize == 19
+    assert subroutines._measure_parity.cache_info().currsize == 4
+    assert subroutines._measure_mod3.cache_info().currsize == 7
