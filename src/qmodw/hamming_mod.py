@@ -18,10 +18,18 @@ choices the underlying math leaves free (factor order, block grouping,
 representatives) are fixed deterministically so runs are replayable.
 
 The split of each modulus is computed once and memoised (an unsupported
-modulus raises on every call).  Each call of :func:`partition_weight`
-checks its indices: the range with one ``min`` and one ``max``, and
-duplicates with one set.  The recursion calls it, and the base case calls
-:func:`deutsch` and :func:`mod3`, through this module's globals.
+modulus raises on every call).  :func:`partition_weight` is the only
+public entry and the only place that checks.  Once per call it checks the
+modulus with :func:`factor_split`, the index range with one ``min`` and
+one ``max`` and duplicates with one set, and records the start query
+count.  The private recursion :func:`_partition` gets the indices as a
+tuple and only passes on indices derived from them, so it checks nothing
+again.  Its levels pass each other index tuples and return ``(blocks,
+s2, w2)`` with plain lists; only the top level sorts s2 and builds a
+:class:`PartitionResult`.  ``_partition`` calls :func:`_base_case` and
+:func:`_composite_case`, and the base case calls :func:`deutsch` and
+:func:`mod3`, through this module's globals, so code that replaces one
+of them there sees every level.
 """
 
 from __future__ import annotations
@@ -87,9 +95,15 @@ class PartitionResult:
 
 def partition_weight(o: CountingOracle, indices: Sequence[int],
                      m: int) -> PartitionResult:
-    """Partition ``indices`` into constant m-blocks and a known remainder."""
-    schedule = factor_split(m)
-    indices = list(indices)
+    """Partition ``indices`` into constant m-blocks and a known remainder.
+
+    Raises ``UnsupportedModulus`` for a bad ``m``, ``IndexError`` naming
+    the first index outside [1, n] and ``ValueError`` for a repeated
+    index, all before any query.  These are the only checks of the run:
+    the recursion below trusts the indices it derives from these.
+    """
+    factor_split(m)
+    indices = tuple(indices)
     n = o.n
     if indices and (min(indices) < 1 or max(indices) > n):
         bad = next(i for i in indices if not 1 <= i <= n)
@@ -97,24 +111,27 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate indices")
     start = o.query_count
-
-    if schedule.split is None:
-        blocks, s2, w2 = _base_case(o, indices, m)
-    else:
-        blocks, s2, w2 = _composite_case(o, indices, schedule.split)
-
+    blocks, s2, w2 = _partition(o, indices, m)
     return PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
                            o.query_count - start)
 
 
-def _base_case(o: CountingOracle, indices, m: int):
+def _partition(o: CountingOracle, indices: tuple, m: int):
+    """(blocks, s2, w2) of checked, distinct ``indices``; s2 unsorted."""
+    split = factor_split(m).split
+    if split is None:
+        return _base_case(o, indices, m)
+    return _composite_case(o, indices, split)
+
+
+def _base_case(o: CountingOracle, indices: tuple, m: int):
     blocks = []
     s2 = []
     w2 = 0
     full = len(indices) - len(indices) % m
     measure = deutsch if m == 2 else mod3
     for start in range(0, full, m):
-        group = tuple(indices[start:start + m])
+        group = indices[start:start + m]
         outcome = measure(o, group)
         if outcome == 0:
             blocks.append(group)
@@ -129,26 +146,24 @@ def _base_case(o: CountingOracle, indices, m: int):
     return blocks, s2, w2
 
 
-def _composite_case(o: CountingOracle, indices, split):
+def _composite_case(o: CountingOracle, indices: tuple, split):
     m1, m2 = split
-    inner = partition_weight(o, indices, m1)
+    inner_blocks, s2, inner_w2 = _partition(o, indices, m1)
     # One representative per constant m1-block; x is constant on the block,
     # so the representative's bit stands for all m1 of them.
-    rep_block = {min(b): b for b in inner.blocks}
-    reps = list(rep_block)
-    outer = partition_weight(o, reps, m2)
+    rep_block = {min(b): b for b in inner_blocks}
+    outer_blocks, outer_s2, outer_w2 = _partition(o, tuple(rep_block), m2)
 
     blocks = []
-    for rep_group in outer.blocks:
+    for rep_group in outer_blocks:
         merged = []
         for rep in rep_group:
             merged.extend(rep_block[rep])
         blocks.append(tuple(sorted(merged)))
-    s2 = list(inner.s2)
-    for rep in outer.s2:
+    # The inner level's s2 is a fresh list that only this level holds.
+    for rep in outer_s2:
         s2.extend(rep_block[rep])
-    w2 = inner.w2 + m1 * outer.w2
-    return blocks, s2, w2
+    return blocks, s2, inner_w2 + m1 * outer_w2
 
 
 def weight_mod(o: CountingOracle, m: int) -> int:

@@ -16,7 +16,9 @@ reasons.
 Cells (one per (n, m) pair) can fan out across worker processes; the
 QMODW_THREADS environment variable bounds the pool.  Every modulus is
 checked before any cell runs, so a bad one raises before a worker
-starts.  Aggregation is deterministic: rows come back sorted by (n, m).
+starts.  Cells are handed out in descending (n, m) order, so the largest
+start first and the last to finish is a small one.  Aggregation is
+deterministic: rows come back sorted by (n, m).
 """
 
 from __future__ import annotations
@@ -123,8 +125,9 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
     max_queries = 0
     zero_queries = -1
     indices = range(1, n + 1)
+    spec = f"0{n}b"
     for value in range(2 ** n):
-        bits = format(value, f"0{n}b") if n else ""
+        bits = format(value, spec) if n else ""
         oracle = CountingOracle(bits)
         try:
             result = partition_weight(oracle, indices, m)
@@ -196,7 +199,9 @@ def run_sweep(n_max: int, moduli: Sequence[int] = DEFAULT_MODULI,
         raise ValueError(f"n_max must be positive, got {n_max}")
     for m in set(moduli):
         factor_split(m)
-    cells = sorted((n, m) for n in range(1, n_max + 1) for m in set(moduli))
+    # Largest first: a pool then ends on small cells, not a 2^n_max one.
+    cells = sorted(((n, m) for n in range(1, n_max + 1) for m in set(moduli)),
+                   reverse=True)
     if threads is None:
         threads = default_threads()
     if threads > 1 and len(cells) > 1:

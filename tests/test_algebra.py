@@ -13,11 +13,28 @@ from qmodw.algebra import (
 from qmodw.fixtures import STAGES, _load
 
 
-small_fractions = st.fractions(
-    min_value=-5, max_value=5, max_denominator=6)
-field_elements = st.builds(
-    AlgebraicNumber,
-    st.tuples(*[small_fractions] * 8))
+# A field element is drawn the way AlgebraicNumber stores it: eight
+# integer numerators over one denominator.  Denominators up to
+# lcm(1..6) = 60 and numerators up to 5 times the denominator cover every
+# coordinate tuple in [-5, 5] with denominators up to 6, and more.
+DEN_MAX = 60
+
+
+def over_one_denominator(numerator):
+    """Eight Fractions p_i / d: one d drawn, each p_i from ``numerator(d)``."""
+    return st.integers(1, DEN_MAX).flatmap(
+        lambda d: st.tuples(*[numerator(d)] * 8).map(
+            lambda num: tuple(Fraction(p, d) for p in num)))
+
+
+def small_numerator(d):
+    return st.integers(-5 * d, 5 * d)
+
+
+small_fractions = st.integers(1, DEN_MAX).flatmap(
+    lambda d: small_numerator(d).map(lambda p: Fraction(p, d)))
+coordinate_tuples = over_one_denominator(small_numerator)
+field_elements = coordinate_tuples.map(AlgebraicNumber)
 nonzero_elements = field_elements.filter(lambda a: not a.is_zero())
 
 
@@ -269,8 +286,8 @@ class FractionReference:
         return out
 
 
-coordinate_tuples = st.tuples(*[small_fractions] * 8)
-sparse_tuples = st.tuples(*[st.one_of(st.just(Fraction(0)), small_fractions)] * 8)
+sparse_tuples = over_one_denominator(
+    lambda d: st.just(0) | small_numerator(d))
 any_tuples = st.one_of(coordinate_tuples, sparse_tuples)
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmodw import hamming_mod
 from qmodw.hamming_mod import (
     ModulusSchedule, UnsupportedModulus,
     factor_split, partition_weight, query_bound, weight_mod,
@@ -157,6 +158,44 @@ def test_unsupported_modulus_propagates():
     o = CountingOracle("11111")
     with pytest.raises(UnsupportedModulus):
         partition_weight(o, range(1, 6), 5)
+
+
+# ---------------------------------------------------------
+# The private recursion against the level-by-level reference
+# ---------------------------------------------------------
+
+def reference_composite_case(o, indices, split):
+    """The composite level as it was: each level goes through the public
+    ``partition_weight`` and reads the fields of its ``PartitionResult``."""
+    m1, m2 = split
+    inner = hamming_mod.partition_weight(o, indices, m1)
+    rep_block = {min(b): b for b in inner.blocks}
+    reps = list(rep_block)
+    outer = hamming_mod.partition_weight(o, reps, m2)
+    blocks = []
+    for rep_group in outer.blocks:
+        merged = []
+        for rep in rep_group:
+            merged.extend(rep_block[rep])
+        blocks.append(tuple(sorted(merged)))
+    s2 = list(inner.s2)
+    for rep in outer.s2:
+        s2.extend(rep_block[rep])
+    return blocks, s2, inner.w2 + m1 * outer.w2
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 16, 18])
+def test_recursion_matches_level_by_level_reference(monkeypatch, m):
+    # Same result, same queries in the same order, on every input n <= 8.
+    inputs = [format(v, f"0{n}b") if n else ""
+              for n in range(9) for v in range(2 ** n)]
+    new = [run(bits, m) for bits in inputs]
+    monkeypatch.setattr(hamming_mod, "_composite_case",
+                        reference_composite_case)
+    for bits, (o, result) in zip(inputs, new):
+        ref_o, ref_result = run(bits, m)
+        assert result == ref_result, bits
+        assert o.transcript == ref_o.transcript, bits
 
 
 # ---------------------------------------------------------

@@ -11,9 +11,18 @@ from qmodw.linalg import (
 from qmodw.subroutines import H, QFT, U, V
 
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-field_elements = st.builds(
-    AlgebraicNumber, st.tuples(*[small_fractions] * 8))
+def over_one_denominator(den_max, numerator):
+    """Field elements as AlgebraicNumber stores them: eight integer
+    numerators over one denominator d <= ``den_max``, each drawn from
+    ``numerator(d)``."""
+    return st.integers(1, den_max).flatmap(
+        lambda d: st.tuples(*[numerator(d)] * 8).map(
+            lambda num: AlgebraicNumber(Fraction(p, d) for p in num)))
+
+
+# Denominators up to lcm(1..4) = 12 cover every coordinate tuple in
+# [-3, 3] with denominators up to 4.
+field_elements = over_one_denominator(12, lambda d: st.integers(-3 * d, 3 * d))
 
 
 def vectors(dim):
@@ -21,11 +30,15 @@ def vectors(dim):
 
 
 # Coefficients from the whole field, mixing small values with numerators
-# above 2**62 in magnitude.
-big_ints = st.integers(2 ** 62, 2 ** 70) | st.integers(-2 ** 70, -2 ** 62)
-wide_fractions = st.builds(Fraction, st.integers(-3, 3) | big_ints,
-                           st.integers(1, 6))
-wide_elements = st.builds(AlgebraicNumber, st.tuples(*[wide_fractions] * 8))
+# above 2**62 in magnitude.  Over d <= lcm(1..6) = 60 these cover every
+# tuple of p / q with q <= 6 and p in [-3, 3] or 2**62 <= |p| <= 2**70.
+def wide_numerator(d):
+    big = 2 ** 70 * d
+    return (st.integers(-3 * d, 3 * d) | st.integers(2 ** 62, big)
+            | st.integers(-big, -2 ** 62))
+
+
+wide_elements = over_one_denominator(60, wide_numerator)
 
 
 def wide_rows(dim):

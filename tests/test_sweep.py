@@ -130,9 +130,11 @@ def test_run_sweep_rejects_moduli_before_any_cell(monkeypatch, moduli,
 
 
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the items
+    given to ``map``, runs in-process."""
 
     sizes = []
+    items = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -144,6 +146,8 @@ class InProcessPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.items.append(items)
         return map(fn, items)
 
 
@@ -152,10 +156,43 @@ def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch, threads,
                                                      workers):
     # n <= 2 over the seven default moduli is 14 cells.
     monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(InProcessPool, "items", [])
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
     rows = run_sweep(2, DEFAULT_MODULI, threads=threads)
     assert InProcessPool.sizes == [workers]
     assert rows == run_sweep(2, DEFAULT_MODULI, threads=1)
+
+
+def test_run_sweep_hands_the_pool_its_largest_cells_first(monkeypatch):
+    monkeypatch.setattr(InProcessPool, "items", [])
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    rows = run_sweep(4, (3, 2, 12, 6), threads=2)
+    [items] = InProcessPool.items
+    cells = [(n, m) for n, m, _ in items]
+    assert cells == sorted(cells, reverse=True)
+    assert cells[0] == (4, 12) and len(cells) == 16
+    assert [(r.n, r.m) for r in rows] == sorted(cells)
+    assert rows == run_sweep(4, (3, 2, 12, 6), threads=1)
+
+
+def test_verify_cell_calls_partition_and_audit_once_per_input(monkeypatch):
+    # The tracer's sweep.partition_weight and sweep.audit_partition spans,
+    # and the audit-only fault tests, rely on one call of each per input.
+    calls = {"partition_weight": 0, "audit_partition": 0}
+
+    def counted(name):
+        real = getattr(sweep, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(sweep, name, counted(name))
+    for n, m in [(0, 2), (5, 3), (7, 12), (8, 8)]:
+        calls.update(dict.fromkeys(calls, 0))
+        assert verify_cell(n, m).failures == 0
+        assert calls == dict.fromkeys(calls, 2 ** n), (n, m)
 
 
 def test_verify_cell_zero_checks_the_empty_input(monkeypatch):
