@@ -27,18 +27,16 @@ up in.  Its support, its per-entry ``|z|^2`` rows and its projector
 masses are computed on each call; the circuits memoise their measured
 outcome per final state instead.
 
-``_APPLY_MEMO_CAP`` bounds every memo of the package: the
-``functools.lru_cache`` tables of the oracle, the circuits and
-``hamming_mod``, and the one hand-written memo, which each
-:class:`SquareMatrix` keeps for :meth:`SquareMatrix.apply`.  That memo
-maps the input state itself to the result state, is filled lazily and,
-once full, computes further inputs without storing them.  A state that
-came out of a memo is found by identity; an equal state built elsewhere
-is found through ``__hash__`` and ``__eq__``, which compare exact values.
-The memos sit below the oracle: the keys are only states the caller
-already holds, so a phase query is made, counted and logged before any
-state it produced can be looked up, and a memo hit saves arithmetic,
-never a query.
+``_APPLY_MEMO_CAP`` bounds every memo of the package, and every memo
+has one policy: each is a ``functools.lru_cache`` table that drops its
+least recently used entry once full, and ``cache_info()`` reports its
+hits and misses.  :meth:`SquareMatrix.apply` is one of them, keyed on the
+(matrix, state) pair.  A key that came out of a memo is found by
+identity; an equal one built elsewhere is found through ``__hash__`` and
+``__eq__``, which compare exact values.  The memos sit below the oracle:
+the keys are only states the caller already holds, so a phase query is
+made, counted and logged before any state it produced can be looked up,
+and a memo hit saves arithmetic, never a query.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -78,8 +77,12 @@ def _canonical(flat: list, den: int):
 def _pack(entries: Sequence[AlgebraicNumber]):
     """Stack AlgebraicNumbers as (tuple of int rows, common den).
 
-    Each entry's int row is scaled to the lcm of the denominators.
+    Each entry's int row is scaled to the lcm of the denominators.  Other
+    entries go through the field's rule: an exact rational is accepted,
+    anything else raises ``TypeError``.
     """
+    entries = [e if isinstance(e, AlgebraicNumber)
+               else AlgebraicNumber.from_rational(e) for e in entries]
     den = math.lcm(*(e._den for e in entries))
     return _canonical([x * (den // e._den) for e in entries for x in e._num],
                       den)
@@ -201,7 +204,7 @@ def _kernel(num: tuple) -> tuple:
 class SquareMatrix:
     """An exact square matrix over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_kernel", "_memo")
+    __slots__ = ("dim", "_num", "_den", "_kernel", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[AlgebraicNumber]]):
         rows = [tuple(r) for r in rows]
@@ -215,7 +218,7 @@ class SquareMatrix:
         self.dim = len(num)
         self._num, self._den = num, den
         self._kernel = None
-        self._memo = {}
+        self._hash = None
 
     @classmethod
     def _new(cls, num: tuple, den: int) -> "SquareMatrix":
@@ -245,7 +248,9 @@ class SquareMatrix:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self._den, self._num))
+        if self._hash is None:
+            self._hash = hash((self._den, self._num))
+        return self._hash
 
     def dagger(self) -> "SquareMatrix":
         # Conjugation keeps the gcd, so the result is already canonical.
@@ -258,19 +263,20 @@ class SquareMatrix:
             self._kernel = _kernel(self._num)
         return self._kernel
 
+    @lru_cache(maxsize=_APPLY_MEMO_CAP)
     def apply(self, v: StateVector) -> StateVector:
-        """Exact matrix-vector product (memoised on the input state)."""
+        """Exact matrix-vector product, memoised on (matrix, state).
+
+        One bounded cache serves all matrices: it holds at most
+        ``_APPLY_MEMO_CAP`` (256) keys, so it keeps at most 256 matrices
+        alive.  A matrix unequal by value to another never reads its
+        entries.  A mismatched state raises on every call: no exception is
+        stored.
+        """
         if self.dim != v.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {v.dim}")
-        # A dict per matrix, not lru_cache: a cache per instance costs more
-        # on matrices applied to fresh states, and one keyed on the state
-        # alone would hand a corrupted U or V the true matrix's products.
-        out = self._memo.get(v)
-        if out is None:
-            out = self._product(v)
-            if len(self._memo) < _APPLY_MEMO_CAP:
-                self._memo[v] = out
-        return out
+        out = self._times(chain.from_iterable(v._num))
+        return StateVector._new(*_canonical(out, self._den * v._den))
 
     def _times(self, flat: Iterable[int]) -> list:
         """The kernel applied to one column of 8 * dim numerators."""
@@ -281,10 +287,6 @@ class SquareMatrix:
                 for o, k in kernel[p]:
                     out[o] += k * x
         return out
-
-    def _product(self, v: StateVector) -> StateVector:
-        out = self._times(chain.from_iterable(v._num))
-        return StateVector._new(*_canonical(out, self._den * v._den))
 
     def matmul(self, other: "SquareMatrix") -> "SquareMatrix":
         """Exact matrix product: the kernel applied to each column of other."""

@@ -129,8 +129,6 @@ def deutsch(o: CountingOracle, pair) -> int:
     every call.
     """
     i, j = pair
-    if i == j:
-        raise ValueError("indices must be distinct")
     return _measure_parity(H.apply(o.phase_apply(block_view((i, j)),
                                                  _H_KET0)))
 
@@ -147,8 +145,6 @@ def _measure_parity(state: StateVector) -> int:
 def mod3_final_state(o: CountingOracle, triple) -> StateVector:
     """The final 5-dim state of the 2-query mod-3 circuit."""
     i, j, k = triple
-    if len({i, j, k}) != 3:
-        raise ValueError("indices must be distinct")
     view = block_view((i, j, k), 2)
     v = o.phase_apply(view, _QFT_KET0)
     v = _MID.apply(v)

@@ -1,21 +1,20 @@
 """Shared fixtures.
 
 ``fresh_tables`` gives a test empty circuit tables: every
-``functools.lru_cache`` memo of the ``qmodw`` modules (found by its
-``cache_clear``, so a memo added later is cleared too) and the ``apply``
-memos of the three circuit matrices (``_MID``, ``_FIN`` and ``H``).  They
-are cleared again afterwards, so a test that injects a fault cannot leave
-entries behind for the tests that run after it.  The fixture yields the
-memoised functions.
+``functools.lru_cache`` memo of the ``qmodw`` modules, at module level or
+on a class (``SquareMatrix.apply``), found by its ``cache_clear`` so a
+memo added later is cleared too.  They are cleared again afterwards, so a
+test that injects a fault cannot leave entries behind for the tests that
+run after it.  The fixture yields the memoised functions.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import qmodw
-from qmodw import subroutines
 
 
 def _memoised_functions():
@@ -26,23 +25,22 @@ def _memoised_functions():
             continue
         module = importlib.import_module(f"qmodw.{info.name}")
         for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                found[id(obj)] = obj
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for f in members:
+                if hasattr(f, "cache_clear"):
+                    found[id(f)] = f
     return list(found.values())
 
 
-def _clear(functions, matrices):
+def _clear(functions):
     for f in functions:
         f.cache_clear()
-    for m in matrices:
-        m._memo.clear()
 
 
 @pytest.fixture
 def fresh_tables():
     # Found once, so a memo a test monkeypatches away is still cleared.
     functions = _memoised_functions()
-    matrices = [subroutines._MID, subroutines._FIN, subroutines.H]
-    _clear(functions, matrices)
+    _clear(functions)
     yield functions
-    _clear(functions, matrices)
+    _clear(functions)

@@ -96,9 +96,12 @@ def test_qft_on_ket0():
     assert got == StateVector([third_sqrt3] * 3 + [ZERO, ZERO])
 
 
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        H.apply(StateVector.basis_state(5, 0))
+def test_apply_dimension_mismatch(fresh_tables):
+    # The memo stores no exception, so the check fails on every call.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            H.apply(StateVector.basis_state(5, 0))
+    assert SquareMatrix.apply.cache_info().currsize == 0
 
 
 def test_matmul_identity():
@@ -210,6 +213,19 @@ def test_entries_roundtrip():
     assert SquareMatrix(m.entries) == m
 
 
+def test_entries_follow_the_field_rule():
+    # Exact rationals are accepted; a float raises TypeError, as it does
+    # in the field itself.
+    assert StateVector([1, 0]) == StateVector.basis_state(2, 0)
+    assert StateVector([ONE, Fraction(1, 2)])[1] == \
+        AlgebraicNumber.from_rational(Fraction(1, 2))
+    assert SquareMatrix([[1, 0], [0, 1]]) == SquareMatrix.identity(2)
+    with pytest.raises(TypeError):
+        StateVector([ONE, 0.5])
+    with pytest.raises(TypeError):
+        SquareMatrix([[1.0]])
+
+
 def test_json_roundtrip():
     v = QFT.apply(StateVector.basis_state(5, 1))
     assert StateVector.from_json(v.to_json()) == v
@@ -223,12 +239,12 @@ def test_norm_sq_can_be_irrational():
         Projector(1, frozenset({0})).mass(v)
 
 
-def _fresh(m):
-    """A copy of ``m`` with an empty apply memo."""
-    return SquareMatrix(m.entries)
+def _product(m, v):
+    """``m`` times ``v`` computed afresh, bypassing the apply memo."""
+    return SquareMatrix.apply.__wrapped__(m, v)
 
 
-def test_apply_memo_keys_big_values_by_value():
+def test_apply_memo_keys_big_values_by_value(fresh_tables):
     # States are keyed by the values of their Python ints, not by
     # pointers: two separately built equal states share one memo entry.
     big = AlgebraicNumber.from_rational(10 ** 40)
@@ -237,25 +253,46 @@ def test_apply_memo_keys_big_values_by_value():
     assert all(type(x) is int for row in u._num for x in row)
     assert u._num is not w._num
     assert u == w and hash(u) == hash(w)
-    h = _fresh(H)
-    cold = h.apply(u)
-    assert h.apply(w) is cold
-    ref = _fresh(H).apply(u)
-    assert cold == ref
+    cold = H.apply(u)
+    assert H.apply(w) is cold
+    assert SquareMatrix.apply.cache_info().currsize == 1
+    ref = _product(H, u)
+    assert cold == ref and cold is not ref
     p = Projector(2, frozenset({0}))
     expected = p.mass(StateVector(ref.entries))
     assert p.mass(cold) == p.mass(cold) == expected
 
 
-def test_apply_memo_is_capped():
-    m = _fresh(QFT)
+def test_apply_memo_is_capped(fresh_tables):
     n_inputs = _APPLY_MEMO_CAP + 10
     for k in range(n_inputs):
         v = StateVector([AlgebraicNumber.from_rational(k), ONE, ZERO, ZERO, ZERO])
-        got = m.apply(v)
-        assert got == _fresh(QFT).apply(v)
-        assert m.apply(v) == got
-    assert len(m._memo) == _APPLY_MEMO_CAP
+        got = QFT.apply(v)
+        assert got == _product(QFT, v)
+        assert QFT.apply(v) is got
+        assert SquareMatrix.apply.cache_info().currsize <= _APPLY_MEMO_CAP
+    info = SquareMatrix.apply.cache_info()
+    assert info.currsize == _APPLY_MEMO_CAP
+    assert info.misses == info.hits == n_inputs
+
+
+def test_apply_memo_keys_on_the_matrix_value(fresh_tables):
+    # An equal matrix built elsewhere shares the entry; an unequal one,
+    # such as a corrupted circuit matrix, never reads it.
+    v = StateVector([ONE, SQRT3])
+    out = H.apply(v)
+    assert SquareMatrix(H.entries).apply(v) is out
+    swapped = SquareMatrix(H.entries[::-1])
+    assert swapped.apply(v) == _product(swapped, v) != out
+    info = SquareMatrix.apply.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_matrix_hash_is_cached_and_exact():
+    m = SquareMatrix(H.entries)
+    assert m._hash is None
+    assert hash(m) == hash((m._den, m._num)) == hash(H)
+    assert m._hash == hash(m)
 
 
 def test_shared_states_are_read_only():
@@ -288,18 +325,18 @@ def test_state_hash_is_cached_and_exact():
     assert StateVector([big, -ONE]) != u
 
 
-def test_apply_memo_finds_its_own_states_by_identity(monkeypatch):
+def test_apply_memo_finds_its_own_states_by_identity(fresh_tables,
+                                                     monkeypatch):
     # A memo hit on a state the memo holds is found without comparing
     # values; an equal state built elsewhere is compared exactly.
-    h = _fresh(H)
     v = StateVector([ONE, SQRT3])
-    out = h.apply(v)
-    assert list(h._memo) == [v]
+    out = H.apply(v)
+    assert SquareMatrix.apply.cache_info().currsize == 1
     compared = []
     real_eq = StateVector.__eq__
     monkeypatch.setattr(StateVector, "__eq__",
                         lambda a, b: compared.append(1) or real_eq(a, b))
-    assert h.apply(v) is out
+    assert H.apply(v) is out
     assert compared == []
-    assert h.apply(StateVector([ONE, SQRT3])) is out
+    assert H.apply(StateVector([ONE, SQRT3])) is out
     assert compared == [1]

@@ -63,8 +63,12 @@ def test_deutsch_arbitrary_pair():
 
 
 def test_deutsch_rejects_equal_indices():
-    with pytest.raises(ValueError):
-        deutsch(CountingOracle("11"), (1, 1))
+    # A repeated index and a wrong arity both raise before any query.
+    o = CountingOracle("111")
+    for pair in [(1, 1), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            deutsch(o, pair)
+    assert o.query_count == 0
 
 
 # ---------------------------------------------------------
@@ -94,8 +98,11 @@ def test_mod3_deterministic_measurement():
 
 
 def test_mod3_rejects_repeated_indices():
-    with pytest.raises(ValueError):
-        mod3(CountingOracle("111"), (1, 2, 2))
+    o = CountingOracle("111")
+    for triple in [(1, 2, 2), (1, 1, 2), (3, 2, 3), (1, 2)]:
+        with pytest.raises(ValueError):
+            mod3(o, triple)
+    assert o.query_count == 0
 
 
 # ---------------------------------------------------------
@@ -217,21 +224,16 @@ def test_closed_form_rejects_bad_signs():
 
 
 # ---------------------------------------------------------
-# Memoised apply/mass against matrices with an empty memo
+# Memoised apply/mass against products computed afresh
 # ---------------------------------------------------------
 
-def _fresh(m):
-    return SquareMatrix(m.entries)
-
-
 def _memo_matches_fresh(matrix, v):
-    """Cold and warm memo results, and the shared matrix's, equal a fresh one's."""
-    memo = _fresh(matrix)
-    cold = memo.apply(v)
-    warm = memo.apply(v)
+    """Cold and warm memo results, and an equal matrix's, equal a fresh product."""
+    cold = matrix.apply(v)
+    warm = matrix.apply(v)
     assert warm is cold
-    ref = _fresh(matrix).apply(v)
-    for got in (cold, warm, matrix.apply(v)):
+    ref = SquareMatrix.apply.__wrapped__(matrix, v)
+    for got in (cold, warm, SquareMatrix(matrix.entries).apply(v)):
         assert got == ref
     return cold
 
@@ -253,8 +255,6 @@ def test_mod3_memo_matches_fresh_matrices(bits):
                               o.phase_apply(view, subroutines._QFT_KET0))
     second = o.phase_apply(view, mid)
     masses = _masses_match_fresh(_memo_matches_fresh(subroutines._FIN, second))
-    # The shared matrix's result may be a memo hit carrying cached masses.
-    assert _masses_match_fresh(subroutines._FIN.apply(second)) == masses
     assert masses[weight(bits) % 3] == 1
 
 
@@ -266,12 +266,12 @@ def test_deutsch_memo_matches_fresh_matrix(bits):
     assert state.support() == {weight(bits) % 2}
 
 
-def test_memo_hits_still_make_every_query():
+def test_memo_hits_still_make_every_query(fresh_tables):
     # Warm every memo on these local patterns, then repeat them: each call
     # must still make, count and log its queries.
     mod3(CountingOracle("110"), (1, 2, 3))
-    deutsch(CountingOracle("10"), (1, 2))
-    sizes = [len(m._memo) for m in (subroutines._MID, subroutines._FIN, H)]
+    deutsch(CountingOracle("00010"), (4, 5))
+    warmed = [f.cache_info() for f in fresh_tables]
     o = CountingOracle("11010")
     expected = []
     for call in range(3):
@@ -288,8 +288,10 @@ def test_memo_hits_still_make_every_query():
              "count": base + 3},
         ]
     assert o.transcript == expected
-    assert [len(m._memo) for m in (subroutines._MID, subroutines._FIN, H)] \
-        == sizes
+    for f, info in zip(fresh_tables, warmed):
+        after = f.cache_info()
+        assert (after.misses, after.currsize) == (info.misses, info.currsize)
+    assert SquareMatrix.apply.cache_info().hits > 0
 
 
 # ---------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qmodw import oracle, subroutines, sweep
 from qmodw.hamming_mod import (PartitionResult, UnsupportedModulus,
                                partition_weight)
-from qmodw.linalg import _APPLY_MEMO_CAP
+from qmodw.linalg import _APPLY_MEMO_CAP, SquareMatrix
 from qmodw.oracle import CountingOracle
 from qmodw.sweep import DEFAULT_MODULI, audit_partition, run_sweep, verify_cell
 
@@ -218,14 +218,14 @@ def test_every_memo_is_capped(fresh_tables):
     # later is cleared by the fault tests and must be bounded like these.
     assert {f.__name__ for f in fresh_tables} >= {
         "_flipped", "block_view", "_measure_parity", "_measure_mod3",
-        "factor_split"}
+        "factor_split", "apply"}
     for f in fresh_tables:
         assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
 
 
 def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     # Every miss is stored and nothing is dropped, far below the cap: 19
-    # local flip patterns, 4 parity and 7 mod-3 final states.
+    # local flip patterns, 4 parity and 7 mod-3 final states, 19 products.
     for n in range(1, 11):
         for m in DEFAULT_MODULI:
             assert verify_cell(n, m).failures == 0
@@ -236,3 +236,4 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert oracle._flipped.cache_info().currsize == 19
     assert subroutines._measure_parity.cache_info().currsize == 4
     assert subroutines._measure_mod3.cache_info().currsize == 7
+    assert SquareMatrix.apply.cache_info().currsize == 19
