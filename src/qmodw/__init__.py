@@ -11,7 +11,7 @@ from .subroutines import (
     mod3, trace_mod3,
 )
 from .hamming_mod import (
-    ModulusSchedule, PartitionResult, UnsupportedModulus,
+    PartitionResult, UnsupportedModulus,
     factor_split, partition_weight, query_bound, weight_mod,
 )
 from .polymethod import (
@@ -29,7 +29,7 @@ __all__ = [
     "H", "QFT", "U", "V", "PI0", "PI1", "PI2", "InvariantViolation",
     "deutsch", "gram_closed_form", "gram_closed_form_mismatches",
     "gram_matrix", "mod3", "trace_mod3",
-    "ModulusSchedule", "PartitionResult", "UnsupportedModulus",
+    "PartitionResult", "UnsupportedModulus",
     "factor_split", "partition_weight", "query_bound", "weight_mod",
     "DomainError", "HypothesisViolated", "MultilinearPolynomial",
     "SymmetricFunctionSpec", "UnivariatePolynomial", "certificate_roundtrip",

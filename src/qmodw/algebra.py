@@ -55,11 +55,6 @@ for _a in range(8):
         BASIS_MUL[_a][_b] = (_t + 4 * ((_ia + _ib) % 2),
                              -_c if (_ia and _ib) else _c)
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT3 = math.sqrt(3.0)
-_SQRT6 = math.sqrt(6.0)
-
-
 def _ratio(value) -> tuple:
     """(numerator, denominator) of an exact rational, as Python ints.
 
@@ -248,14 +243,6 @@ class AlgebraicNumber:
         prod = s2 * s3 * s23
         norm = (r * prod).as_rational()  # full Galois product, rational by construction
         return self.conj() * prod * AlgebraicNumber.from_rational(1 / norm)
-
-    def approx(self) -> complex:
-        """Floating approximation for reports only; never used in decisions."""
-        # int / int is correctly rounded, so this equals float(Fraction).
-        c = [x / self._den for x in self._num]
-        re = c[0] + c[1] * _SQRT2 + c[2] * _SQRT3 + c[3] * _SQRT6
-        im = c[4] + c[5] * _SQRT2 + c[6] * _SQRT3 + c[7] * _SQRT6
-        return complex(re, im)
 
     def to_json(self) -> list:
         """Exact encoding: 8 [numerator, denominator] pairs."""

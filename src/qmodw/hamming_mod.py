@@ -1,42 +1,45 @@
 """Hamming weight modulo m for m with prime factors 2 and 3 only.
 
-The algorithm recursively partitions the queried indices into constant
-blocks of size m (contributing 0 to the weight mod m) plus a remainder
-set whose exact weight is known, using at most n - floor(n/m) queries:
+The algorithm partitions the queried indices into constant blocks of
+size m (contributing 0 to the weight mod m) plus a remainder set whose
+exact weight is known, using at most n - floor(n/m) queries:
 
 * m = 2: pair the indices and learn each pair's parity with one query;
   parity-0 pairs are constant blocks, parity-1 pairs contribute weight 1.
 * m = 3: same with triples and the 2-query mod-3 subroutine; outcome 0
   means a constant triple, outcomes 1 and 2 are the triple's exact weight
   (weights 0 and 3 are the constant cases, so the residue determines it).
-* composite m = m1 * m2: recurse with m1, keep one representative index
-  per constant block, recurse with m2 on the representatives, and glue
-  m2 representative-blocks into size-m blocks.
+* composite m = p1 * p2 * ... * pk (primes, 2s first): one level per
+  prime.  The first level runs the base case with p1 on the indices.
+  Each further level measures one representative index per constant
+  block, p at a time, through the same base case: a constant group
+  glues its p blocks into one, and the blocks of a non-constant group go
+  to the remainder, their weight being the group's weight times the
+  block size.
 
-Leftover indices that do not fill a block are read individually.  All
-choices the underlying math leaves free (factor order, block grouping,
+Leftover indices that do not fill a group are read individually.  All
+choices the underlying math leaves free (prime order, block grouping,
 representatives) are fixed deterministically so runs are replayable.
 
-The split of each modulus is computed once and memoised (an unsupported
-modulus raises on every call).  :func:`partition_weight` is the only
-public entry and the only place that checks.  Once per call it checks the
-modulus with :func:`factor_split`, the index range with one ``min`` and
-one ``max`` and duplicates with one set, and records the start query
-count.  The private recursion :func:`_partition` gets the indices as a
-tuple and only passes on indices derived from them, so it checks nothing
-again.  Its levels pass each other index tuples and return ``(blocks,
-s2, w2)`` with plain lists; only the top level sorts s2 and builds a
-:class:`PartitionResult`.  ``_partition`` calls :func:`_base_case` and
-:func:`_composite_case`, and the base case calls :func:`deutsch` and
-:func:`mod3`, through this module's globals, so code that replaces one
-of them there sees every level.
+The prime factors of each modulus are computed once and memoised (an
+unsupported modulus raises on every call).  :func:`partition_weight` is
+the only public entry and the only place that checks: once per call it
+checks the modulus with :func:`factor_split`, the index range with one
+``min`` and one ``max`` and duplicates with one set.  Its levels pass on
+only indices derived from these and check nothing again; they keep
+plain lists, and only the end sorts s2 and builds a
+:class:`PartitionResult`.  Every level measures through
+:func:`_base_case` (the first directly, the others through
+:func:`_glue`), and the base case calls :func:`deutsch` and :func:`mod3`,
+all through this module's globals, so code that replaces one of them
+there sees every level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linalg import _APPLY_MEMO_CAP
 from .oracle import CountingOracle
@@ -56,30 +59,21 @@ def query_bound(n: int, m: int) -> int:
     return n - n // m
 
 
-@dataclass(frozen=True)
-class ModulusSchedule:
-    """How a modulus is handled: base case, or a fixed split m = m1 * m2."""
-
-    m: int
-    split: Optional[tuple] = None
-
-
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
-def factor_split(m: int) -> ModulusSchedule:
-    """Validate m and fix the recursion split (smallest prime factor first)."""
+def factor_split(m: int) -> tuple:
+    """Validate m and return its prime factors, 2s first."""
     if m < 2:
         raise UnsupportedModulus(f"modulus must be at least 2, got {m}")
+    primes = []
     rest = m
     for p in (2, 3):
         while rest % p == 0:
             rest //= p
+            primes.append(p)
     if rest != 1:
         raise UnsupportedModulus(
             f"modulus {m} has a prime factor other than 2 and 3")
-    if m in (2, 3):
-        return ModulusSchedule(m)
-    m1 = 2 if m % 2 == 0 else 3
-    return ModulusSchedule(m, (m1, m // m1))
+    return tuple(primes)
 
 
 @dataclass(frozen=True)
@@ -97,12 +91,17 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
                      m: int) -> PartitionResult:
     """Partition ``indices`` into constant m-blocks and a known remainder.
 
+    One level per prime factor of m: the base case with the first prime
+    on ``indices``, then :func:`_glue` with each further prime on the
+    blocks so far, adding each level's weight times the block size it
+    started from.
+
     Raises ``UnsupportedModulus`` for a bad ``m``, ``IndexError`` naming
     the first index outside [1, n] and ``ValueError`` for a repeated
     index, all before any query.  These are the only checks of the run:
-    the recursion below trusts the indices it derives from these.
+    the levels trust the indices they derive from these.
     """
-    factor_split(m)
+    primes = factor_split(m)
     indices = tuple(indices)
     n = o.n
     if indices and (min(indices) < 1 or max(indices) > n):
@@ -111,20 +110,18 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate indices")
     start = o.query_count
-    blocks, s2, w2 = _partition(o, indices, m)
+    size = primes[0]
+    blocks, s2, w2 = _base_case(o, indices, size)
+    for p in primes[1:]:
+        blocks, level_w2 = _glue(o, blocks, p, s2)
+        w2 += size * level_w2
+        size *= p
     return PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
                            o.query_count - start)
 
 
-def _partition(o: CountingOracle, indices: tuple, m: int):
-    """(blocks, s2, w2) of checked, distinct ``indices``; s2 unsorted."""
-    split = factor_split(m).split
-    if split is None:
-        return _base_case(o, indices, m)
-    return _composite_case(o, indices, split)
-
-
 def _base_case(o: CountingOracle, indices: tuple, m: int):
+    """(blocks, s2, w2) of ``indices`` for a prime m; s2 unsorted."""
     blocks = []
     s2 = []
     w2 = 0
@@ -146,24 +143,26 @@ def _base_case(o: CountingOracle, indices: tuple, m: int):
     return blocks, s2, w2
 
 
-def _composite_case(o: CountingOracle, indices: tuple, split):
-    m1, m2 = split
-    inner_blocks, s2, inner_w2 = _partition(o, indices, m1)
-    # One representative per constant m1-block; x is constant on the block,
-    # so the representative's bit stands for all m1 of them.
-    rep_block = {min(b): b for b in inner_blocks}
-    outer_blocks, outer_s2, outer_w2 = _partition(o, tuple(rep_block), m2)
+def _glue(o: CountingOracle, blocks: list, p: int, s2: list):
+    """One level for the prime p over constant, equal-sized ``blocks``.
 
-    blocks = []
-    for rep_group in outer_blocks:
+    x is constant on each block, so its smallest index stands for all of
+    it.  The representatives go through the base case p at a time; each
+    constant group becomes one sorted block, and the blocks of the rest
+    are appended to ``s2``.  Returns the new blocks and the weight of the
+    representatives put in s2, which the caller scales by the block size.
+    """
+    rep_block = {min(b): b for b in blocks}
+    rep_groups, rep_s2, level_w2 = _base_case(o, tuple(rep_block), p)
+    glued = []
+    for group in rep_groups:
         merged = []
-        for rep in rep_group:
+        for rep in group:
             merged.extend(rep_block[rep])
-        blocks.append(tuple(sorted(merged)))
-    # The inner level's s2 is a fresh list that only this level holds.
-    for rep in outer_s2:
+        glued.append(tuple(sorted(merged)))
+    for rep in rep_s2:
         s2.extend(rep_block[rep])
-    return blocks, s2, inner_w2 + m1 * outer_w2
+    return glued, level_w2
 
 
 def weight_mod(o: CountingOracle, m: int) -> int:

@@ -92,20 +92,6 @@ def test_inv_zero_raises():
         ZERO.inv()
 
 
-def test_approx_sqrt2():
-    assert abs(SQRT2.approx() - 1.4142135623730951) < 1e-12
-
-
-def test_approx_omega():
-    z = OMEGA.approx()
-    assert abs(z.real + 0.5) < 1e-12
-    assert abs(z.imag - 0.8660254037844386) < 1e-12
-
-
-def test_approx_zero():
-    assert ZERO.approx() == 0
-
-
 # ---------------------------------------------------------
 # Field axioms on randomized elements
 # ---------------------------------------------------------
@@ -192,19 +178,6 @@ def test_str_rendering():
     assert str(-I) == "-i"
 
 
-def test_approx_matches_exact_on_random(
-        sample=((1, 2, 3, 4, 5, 6, 7, 8),
-                (0, -1, 2, 0, 1, 0, 0, -3))):
-    import math
-    for coeffs in sample:
-        a = AlgebraicNumber(coeffs)
-        c = [float(x) for x in coeffs]
-        expected = complex(
-            c[0] + c[1] * math.sqrt(2) + c[2] * math.sqrt(3) + c[3] * math.sqrt(6),
-            c[4] + c[5] * math.sqrt(2) + c[6] * math.sqrt(3) + c[7] * math.sqrt(6))
-        assert abs(a.approx() - expected) < 1e-9
-
-
 # ---------------------------------------------------------
 # The integer representation against a Fraction-tuple reference
 # ---------------------------------------------------------
@@ -255,12 +228,6 @@ class FractionReference:
         prod = s2 * s3 * s23
         norm = (self.abs_sq() * prod).c[0]
         return self.conj() * prod * FractionReference((1 / norm,) + (0,) * 7)
-
-    def approx(self):
-        c = [float(x) for x in self.c]
-        re = c[0] + c[1] * math.sqrt(2) + c[2] * math.sqrt(3) + c[3] * math.sqrt(6)
-        im = c[4] + c[5] * math.sqrt(2) + c[6] * math.sqrt(3) + c[7] * math.sqrt(6)
-        return complex(re, im)
 
     def to_json(self):
         return [[f.numerator, f.denominator] for f in self.c]
@@ -329,7 +296,6 @@ def test_unary_ops_match_reference(x):
         assert_agrees(a.inv(), ra.inv())
     assert a.to_json() == ra.to_json()
     assert str(a) == str(ra)
-    assert a.approx() == ra.approx()
     assert a.rational_part() == ra.c[0]
 
 

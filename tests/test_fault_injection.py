@@ -3,10 +3,10 @@
 Each fault makes ``verify_cell`` report failing inputs with reasons and
 ``qmodw sweep --n-max 4`` exit 3.  A warm run first fills every memo
 (the oracle's views and flips, the measured outcomes of ``deutsch`` and
-``mod3``, the modulus splits and the ``apply`` products) with a
-correct sweep, so a fault that a stored entry could hide would show up as
-a passing warm run.  The ``fresh_tables`` fixture empties those memos
-before and after the test.
+``mod3``, the prime factors of each modulus and the ``apply`` products)
+with a correct sweep, so a fault that a stored entry could hide would
+show up as a passing warm run.  The ``fresh_tables`` fixture empties
+those memos before and after the test.
 """
 
 import pytest
@@ -119,23 +119,23 @@ def test_fault_fails_the_sweep(fresh_tables, monkeypatch, capsys, fault,
 # ---------------------------------------------------------
 
 def glue_next_block(monkeypatch):
-    # Each representative brings the m1-block of the representative after
-    # it (the last one brings its own), so a glued block can mix blocks
-    # of different values or repeat one while another goes missing.  s2
-    # and w2 stay exact, so only the audit can tell.
-    def composite_case(o, indices, split):
-        m1, m2 = split
-        inner = hamming_mod.partition_weight(o, indices, m1)
-        rep_block = {min(b): b for b in inner.blocks}
+    # Each representative brings the block of the representative after it
+    # (the last one brings its own), so a glued block can mix blocks of
+    # different values or repeat one while another goes missing.  s2 and
+    # the level weight stay exact, so only the audit can tell.
+    def glue(o, blocks, p, s2):
+        rep_block = {min(b): b for b in blocks}
         reps = list(rep_block)
-        outer = hamming_mod.partition_weight(o, reps, m2)
+        rep_groups, rep_s2, level_w2 = hamming_mod._base_case(
+            o, tuple(reps), p)
         glued = dict(zip(reps, reps[1:] + reps[-1:]))
-        blocks = [tuple(sorted(i for rep in group
-                               for i in rep_block[glued[rep]]))
-                  for group in outer.blocks]
-        s2 = list(inner.s2) + [i for rep in outer.s2 for i in rep_block[rep]]
-        return blocks, s2, inner.w2 + m1 * outer.w2
-    monkeypatch.setattr(hamming_mod, "_composite_case", composite_case)
+        new_blocks = [tuple(sorted(i for rep in group
+                                   for i in rep_block[glued[rep]]))
+                      for group in rep_groups]
+        for rep in rep_s2:
+            s2.extend(rep_block[rep])
+        return new_blocks, level_w2
+    monkeypatch.setattr(hamming_mod, "_glue", glue)
 
 
 def leftover_read_not_in_s2(monkeypatch):

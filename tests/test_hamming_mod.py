@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmodw import hamming_mod
 from qmodw.hamming_mod import (
-    ModulusSchedule, UnsupportedModulus,
+    PartitionResult, UnsupportedModulus,
     factor_split, partition_weight, query_bound, weight_mod,
 )
 from qmodw.oracle import CountingOracle
@@ -49,15 +51,17 @@ def test_query_bound_is_ceiling(n, m):
 # ---------------------------------------------------------
 
 def test_factor_split_composite():
-    assert factor_split(6) == ModulusSchedule(6, (2, 3))
-    assert factor_split(9) == ModulusSchedule(9, (3, 3))
-    assert factor_split(12) == ModulusSchedule(12, (2, 6))
-    assert factor_split(8) == ModulusSchedule(8, (2, 4))
+    assert factor_split(6) == (2, 3)
+    assert factor_split(9) == (3, 3)
+    assert factor_split(12) == (2, 2, 3)
+    assert factor_split(8) == (2, 2, 2)
+    assert factor_split(18) == (2, 3, 3)
+    assert factor_split(72) == (2, 2, 2, 3, 3)
 
 
 def test_factor_split_base_cases():
-    assert factor_split(2) == ModulusSchedule(2)
-    assert factor_split(3) == ModulusSchedule(3)
+    assert factor_split(2) == (2,)
+    assert factor_split(3) == (3,)
 
 
 @pytest.mark.parametrize("m", [5, 7, 10, 15, 35])
@@ -161,41 +165,65 @@ def test_unsupported_modulus_propagates():
 
 
 # ---------------------------------------------------------
-# The private recursion against the level-by-level reference
+# The level loop against the recursion it replaced
 # ---------------------------------------------------------
 
-def reference_composite_case(o, indices, split):
-    """The composite level as it was: each level goes through the public
-    ``partition_weight`` and reads the fields of its ``PartitionResult``."""
-    m1, m2 = split
-    inner = hamming_mod.partition_weight(o, indices, m1)
-    rep_block = {min(b): b for b in inner.blocks}
-    reps = list(rep_block)
-    outer = hamming_mod.partition_weight(o, reps, m2)
+def reference_partition(o, indices, m):
+    """(blocks, s2, w2) by the smallest-prime-first recursion: the base
+    case for a prime m, else the base case with the smallest prime m1,
+    then the same recursion with m // m1 on one representative per
+    constant block."""
+    if m in (2, 3):
+        return hamming_mod._base_case(o, indices, m)
+    m1 = 2 if m % 2 == 0 else 3
+    inner_blocks, s2, inner_w2 = reference_partition(o, indices, m1)
+    rep_block = {min(b): b for b in inner_blocks}
+    outer_blocks, outer_s2, outer_w2 = reference_partition(
+        o, tuple(rep_block), m // m1)
     blocks = []
-    for rep_group in outer.blocks:
+    for rep_group in outer_blocks:
         merged = []
         for rep in rep_group:
             merged.extend(rep_block[rep])
         blocks.append(tuple(sorted(merged)))
-    s2 = list(inner.s2)
-    for rep in outer.s2:
+    for rep in outer_s2:
         s2.extend(rep_block[rep])
-    return blocks, s2, inner.w2 + m1 * outer.w2
+    return blocks, s2, inner_w2 + m1 * outer_w2
+
+
+def reference_run(bits, m, indices):
+    o = CountingOracle(bits)
+    blocks, s2, w2 = reference_partition(o, tuple(indices), m)
+    return o, PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
+                              o.query_count)
+
+
+def shuffled_subsets(m):
+    """Seeded (bits, indices) cases whose indices are a shuffled subset,
+    so a block's first index is not always its smallest."""
+    rng = random.Random(m)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        bits = "".join(rng.choice("01") for _ in range(n))
+        indices = rng.sample(range(1, n + 1), rng.randint(0, n))
+        cases.append((bits, indices))
+    return cases
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 16, 18])
-def test_recursion_matches_level_by_level_reference(monkeypatch, m):
-    # Same result, same queries in the same order, on every input n <= 8.
-    inputs = [format(v, f"0{n}b") if n else ""
-              for n in range(9) for v in range(2 ** n)]
-    new = [run(bits, m) for bits in inputs]
-    monkeypatch.setattr(hamming_mod, "_composite_case",
-                        reference_composite_case)
-    for bits, (o, result) in zip(inputs, new):
-        ref_o, ref_result = run(bits, m)
-        assert result == ref_result, bits
-        assert o.transcript == ref_o.transcript, bits
+def test_recursion_matches_level_by_level_reference(m):
+    # Same result, same queries in the same order, on every input n <= 8
+    # over all its indices and on shuffled index subsets.
+    cases = [(format(v, f"0{n}b") if n else "", range(1, n + 1))
+             for n in range(9) for v in range(2 ** n)]
+    cases += shuffled_subsets(m)
+    for bits, indices in cases:
+        o = CountingOracle(bits)
+        result = partition_weight(o, indices, m)
+        ref_o, ref_result = reference_run(bits, m, indices)
+        assert result == ref_result, (bits, indices)
+        assert o.transcript == ref_o.transcript, (bits, indices)
 
 
 # ---------------------------------------------------------

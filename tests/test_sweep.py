@@ -1,12 +1,15 @@
 """The bitmask audit against the list-based reference; sweep input checks;
-the memo counters over a cold sweep."""
+the memo counters over a cold sweep; the benchmark tracer's targets."""
+
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmodw import oracle, subroutines, sweep
 from qmodw.hamming_mod import (PartitionResult, UnsupportedModulus,
-                               partition_weight)
+                               factor_split, partition_weight)
 from qmodw.linalg import _APPLY_MEMO_CAP, SquareMatrix
 from qmodw.oracle import CountingOracle
 from qmodw.sweep import DEFAULT_MODULI, audit_partition, run_sweep, verify_cell
@@ -237,3 +240,26 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert subroutines._measure_parity.cache_info().currsize == 4
     assert subroutines._measure_mod3.cache_info().currsize == 7
     assert SquareMatrix.apply.cache_info().currsize == 19
+    # One factorisation per input: the level loop reads the primes once.
+    info = factor_split.cache_info()
+    assert info.hits + info.misses == (len(DEFAULT_MODULI)
+                                       * sum(2 ** n for n in range(1, 11)))
+
+
+# ---------------------------------------------------------
+# The benchmark tracer's targets
+# ---------------------------------------------------------
+
+def test_benchmark_tracer_finds_every_target():
+    # perfbench/tracer.py wraps functions by name; a renamed or deleted
+    # one would only show as a KeyError in a traced benchmark run.  The
+    # file is compiled from its text, so nothing is written beside it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+    finally:
+        left = spans.remove()
+    assert left == []
