@@ -24,8 +24,10 @@ representatives) are fixed deterministically so runs are replayable.
 The prime factors of each modulus are computed once and memoised (an
 unsupported modulus raises on every call).  :func:`partition_weight` is
 the only public entry and the only place that checks: once per call it
-checks the modulus with :func:`factor_split`, the index range with one
-``min`` and one ``max`` and duplicates with one set.  Its levels pass on
+checks the modulus with :func:`factor_split` and the indices with
+:func:`_check_indices`, whose range and duplicate checks are memoised
+per (index tuple, n), so a sweep runs them once per cell, and a bad
+tuple raises on every call.  Its levels pass on
 only indices derived from these and check nothing again; they keep
 plain lists, and only the end sorts s2 and builds a
 :class:`PartitionResult`.  Every level measures through
@@ -103,12 +105,7 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
     """
     primes = factor_split(m)
     indices = tuple(indices)
-    n = o.n
-    if indices and (min(indices) < 1 or max(indices) > n):
-        bad = next(i for i in indices if not 1 <= i <= n)
-        raise IndexError(f"index {bad} out of oracle range [1, {n}]")
-    if len(set(indices)) != len(indices):
-        raise ValueError("duplicate indices")
+    _check_indices(indices, o.n)
     start = o.query_count
     size = primes[0]
     blocks, s2, w2 = _base_case(o, indices, size)
@@ -118,6 +115,17 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
         size *= p
     return PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
                            o.query_count - start)
+
+
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
+def _check_indices(indices: tuple, n: int) -> None:
+    """Raise IndexError naming the first index outside [1, n], else
+    ValueError if an index repeats."""
+    if indices and (min(indices) < 1 or max(indices) > n):
+        bad = next(i for i in indices if not 1 <= i <= n)
+        raise IndexError(f"index {bad} out of oracle range [1, {n}]")
+    if len(set(indices)) != len(indices):
+        raise ValueError("duplicate indices")
 
 
 def _base_case(o: CountingOracle, indices: tuple, m: int):

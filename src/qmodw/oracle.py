@@ -7,16 +7,18 @@ query.  The oracle may act on extra trailing "padding" dimensions where it
 is the identity; such queries still count.
 
 Indices are 1-based, matching the convention x = x_1 x_2 ... x_n.  The
-oracle keeps the string as an int whose bit i - 1 is x_i, so the rows a
-query flips come from bit tests.  Each query is logged compactly, as the
-view itself or the index read; :attr:`CountingOracle.transcript` expands
-the log into fresh dicts on every read, and the query count is the log's
-length.
+oracle keeps the string as an int whose bit i - 1 is x_i.  Each query is
+logged compactly, as the view itself or the index read;
+:attr:`CountingOracle.transcript` expands the log into fresh dicts on
+every read, and the query count is the log's length.
 
 A :class:`BlockView` is immutable and holds no hidden data, so
 :func:`block_view` interns views by ``(map, padding)``: its duplicate
-check and its index range run once per distinct view, not once per
-query.
+check, its index range and its sign table are built once per distinct
+view, not once per query.  The sign table maps each of the 2^k values
+of ``hidden & view.mask`` for a view of k indices to the local rows
+that value flips, so a query finds its rows with one AND and one
+lookup.
 
 The sign-flipped states are interned by ``(input state, flipped local
 rows)``: the rows are the local sign pattern, never global indices, so
@@ -54,8 +56,11 @@ class BlockView:
     bit ``map[j]``; the last ``padding`` dimensions are untouched.  The
     map is stored as a tuple; ``lo`` and ``hi`` are its least and greatest
     index (1 and 0 for an empty map), so a query checks the range with two
-    comparisons, and ``masks`` pairs each local row with the bit of its
-    index, so the rows a query flips come from one AND each.
+    comparisons.  ``mask`` has bit i - 1 set for each index i, and
+    ``_flips`` maps each value of ``hidden & mask`` to the tuple of local
+    rows whose bits it sets, in increasing order.  The table has 2^k
+    entries for k indices, so views are meant to be small: the circuits
+    use two and three.
     """
 
     map: tuple
@@ -63,7 +68,8 @@ class BlockView:
     lo: int = field(init=False, repr=False, compare=False)
     hi: int = field(init=False, repr=False, compare=False)
     dim: int = field(init=False, repr=False, compare=False)
-    masks: tuple = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
+    _flips: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indices = tuple(self.map)
@@ -76,9 +82,19 @@ class BlockView:
         put(self, "lo", min(indices, default=1))
         put(self, "hi", max(indices, default=0))
         put(self, "dim", len(indices) + self.padding)
-        # An index below 1 gets no bit: phase_apply rejects the view first.
-        put(self, "masks", tuple((j, 1 << (i - 1) if i > 0 else 0)
-                                 for j, i in enumerate(indices)))
+        # A view with an index below 1 gets no bits and an empty table:
+        # phase_apply rejects it before the lookup.
+        mask = 0
+        flips = {}
+        if self.lo >= 1:
+            flips[0] = ()
+            for j, i in enumerate(indices):
+                bit = 1 << (i - 1)
+                mask |= bit
+                flips.update([(key | bit, rows + (j,))
+                              for key, rows in flips.items()])
+        put(self, "mask", mask)
+        put(self, "_flips", flips)
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
@@ -134,8 +150,7 @@ class CountingOracle:
             raise ValueError(
                 f"state dim {v.dim} != view dim {view.dim}")
         self._log.append(view)
-        hidden = self._hidden
-        return _flipped(v, tuple([j for j, bit in view.masks if hidden & bit]))
+        return _flipped(v, view._flips[self._hidden & view.mask])
 
     def query_bit(self, i: int) -> int:
         """Classical read of bit x_i; costs one query."""

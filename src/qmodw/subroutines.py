@@ -12,11 +12,15 @@ two oracle calls, which is exactly equal (associativity in exact
 arithmetic) to the step-by-step product; :func:`trace_mod3` exposes the
 unfused intermediate states for table verification.
 
-Each circuit ends in one exact measurement of its final state, memoised
-per state with ``functools.lru_cache`` (at most ``_APPLY_MEMO_CAP``
-entries, least recently used dropped first).  The queries are made
-before the memo is read, and a state that fails its check raises and is
-never stored, so it fails again on every call.
+Each circuit ends in its last constant matrix (``H`` or ``_FIN``) and one
+exact measurement.  Both are memoised together with ``functools.lru_cache``
+(at most ``_APPLY_MEMO_CAP`` entries, least recently used dropped first),
+keyed on (final matrix, state before it): the matrix is applied inside,
+on a miss only, so a warm circuit makes one lookup after its last query.
+The matrix is part of the key, so a replaced ``H`` or ``_FIN`` never
+reads the true matrix's outcomes.  The queries are made before the memo
+is read, and a state that fails its check raises and is never stored, so
+it fails again on every call.
 
 Also here: the 8x8 Gram matrix of the final states over all 3-bit inputs
 (lexicographic input order) and its two closed-form sign-vector
@@ -125,31 +129,36 @@ def oracle_matrix(bits: str, padding: int = 0) -> SquareMatrix:
 def deutsch(o: CountingOracle, pair) -> int:
     """Parity of two input bits with one query: measure H O_x H |0>.
 
-    The outcome is memoised per exact final state; the query is made on
-    every call.
+    The outcome is memoised per (H, state after the query); the query is
+    made on every call.
     """
     i, j = pair
-    return _measure_parity(H.apply(o.phase_apply(block_view((i, j)),
-                                                 _H_KET0)))
+    return _measure_parity(H, o.phase_apply(block_view((i, j)), _H_KET0))
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _measure_parity(state: StateVector) -> int:
-    """The one index the state is supported on; else InvariantViolation."""
-    support = state.support()
+def _measure_parity(matrix: SquareMatrix, state: StateVector) -> int:
+    """The one index ``matrix`` applied to ``state`` is supported on;
+    else InvariantViolation."""
+    final = matrix.apply(state)
+    support = final.support()
     if len(support) != 1:
-        raise InvariantViolation(f"parity state not a basis state: {state!r}")
+        raise InvariantViolation(f"parity state not a basis state: {final!r}")
     return min(support)
 
 
-def mod3_final_state(o: CountingOracle, triple) -> StateVector:
-    """The final 5-dim state of the 2-query mod-3 circuit."""
+def _state_before_fin(o: CountingOracle, triple) -> StateVector:
+    """Both queries of the mod-3 circuit: the state that ``_FIN`` ends."""
     i, j, k = triple
     view = block_view((i, j, k), 2)
     v = o.phase_apply(view, _QFT_KET0)
     v = _MID.apply(v)
-    v = o.phase_apply(view, v)
-    return _FIN.apply(v)
+    return o.phase_apply(view, v)
+
+
+def mod3_final_state(o: CountingOracle, triple) -> StateVector:
+    """The final 5-dim state of the 2-query mod-3 circuit."""
+    return _FIN.apply(_state_before_fin(o, triple))
 
 
 def mod3(o: CountingOracle, triple) -> int:
@@ -157,17 +166,19 @@ def mod3(o: CountingOracle, triple) -> int:
 
     Measures the final state against the three weight-residue projectors;
     in exact arithmetic exactly one mass is 1 and the others are 0.  The
-    outcome is memoised per exact final state; both queries are made on
-    every call.
+    outcome is memoised per (_FIN, state before it); both queries are
+    made on every call.
     """
-    return _measure_mod3(mod3_final_state(o, triple))
+    return _measure_mod3(_FIN, _state_before_fin(o, triple))
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _measure_mod3(state: StateVector) -> int:
-    """The residue whose projector has mass 1; InvariantViolation otherwise."""
+def _measure_mod3(matrix: SquareMatrix, state: StateVector) -> int:
+    """The residue whose projector has mass 1 on ``matrix`` applied to
+    ``state``; InvariantViolation otherwise."""
+    final = matrix.apply(state)
     try:
-        masses = [p.mass(state) for p in (PI0, PI1, PI2)]
+        masses = [p.mass(final) for p in (PI0, PI1, PI2)]
     except ValueError as exc:
         raise InvariantViolation(str(exc)) from exc
     hits = [r for r, m in enumerate(masses) if m == 1]

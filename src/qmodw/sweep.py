@@ -7,7 +7,9 @@ partition contract (disjoint constant blocks of size m whose union with
 the remainder is everything, with the remainder weight exact).  The
 audit runs on every input, over bitmasks: the input and each block and
 the remainder become ints with bit i - 1 for index i, so a block is
-constant when its mask meets the input's in nothing or in all of it.  An
+constant when its mask meets the input's in nothing or in all of it.
+Each index tuple's mask is memoised per (tuple, n), so a block or the
+queried indices seen before cost one lookup.  An
 ``InvariantViolation`` raised while running one input (an impossible
 measurement outcome) counts as that input's failure; the sweep goes on.
 Each row keeps the first ``FAILURES_KEPT`` failing inputs with their
@@ -26,9 +28,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .hamming_mod import factor_split, partition_weight, query_bound
+from .linalg import _APPLY_MEMO_CAP
 from .oracle import CountingOracle
 from .subroutines import InvariantViolation
 
@@ -81,7 +85,8 @@ def audit_partition(result, bits: str, indices: Sequence[int]) -> list:
     for block in result.blocks:
         if len(block) != m:
             problems.append(f"block {block} has size != {m}")
-        mask = _bitmask(block, n, outside)
+        mask, out = _bitmask(tuple(block), n)
+        outside.extend(out)
         if not block or (ones & mask) not in (0, mask):
             problems.append(f"block {block} not constant on input {bits}")
         covered |= mask
@@ -94,7 +99,7 @@ def audit_partition(result, bits: str, indices: Sequence[int]) -> list:
         else:
             outside.append(i)
     seen += len(result.s2)
-    queried = _bitmask(indices, n, [])
+    queried = _bitmask(tuple(indices), n)[0]
     if not (covered == queried
             and seen == len(indices) == queried.bit_count()):
         problems.append("blocks and s2 do not partition the queried indices")
@@ -105,16 +110,18 @@ def audit_partition(result, bits: str, indices: Sequence[int]) -> list:
     return problems
 
 
-def _bitmask(indices, n: int, outside: list) -> int:
-    """Bit i - 1 set for each i of ``indices`` in [1, n]; the rest go to
-    ``outside``."""
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
+def _bitmask(indices: tuple, n: int) -> tuple:
+    """(mask, outside): bit i - 1 of mask set for each i of ``indices`` in
+    [1, n], and the other indices in order."""
     mask = 0
+    outside = []
     for i in indices:
         if 0 < i <= n:
             mask |= 1 << (i - 1)
         else:
             outside.append(i)
-    return mask
+    return mask, tuple(outside)
 
 
 def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
@@ -124,7 +131,7 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
     first_failures = []
     max_queries = 0
     zero_queries = -1
-    indices = range(1, n + 1)
+    indices = tuple(range(1, n + 1))
     spec = f"0{n}b"
     for value in range(2 ** n):
         bits = format(value, spec) if n else ""

@@ -2,9 +2,10 @@
 
 Each fault makes ``verify_cell`` report failing inputs with reasons and
 ``qmodw sweep --n-max 4`` exit 3.  A warm run first fills every memo
-(the oracle's views and flips, the measured outcomes of ``deutsch`` and
-``mod3``, the prime factors of each modulus and the ``apply`` products)
-with a correct sweep, so a fault that a stored entry could hide would
+(the oracle's views and flips, the outcomes of ``deutsch`` and ``mod3``
+keyed on their final matrix, the prime factors of each modulus, the
+index checks, the audit's masks and the ``apply`` products) with a
+correct sweep, so a fault that a stored entry could hide would
 show up as a passing warm run.  The ``fresh_tables`` fixture empties
 those memos before and after the test.
 """

@@ -14,7 +14,8 @@ from qmodw.sweep import audit_partition, verify_cell
 
 def run(bits, m, indices=None):
     o = CountingOracle(bits)
-    result = partition_weight(o, indices or range(1, len(bits) + 1), m)
+    result = partition_weight(
+        o, range(1, len(bits) + 1) if indices is None else indices, m)
     return o, result
 
 
@@ -129,6 +130,13 @@ def test_odd_length_mod2_queries_leftover_bit():
     assert r.queries == 2  # one parity + one classical read
 
 
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_empty_index_list_makes_no_query(m):
+    o, r = run("1011", m, ())
+    assert (r.blocks, r.s2, r.w2, r.queries) == ((), (), 0, 0)
+    assert o.query_count == 0
+
+
 def test_partition_reports_only_its_own_queries():
     o = CountingOracle("0011")
     o.query_bit(1)
@@ -156,6 +164,23 @@ def test_out_of_range_error_names_the_first_bad_index(indices, bad):
     with pytest.raises(IndexError, match=rf"^index {bad} out of oracle"):
         partition_weight(o, indices, 3)
     assert o.query_count == 0
+
+
+def test_index_check_is_memoised_and_raises_on_every_call(fresh_tables):
+    # lru_cache stores no exception, so a bad tuple raises every time, and
+    # a tuple checked for one n does not pass for a smaller one.
+    o = CountingOracle("111")
+    for _ in range(3):
+        with pytest.raises(IndexError):
+            partition_weight(o, (1, 2, 4), 3)
+        with pytest.raises(ValueError, match="duplicate"):
+            partition_weight(o, [1, 1, 2], 3)
+        partition_weight(o, [1, 2, 3], 3)
+    with pytest.raises(IndexError, match="index 3"):
+        partition_weight(CountingOracle("11"), (1, 2, 3), 3)
+    assert o.query_count == 3 * 2
+    info = hamming_mod._check_indices.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 8, 1)
 
 
 def test_unsupported_modulus_propagates():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -341,6 +342,36 @@ def test_queries_agree_with_the_bit_string_on_every_6bit_input():
         assert o.phase_apply(reversed_view, start) == fresh_negation(
             start, [j for j, c in enumerate(reversed(bits)) if c == "1"])
         assert o.query_count == len(o.transcript) == 2 * n + 2
+
+
+def test_sign_table_matches_the_bit_string_reference():
+    # Every map of 0..4 distinct indices in 1..6, on every 6-bit input: the
+    # table's rows are the local rows whose index carries a 1, in order,
+    # and the query returns the start state with exactly those negated.
+    n = 6
+    for k in range(5):
+        start = StateVector([AlgebraicNumber.from_rational(j + 1)
+                             for j in range(k + 1)])
+        for map in itertools.permutations(range(1, n + 1), k):
+            view = BlockView(map, padding=1)
+            assert view.mask == sum(1 << (i - 1) for i in map)
+            assert len(view._flips) == 2 ** k
+            for value in range(2 ** n):
+                bits = format(value, f"0{n}b")
+                o = CountingOracle(bits)
+                rows = tuple([j for j, i in enumerate(map)
+                              if bits[i - 1] == "1"])
+                assert view._flips[o._hidden & view.mask] == rows
+                got = o.phase_apply(view, start)
+                assert got is oracle._flipped(start, rows)
+                assert got == fresh_negation(start, rows)
+
+
+def test_view_with_an_index_below_one_has_no_table():
+    view = BlockView((2, 0, 1))
+    assert view.mask == 0 and view._flips == {}
+    with pytest.raises(IndexError, match="index 0"):
+        CountingOracle("11").phase_apply(view, StateVector.basis_state(3, 0))
 
 
 @pytest.mark.parametrize("bits", [" 01", "1 0", "01\n", "1_0", "0b1"])

@@ -299,18 +299,33 @@ def test_memo_hits_still_make_every_query(fresh_tables):
 # ---------------------------------------------------------
 
 def test_deutsch_outcome_memo_matches_fresh_measurement(fresh_tables):
-    # Cold, then warm: the 4 patterns end in 4 distinct final states,
-    # +|0>, -|0>, +|1> and -|1>, measured once each.
+    # Cold, then warm: the 4 patterns leave 4 distinct states after the
+    # query, ±|+> and ±|->, each measured once through H into ±|0> or ±|1>.
     memo = subroutines._measure_parity
+    states = {}
     for warm in (False, True):
         for bits in ("00", "01", "10", "11"):
-            state = H.apply(CountingOracle(bits).phase_apply(
-                BlockView((1, 2)), subroutines._H_KET0))
+            state = CountingOracle(bits).phase_apply(BlockView((1, 2)),
+                                                     subroutines._H_KET0)
+            states[bits] = state
             got = deutsch(CountingOracle(bits), (1, 2))
-            assert got == memo.__wrapped__(state) == weight(bits) % 2
+            fresh = SquareMatrix.apply.__wrapped__(H, state)
+            assert fresh.support() == {weight(bits) % 2}
+            assert got == memo.__wrapped__(H, state) == weight(bits) % 2
         info = memo.cache_info()
         assert info.misses == info.currsize == 4
         assert info.hits == 4 * warm
+    # The key is (matrix, state): an equal H built elsewhere shares H's
+    # entries, and H with its rows swapped gets its own, inverted ones.
+    copy = SquareMatrix(H.entries)
+    swapped = SquareMatrix(H.entries[::-1])
+    for bits, state in states.items():
+        assert memo(copy, state) == weight(bits) % 2
+        assert memo(swapped, state) == 1 - weight(bits) % 2
+        assert memo(H, state) == weight(bits) % 2
+    info = memo.cache_info()
+    assert info.misses == info.currsize == 8
+    assert info.hits == 4 + 4 + 4
 
 
 def test_non_basis_parity_state_is_an_invariant_violation(fresh_tables,
@@ -339,25 +354,43 @@ def _fresh_outcome(state):
 
 
 def test_mod3_outcome_memo_matches_fresh_measurement(fresh_tables):
-    # Cold, then warm: 000 and 111 share the final state |0>, so the
-    # 8 patterns leave 7 entries.
+    # Cold, then warm: 000 and 111 share the state before _FIN (both end
+    # in |0>), so the 8 patterns leave 7 entries.
     memo = subroutines._measure_mod3
+    fin = subroutines._FIN
+    states = {}
     for warm in (False, True):
         for bits in ALL_3BIT:
-            state = mod3_final_state(CountingOracle(bits), (1, 2, 3))
+            state = subroutines._state_before_fin(CountingOracle(bits),
+                                                  (1, 2, 3))
+            states[bits] = state
             got = mod3(CountingOracle(bits), (1, 2, 3))
-            assert got == memo.__wrapped__(state) == _fresh_outcome(state) \
-                == weight(bits) % 3
+            fresh = SquareMatrix.apply.__wrapped__(fin, state)
+            assert fresh == mod3_final_state(CountingOracle(bits), (1, 2, 3))
+            assert got == memo.__wrapped__(fin, state) \
+                == _fresh_outcome(fresh) == weight(bits) % 3
         info = memo.cache_info()
         assert info.misses == info.currsize == 7
         assert info.hits == 1 + 8 * warm
+    # _FIN with the rows of PI1 and PI2 swapped reads residue 3 - r for r:
+    # it gets its own entries and never the true _FIN's outcomes.
+    swapped = SquareMatrix([fin.entries[r] for r in (0, 3, 4, 1, 2)])
+    for bits, state in states.items():
+        assert memo(swapped, state) == -weight(bits) % 3
+        assert memo(fin, state) == weight(bits) % 3
+    info = memo.cache_info()
+    assert info.misses == info.currsize == 14
 
 
 def test_irrational_mass_is_an_invariant_violation(fresh_tables, monkeypatch):
     # |1 + sqrt2|^2 = 3 + 2 sqrt2: Projector.mass raises ValueError, and
-    # mod3 reports it as an impossible outcome, storing nothing.
-    state = StateVector([ONE + SQRT2] + [ZERO] * 4)
-    monkeypatch.setattr(subroutines, "mod3_final_state", lambda o, t: state)
+    # mod3 reports it as an impossible outcome, storing nothing.  _FIN is
+    # unitary, so its adjoint gives the state before it exactly.
+    final = StateVector([ONE + SQRT2] + [ZERO] * 4)
+    before = subroutines._FIN.dagger().apply(final)
+    assert subroutines._FIN.apply(before) == final
+    monkeypatch.setattr(subroutines, "_state_before_fin",
+                        lambda o, t: before)
     o = CountingOracle("000")
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not rational"):

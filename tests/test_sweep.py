@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmodw import oracle, subroutines, sweep
+from qmodw import hamming_mod, oracle, subroutines, sweep
 from qmodw.hamming_mod import (PartitionResult, UnsupportedModulus,
                                factor_split, partition_weight)
 from qmodw.linalg import _APPLY_MEMO_CAP, SquareMatrix
@@ -103,6 +103,16 @@ def test_audit_reports_an_index_outside_the_input(blocks, s2, outside):
     problems = audit_partition(result, "0" * 8, range(1, 9))
     assert "blocks and s2 do not partition the queried indices" in problems
     assert problems[-1] == f"indices {outside} out of range [1, 8]"
+
+
+def test_mask_memo_keys_on_the_tuple_and_n(fresh_tables):
+    # The same tuple under a smaller n puts its last index outside.
+    assert sweep._bitmask((1, 3, 5), 5) == (0b10101, ())
+    assert sweep._bitmask((1, 3, 5), 4) == (0b101, (5,))
+    assert sweep._bitmask((0, 2, -1), 4) == (0b10, (0, -1))
+    assert sweep._bitmask((1, 3, 5), 5) == (0b10101, ())
+    info = sweep._bitmask.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
 
 
 def test_audit_rejects_queried_indices_that_repeat():
@@ -221,14 +231,18 @@ def test_every_memo_is_capped(fresh_tables):
     # later is cleared by the fault tests and must be bounded like these.
     assert {f.__name__ for f in fresh_tables} >= {
         "_flipped", "block_view", "_measure_parity", "_measure_mod3",
-        "factor_split", "apply"}
+        "factor_split", "apply", "_check_indices", "_bitmask"}
     for f in fresh_tables:
         assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
 
 
 def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     # Every miss is stored and nothing is dropped, far below the cap: 19
-    # local flip patterns, 4 parity and 7 mod-3 final states, 19 products.
+    # local flip patterns, 4 parity and 7 mod-3 states before the final
+    # matrix, 19 products (8 of _MID, and the 4 of H and 7 of _FIN that
+    # the outcome memos make on their misses), one index check per n and
+    # 103 masks: the 10 queried index tuples and the 99 distinct
+    # (block, n) pairs, 6 of which (n = m = 2, 3, 4, 6, 8, 9) are both.
     for n in range(1, 11):
         for m in DEFAULT_MODULI:
             assert verify_cell(n, m).failures == 0
@@ -240,10 +254,19 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert subroutines._measure_parity.cache_info().currsize == 4
     assert subroutines._measure_mod3.cache_info().currsize == 7
     assert SquareMatrix.apply.cache_info().currsize == 19
-    # One factorisation per input: the level loop reads the primes once.
-    info = factor_split.cache_info()
-    assert info.hits + info.misses == (len(DEFAULT_MODULI)
-                                       * sum(2 ** n for n in range(1, 11)))
+    assert hamming_mod._check_indices.cache_info().currsize == 10
+    assert sweep._bitmask.cache_info().currsize == 103
+    # One factorisation and one index check per input.
+    inputs = len(DEFAULT_MODULI) * sum(2 ** n for n in range(1, 11))
+    for f in (factor_split, hamming_mod._check_indices):
+        info = f.cache_info()
+        assert info.hits + info.misses == inputs, f.__name__
+    # apply runs for _MID once per mod3 call, and for H and _FIN only on
+    # the 4 + 7 outcome misses.
+    mod3_calls = subroutines._measure_mod3.cache_info()
+    apply = SquareMatrix.apply.cache_info()
+    assert (apply.hits + apply.misses
+            == mod3_calls.hits + mod3_calls.misses + 4 + 7)
 
 
 # ---------------------------------------------------------
