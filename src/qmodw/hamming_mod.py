@@ -30,18 +30,21 @@ per (index tuple, n), so a sweep runs them once per cell, and a bad
 tuple raises on every call.  Its levels pass on
 only indices derived from these and check nothing again; they keep
 plain lists, and only the end sorts s2 and builds a
-:class:`PartitionResult`.  Every level measures through
-:func:`_base_case` (the first directly, the others through
-:func:`_glue`), and the base case calls :func:`deutsch` and :func:`mod3`,
-all through this module's globals, so code that replaces one of them
-there sees every level.
+:class:`PartitionResult`, a ``NamedTuple`` (immutable, and built in C).
+Every level measures through :func:`_base_case` (the first directly,
+the others through :func:`_glue`), and the base case calls
+:func:`deutsch` and :func:`mod3`, all through this module's globals, so
+code that replaces one of them there sees every level.  The base case
+takes its groups and leftovers from :func:`_layout`, memoised per
+(index tuple, prime), so the 2^n inputs of a sweep cell share one
+cutting of each index tuple; the measurements and reads are still made
+on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import _APPLY_MEMO_CAP
 from .oracle import CountingOracle
@@ -78,8 +81,7 @@ def factor_split(m: int) -> tuple:
     return tuple(primes)
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     """Constant blocks of size m, plus a remainder of exactly-known weight."""
 
     m: int
@@ -128,15 +130,28 @@ def _check_indices(indices: tuple, n: int) -> None:
         raise ValueError("duplicate indices")
 
 
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
+def _layout(indices: tuple, m: int) -> tuple:
+    """(groups, rest): ``indices`` cut into consecutive m-tuples, and the
+    leftover indices that do not fill one."""
+    full = len(indices) - len(indices) % m
+    return (tuple(indices[start:start + m] for start in range(0, full, m)),
+            indices[full:])
+
+
 def _base_case(o: CountingOracle, indices: tuple, m: int):
-    """(blocks, s2, w2) of ``indices`` for a prime m; s2 unsorted."""
+    """(blocks, s2, w2) of ``indices`` for a prime m; s2 unsorted.
+
+    The groups and leftovers come from :func:`_layout`, so a sweep cuts
+    each index tuple once, not once per input.  Each group is still
+    measured, and each leftover read, on every call.
+    """
     blocks = []
     s2 = []
     w2 = 0
-    full = len(indices) - len(indices) % m
+    groups, rest = _layout(indices, m)
     measure = deutsch if m == 2 else mod3
-    for start in range(0, full, m):
-        group = indices[start:start + m]
+    for group in groups:
         outcome = measure(o, group)
         if outcome == 0:
             blocks.append(group)
@@ -145,7 +160,7 @@ def _base_case(o: CountingOracle, indices: tuple, m: int):
             # group the residue is the weight itself.
             s2.extend(group)
             w2 += outcome
-    for i in indices[full:]:
+    for i in rest:
         s2.append(i)
         w2 += o.query_bit(i)
     return blocks, s2, w2

@@ -8,15 +8,20 @@ the remainder is everything, with the remainder weight exact).  The
 audit runs on every input, over bitmasks: the input and each block and
 the remainder become ints with bit i - 1 for index i, so a block is
 constant when its mask meets the input's in nothing or in all of it.
-Each index tuple's mask is memoised per (tuple, n), so a block or the
-queried indices seen before cost one lookup.  An
+Each index tuple's mask is memoised per (tuple, n), so a block, the
+remainder s2 or the queried indices seen before cost one lookup.  The
+weight on s2 is the popcount of its mask on the input's; only an s2
+with a repeated index, which no correct run gives, is summed index by
+index, since the weight counts a repeat on every occurrence.  An
 ``InvariantViolation`` raised while running one input (an impossible
 measurement outcome) counts as that input's failure; the sweep goes on.
 Each row keeps the first ``FAILURES_KEPT`` failing inputs with their
 reasons.
 
 Cells (one per (n, m) pair) can fan out across worker processes; the
-QMODW_THREADS environment variable bounds the pool.  Every modulus is
+QMODW_THREADS environment variable bounds the pool.  The pool is
+imported only when one is started, so ``import qmodw`` loads neither
+``concurrent.futures.process`` nor ``multiprocessing``.  Every modulus is
 checked before any cell runs, so a bad one raises before a worker
 starts.  Cells are handed out in descending (n, m) order, so the largest
 start first and the last to finish is a small one.  Aggregation is
@@ -26,7 +31,6 @@ deterministic: rows come back sorted by (n, m).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -91,14 +95,17 @@ def audit_partition(result, bits: str, indices: Sequence[int]) -> list:
             problems.append(f"block {block} not constant on input {bits}")
         covered |= mask
         seen += len(block)
-    true_w2 = 0
-    for i in result.s2:
-        if 0 < i <= n:
-            covered |= 1 << (i - 1)
-            true_w2 += ones >> (i - 1) & 1
-        else:
-            outside.append(i)
-    seen += len(result.s2)
+    s2 = tuple(result.s2)
+    mask, out = _bitmask(s2, n)
+    outside.extend(out)
+    covered |= mask
+    if mask.bit_count() + len(out) == len(s2):
+        true_w2 = (ones & mask).bit_count()
+    else:
+        # An index repeats in s2: the mask holds it once, but |x_S2|
+        # counts it on every occurrence.
+        true_w2 = sum(ones >> (i - 1) & 1 for i in s2 if 0 < i <= n)
+    seen += len(s2)
     queried = _bitmask(tuple(indices), n)[0]
     if not (covered == queried
             and seen == len(indices) == queried.bit_count()):
@@ -212,7 +219,10 @@ def run_sweep(n_max: int, moduli: Sequence[int] = DEFAULT_MODULI,
     if threads is None:
         threads = default_threads()
     if threads > 1 and len(cells) > 1:
+        # Imported here: the pool's modules are a quarter of the
+        # package's import time, and a serial sweep needs none of them.
         # A fork pool starts all its workers at the first submit.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             rows = list(pool.map(_cell_args,
                                  [(n, m, audit) for n, m in cells]))

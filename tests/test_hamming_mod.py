@@ -183,6 +183,33 @@ def test_index_check_is_memoised_and_raises_on_every_call(fresh_tables):
     assert (info.hits, info.misses, info.currsize) == (2, 8, 1)
 
 
+def test_partition_result_is_an_immutable_tuple_of_five_fields():
+    _, result = run("110100", 6)
+    assert PartitionResult._fields == ("m", "blocks", "s2", "w2", "queries")
+    for field in PartitionResult._fields:
+        with pytest.raises(AttributeError):
+            setattr(result, field, 0)
+    assert result == (6, result.blocks, result.s2, result.w2, result.queries)
+
+
+@pytest.mark.parametrize("indices, m, groups, rest", [
+    ((), 2, (), ()),
+    ((), 3, (), ()),
+    ((4,), 2, (), (4,)),
+    ((5, 1, 3), 2, ((5, 1),), (3,)),
+    ((7, 2, 6, 1, 3), 3, ((7, 2, 6),), (1, 3)),
+    ((2, 4, 6, 8, 1, 3, 5), 3, ((2, 4, 6), (8, 1, 3)), (5,)),
+    ((1, 2, 3, 4, 5, 6), 3, ((1, 2, 3), (4, 5, 6)), ()),
+])
+def test_layout_cuts_consecutive_groups_and_keeps_the_rest(fresh_tables,
+                                                           indices, m,
+                                                           groups, rest):
+    for _ in range(2):
+        assert hamming_mod._layout(indices, m) == (groups, rest)
+    info = hamming_mod._layout.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_unsupported_modulus_propagates():
     o = CountingOracle("11111")
     with pytest.raises(UnsupportedModulus):

@@ -1,6 +1,10 @@
 """The bitmask audit against the list-based reference; sweep input checks;
 the memo counters over a cold sweep; the benchmark tracer's targets."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -105,6 +109,21 @@ def test_audit_reports_an_index_outside_the_input(blocks, s2, outside):
     assert problems[-1] == f"indices {outside} out of range [1, 8]"
 
 
+@pytest.mark.parametrize("w2", range(6))
+def test_audit_counts_a_repeat_in_s2_beside_an_outside_index(w2):
+    # s2 holds 5 twice and 0 once.  The reference reads index 0 as
+    # bits[-1], which is 0 here, so it differs from the audit only by the
+    # out-of-range reason.  w2 = 4 counts x_5 twice, as the reference does.
+    bits = "00001110"
+    result = bad(((1, 2, 3, 4),), (5, 5, 6, 7, 8, 0), w2)
+    expected = reference_audit(result, bits, range(1, 9))
+    assert ("blocks and s2 do not partition the queried indices"
+            in expected)
+    assert (f"w2={w2} but |x_S2|=4" in expected) == (w2 != 4)
+    assert (audit_partition(result, bits, range(1, 9))
+            == expected + ["indices [0] out of range [1, 8]"])
+
+
 def test_mask_memo_keys_on_the_tuple_and_n(fresh_tables):
     # The same tuple under a smaller n puts its last index outside.
     assert sweep._bitmask((1, 3, 5), 5) == (0b10101, ())
@@ -135,7 +154,8 @@ def test_run_sweep_rejects_moduli_before_any_cell(monkeypatch, moduli,
 
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell was run")
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        no_pool)
     monkeypatch.setattr(sweep, "verify_cell", no_cell)
     for threads in (1, 2):
         with pytest.raises(error):
@@ -170,7 +190,8 @@ def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch, threads,
     # n <= 2 over the seven default moduli is 14 cells.
     monkeypatch.setattr(InProcessPool, "sizes", [])
     monkeypatch.setattr(InProcessPool, "items", [])
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     rows = run_sweep(2, DEFAULT_MODULI, threads=threads)
     assert InProcessPool.sizes == [workers]
     assert rows == run_sweep(2, DEFAULT_MODULI, threads=1)
@@ -178,7 +199,8 @@ def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch, threads,
 
 def test_run_sweep_hands_the_pool_its_largest_cells_first(monkeypatch):
     monkeypatch.setattr(InProcessPool, "items", [])
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
     rows = run_sweep(4, (3, 2, 12, 6), threads=2)
     [items] = InProcessPool.items
     cells = [(n, m) for n, m, _ in items]
@@ -231,7 +253,7 @@ def test_every_memo_is_capped(fresh_tables):
     # later is cleared by the fault tests and must be bounded like these.
     assert {f.__name__ for f in fresh_tables} >= {
         "_flipped", "block_view", "_measure_parity", "_measure_mod3",
-        "factor_split", "apply", "_check_indices", "_bitmask"}
+        "factor_split", "apply", "_check_indices", "_bitmask", "_layout"}
     for f in fresh_tables:
         assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
 
@@ -240,9 +262,17 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     # Every miss is stored and nothing is dropped, far below the cap: 19
     # local flip patterns, 4 parity and 7 mod-3 states before the final
     # matrix, 19 products (8 of _MID, and the 4 of H and 7 of _FIN that
-    # the outcome memos make on their misses), one index check per n and
-    # 103 masks: the 10 queried index tuples and the 99 distinct
-    # (block, n) pairs, 6 of which (n = m = 2, 3, 4, 6, 8, 9) are both.
+    # the outcome memos make on their misses), one index check per n,
+    # 86 layouts and 149 masks.
+    # The layouts are the 10 queried index tuples cut by 2 and by 3, and
+    # 68 distinct (representatives, prime) pairs of the later levels, 2
+    # of which ((1,) by 2 and by 3) are also a queried tuple's:
+    # 20 + 68 - 2 = 86.
+    # The masks are the 10 queried tuples, the 99 distinct (block, n)
+    # pairs and the 114 distinct (s2, n) pairs.  Every queried tuple is
+    # also an s2 (all of it non-constant), 64 (block, n) pairs are also
+    # an s2, and 6 queried tuples (n = m = 2, 3, 4, 6, 8, 9) are all
+    # three: 10 + 99 + 114 - 10 - 64 - 6 + 6 = 149.
     for n in range(1, 11):
         for m in DEFAULT_MODULI:
             assert verify_cell(n, m).failures == 0
@@ -255,7 +285,8 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert subroutines._measure_mod3.cache_info().currsize == 7
     assert SquareMatrix.apply.cache_info().currsize == 19
     assert hamming_mod._check_indices.cache_info().currsize == 10
-    assert sweep._bitmask.cache_info().currsize == 103
+    assert hamming_mod._layout.cache_info().currsize == 86
+    assert sweep._bitmask.cache_info().currsize == 149
     # One factorisation and one index check per input.
     inputs = len(DEFAULT_MODULI) * sum(2 ** n for n in range(1, 11))
     for f in (factor_split, hamming_mod._check_indices):
@@ -267,6 +298,18 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     apply = SquareMatrix.apply.cache_info()
     assert (apply.hits + apply.misses
             == mod3_calls.hits + mod3_calls.misses + 4 + 7)
+
+
+def test_import_loads_no_process_pool():
+    # run_sweep imports the pool only when it starts one.
+    src = Path(sweep.__file__).resolve().parents[1]
+    check = ("import sys, qmodw\n"
+             "assert 'concurrent.futures.process' not in sys.modules\n"
+             "assert 'multiprocessing' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", check],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------
