@@ -19,21 +19,26 @@ feeds, zeros dropped.  A matrix-vector product walks the nonzero
 coordinates of the vector through it, and a matrix product applies the
 same kernel to every column of the other matrix.
 
-Tuples cannot be written, so a state can be shared and caches one derived
-value: the hash of ``(den, rows)``.  Equal states have equal rows and
-denominators because the canonical form is unique, so ``__eq__`` compares
-them and ``__hash__`` hashes a state once however many memos it is looked
-up in.  Its support, its per-entry ``|z|^2`` rows and its projector
-masses are computed on each call; the circuits memoise their measured
-outcome per final state instead.
+Tuples cannot be written and the canonical form is unique, so a state
+or matrix is fixed by its class, denominator and rows.  Every one is
+made through one intern table, a ``weakref.WeakValueDictionary`` keyed
+on that triple, which returns the live object of that value if there
+is one.  There is one live object per exact value, so ``==`` and
+``hash`` are identity.  The table holds its objects weakly: a value
+nothing else holds is dropped from it, while a bound that evicted a live
+object would let a second, equal one be made that compares unequal.
+Pickling and copying go through the table too.  A matrix builds its
+kernel on first use; a state's support, its per-entry ``|z|^2`` rows
+and its projector masses are computed on each call, and the circuits
+memoise their measured outcome per final state instead.
 
 ``_APPLY_MEMO_CAP`` bounds every memo of the package, and every memo
 has one policy: each is a ``functools.lru_cache`` table that drops its
 least recently used entry once full, and ``cache_info()`` reports its
 hits and misses.  :meth:`SquareMatrix.apply` is one of them, keyed on the
-(matrix, state) pair.  A key that came out of a memo is found by
-identity; an equal one built elsewhere is found through ``__hash__`` and
-``__eq__``, which compare exact values.  The memos sit below the oracle:
+(matrix, state) pair, so an equal pair built anywhere finds the same
+entry and an unequal matrix, such as a corrupted circuit matrix, never
+reads it.  The memos sit below the oracle:
 the keys are only states the caller already holds, so a phase query is
 made, counted and logged before any state it produced can be looked up,
 and a memo hit saves arithmetic, never a query.
@@ -42,6 +47,7 @@ and a memo hit saves arithmetic, never a query.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -88,28 +94,43 @@ def _pack(entries: Sequence[AlgebraicNumber]):
                       den)
 
 
-class StateVector:
+# The one live object of each (class, den, rows), held weakly.  It is
+# not locked: the package makes states and matrices on one thread per
+# process.
+_INTERNED = weakref.WeakValueDictionary()
+
+
+class _Interned:
+    """Rows of Python ints over one denominator, one object per value."""
+
+    __slots__ = ("dim", "_num", "_den", "__weakref__")
+
+    @classmethod
+    def _new(cls, num: tuple, den: int):
+        """The live object of rows of Python ints in canonical form."""
+        key = (cls, den, num)
+        obj = _INTERNED.get(key)
+        if obj is None:
+            obj = object.__new__(cls)
+            obj.dim = len(num)
+            obj._num, obj._den = num, den
+            _INTERNED[key] = obj
+        return obj
+
+    def __reduce__(self):
+        return self._new, (self._num, self._den)
+
+
+class StateVector(_Interned):
     """An exact vector over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_hash")
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[AlgebraicNumber]):
+    def __new__(cls, entries: Iterable[AlgebraicNumber]):
         entries = tuple(entries)
         if not entries:
             raise ValueError("empty state vector")
-        self._init(*_pack(entries))
-
-    def _init(self, num: tuple, den: int):
-        self.dim = len(num)
-        self._num, self._den = num, den
-        self._hash = None
-
-    @classmethod
-    def _new(cls, num: tuple, den: int) -> "StateVector":
-        """A state from rows of Python ints already in canonical form."""
-        v = object.__new__(cls)
-        v._init(num, den)
-        return v
+        return cls._new(*_pack(entries))
 
     def _negated(self, rows) -> "StateVector":
         """This state with the given entries negated.
@@ -133,16 +154,6 @@ class StateVector:
 
     def __getitem__(self, i: int) -> AlgebraicNumber:
         return AlgebraicNumber._from_row(self._num[i], self._den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._den, self._num))
-        return self._hash
 
     def support(self) -> frozenset:
         """Indices with a nonzero amplitude."""
@@ -201,31 +212,18 @@ def _kernel(num: tuple) -> tuple:
     return tuple(map(tuple, cols))
 
 
-class SquareMatrix:
+class SquareMatrix(_Interned):
     """An exact square matrix over Q(i, sqrt2, sqrt3)."""
 
-    __slots__ = ("dim", "_num", "_den", "_kernel", "_hash")
+    __slots__ = ("_kernel",)
 
-    def __init__(self, rows: Iterable[Iterable[AlgebraicNumber]]):
+    def __new__(cls, rows: Iterable[Iterable[AlgebraicNumber]]):
         rows = [tuple(r) for r in rows]
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("matrix is not square")
         num, den = _pack([e for r in rows for e in r])
-        self._init(_rows(num, dim), den)
-
-    def _init(self, num: tuple, den: int):
-        self.dim = len(num)
-        self._num, self._den = num, den
-        self._kernel = None
-        self._hash = None
-
-    @classmethod
-    def _new(cls, num: tuple, den: int) -> "SquareMatrix":
-        """A matrix from rows of Python ints already in canonical form."""
-        m = object.__new__(cls)
-        m._init(num, den)
-        return m
+        return cls._new(_rows(num, dim), den)
 
     @classmethod
     def identity(cls, dim: int) -> "SquareMatrix":
@@ -242,16 +240,6 @@ class SquareMatrix:
         i, j = ij
         return AlgebraicNumber._from_row(self._num[i][j], self._den)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self._den, self._num))
-        return self._hash
-
     def dagger(self) -> "SquareMatrix":
         # Conjugation keeps the gcd, so the result is already canonical.
         return self._new(tuple(map(tuple, zip(*(map(_conj_row, row)
@@ -259,9 +247,11 @@ class SquareMatrix:
                          self._den)
 
     def _get_kernel(self) -> tuple:
-        if self._kernel is None:
+        try:
+            return self._kernel
+        except AttributeError:
             self._kernel = _kernel(self._num)
-        return self._kernel
+            return self._kernel
 
     @lru_cache(maxsize=_APPLY_MEMO_CAP)
     def apply(self, v: StateVector) -> StateVector:

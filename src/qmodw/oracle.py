@@ -20,13 +20,14 @@ of ``hidden & view.mask`` for a view of k indices to the local rows
 that value flips, so a query finds its rows with one AND and one
 lookup.
 
-The sign-flipped states are interned by ``(input state, flipped local
+The sign-flipped states are memoised by ``(input state, flipped local
 rows)``: the rows are the local sign pattern, never global indices, so
 the memo says nothing about which input it was filled from.
 :meth:`CountingOracle.phase_apply` reads and fills it only after the
 query has been counted and logged, so a repeated query still costs a
-query and returns the stored state, on which the circuit memos then hit
-by identity.
+query and returns the stored state without negating again.  A state is
+the one live object of its value (see :mod:`qmodw.linalg`), so an equal
+state built elsewhere finds the same entry.
 
 Both memos are ``functools.lru_cache`` tables of at most
 ``linalg._APPLY_MEMO_CAP`` entries (a full one drops its least recently
@@ -44,7 +45,7 @@ from .linalg import _APPLY_MEMO_CAP, StateVector
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
 def _flipped(v: StateVector, rows: tuple) -> StateVector:
-    """``v`` with ``rows`` negated, interned."""
+    """``v`` with ``rows`` negated, memoised."""
     return v._negated(rows)
 
 

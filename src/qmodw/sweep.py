@@ -12,9 +12,12 @@ Each index tuple's mask is memoised per (tuple, n), so a block, the
 remainder s2 or the queried indices seen before cost one lookup.  The
 weight on s2 is the popcount of its mask on the input's; only an s2
 with a repeated index, which no correct run gives, is summed index by
-index, since the weight counts a repeat on every occurrence.  An
-``InvariantViolation`` raised while running one input (an impossible
-measurement outcome) counts as that input's failure; the sweep goes on.
+index, since the weight counts a repeat on every occurrence.  Any
+exception raised while running one input, such as an
+``InvariantViolation`` (an impossible measurement outcome) or the
+dimension mismatch of a corrupted circuit matrix, counts as that input's
+failure, with its type and message as the reason; the sweep goes on.
+The modulus is checked before the first input, so a bad one raises.
 Each row keeps the first ``FAILURES_KEPT`` failing inputs with their
 reasons.
 
@@ -38,7 +41,6 @@ from typing import Optional, Sequence
 from .hamming_mod import factor_split, partition_weight, query_bound
 from .linalg import _APPLY_MEMO_CAP
 from .oracle import CountingOracle
-from .subroutines import InvariantViolation
 
 DEFAULT_MODULI = (2, 3, 4, 6, 8, 9, 12)
 
@@ -134,6 +136,10 @@ def _bitmask(indices: tuple, n: int) -> tuple:
 def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
     """Run the algorithm on all 2^n inputs for one modulus."""
     bound = query_bound(n, m)
+    # A bad modulus raises here, not as a failure of every input below.
+    # The check bypasses the memo, whose counters then show exactly one
+    # lookup per input.
+    factor_split.__wrapped__(m)
     failures = 0
     first_failures = []
     max_queries = 0
@@ -145,8 +151,8 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
         oracle = CountingOracle(bits)
         try:
             result = partition_weight(oracle, indices, m)
-        except InvariantViolation as exc:
-            reasons = [f"InvariantViolation: {exc}"]
+        except Exception as exc:
+            reasons = [f"{type(exc).__name__}: {exc}"]
         else:
             reasons = _run_problems(result, bits, m, bound, oracle)
             if not reasons and audit:

@@ -89,8 +89,14 @@ def w2_off_by_one(monkeypatch):
     monkeypatch.setattr(hamming_mod, "_base_case", base_case)
 
 
+def mid_wrong_dimension(monkeypatch):
+    # A 4 x 4 _MID cannot act on the 5-dim mod-3 state: apply raises a
+    # ValueError on every call, so no product or outcome is ever stored.
+    monkeypatch.setattr(subroutines, "_MID", SquareMatrix.identity(4))
+
+
 FAULTS = [corrupt_u, corrupt_v, corrupt_h, drop_flip, skip_query,
-          w2_off_by_one]
+          w2_off_by_one, mid_wrong_dimension]
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -113,6 +119,19 @@ def test_fault_fails_the_sweep(fresh_tables, monkeypatch, capsys, fault,
     bits, reasons = row.first_failures[0]
     assert f"FAIL: n={row.n} m={row.m}: {row.failures} of {row.inputs}" in err
     assert f"  x={bits}: " + "; ".join(reasons) in err
+
+
+def test_an_exception_fails_its_inputs_not_the_sweep(fresh_tables,
+                                                     monkeypatch):
+    # Every n = 3 input runs mod3 on (1, 2, 3) at m = 3 and none does at
+    # m = 2: the error is each m = 3 input's reason, and m = 2 passes.
+    mid_wrong_dimension(monkeypatch)
+    row = verify_cell(3, 3)
+    assert (row.failures, row.max_queries, row.zero_input_queries) == (8, 0, -1)
+    assert row.first_failures == tuple(
+        (bits, ("ValueError: dimension mismatch: 4 != 5",))
+        for bits in ("000", "001", "010"))
+    assert verify_cell(3, 2).failures == 0
 
 
 # ---------------------------------------------------------

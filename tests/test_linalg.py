@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmodw.algebra import AlgebraicNumber, ONE, SQRT2, SQRT3, ZERO
 from qmodw.fixtures import load_state_table
+from qmodw import linalg
 from qmodw.linalg import (
     _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner,
 )
@@ -245,22 +250,25 @@ def _product(m, v):
 
 
 def test_apply_memo_keys_big_values_by_value(fresh_tables):
-    # States are keyed by the values of their Python ints, not by
-    # pointers: two separately built equal states share one memo entry.
+    # States are keyed by the values of their Python ints: two separately
+    # built equal states are one object and share one memo entry, while
+    # 10**40 + 1 in place of 10**40 is another object with its own.
     big = AlgebraicNumber.from_rational(10 ** 40)
     u = StateVector([big, ONE])
     w = StateVector([big, SQRT2 * SQRT2 - ONE])
     assert all(type(x) is int for row in u._num for x in row)
-    assert u._num is not w._num
-    assert u == w and hash(u) == hash(w)
+    assert w is u
     cold = H.apply(u)
     assert H.apply(w) is cold
     assert SquareMatrix.apply.cache_info().currsize == 1
-    ref = _product(H, u)
-    assert cold == ref and cold is not ref
+    assert _product(H, u) is cold
+    other = StateVector([big + ONE, ONE])
+    assert other is not u and other != u
+    assert H.apply(other) is not cold
+    assert SquareMatrix.apply.cache_info().currsize == 2
+    # H u = (10**40 + 1, 10**40 - 1) / sqrt2, exactly.
     p = Projector(2, frozenset({0}))
-    expected = p.mass(StateVector(ref.entries))
-    assert p.mass(cold) == p.mass(cold) == expected
+    assert p.mass(cold) == Fraction((10 ** 40 + 1) ** 2, 2)
 
 
 def test_apply_memo_is_capped(fresh_tables):
@@ -288,11 +296,16 @@ def test_apply_memo_keys_on_the_matrix_value(fresh_tables):
     assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
 
-def test_matrix_hash_is_cached_and_exact():
-    m = SquareMatrix(H.entries)
-    assert m._hash is None
-    assert hash(m) == hash((m._den, m._num)) == hash(H)
-    assert m._hash == hash(m)
+def test_equal_matrices_are_one_object():
+    # == and hash are object identity; a matrix built again from H's
+    # entries is H, and one sign flipped is another object.
+    assert SquareMatrix.__eq__ is object.__eq__
+    assert SquareMatrix.__hash__ is object.__hash__
+    assert SquareMatrix(H.entries) is H
+    rows = [list(r) for r in H.entries]
+    rows[1][1] = -rows[1][1]
+    flipped = SquareMatrix(rows)
+    assert flipped is not H and flipped != H
 
 
 def test_shared_states_are_read_only():
@@ -315,28 +328,79 @@ def test_big_values_stay_exact():
     assert v.norm_sq() == AlgebraicNumber.from_rational(10 ** 80 + 1)
 
 
-def test_state_hash_is_cached_and_exact():
+def test_equal_states_are_one_object():
+    assert StateVector.__eq__ is object.__eq__
+    assert StateVector.__hash__ is object.__hash__
     big = AlgebraicNumber.from_rational(10 ** 40)
     u = StateVector([big, ONE])
-    w = StateVector([big, SQRT2 * SQRT2 - ONE])
-    assert u._hash is None
-    assert hash(u) == hash((u._den, u._num)) == hash(w)
-    assert u._hash == hash(u)
-    assert StateVector([big, -ONE]) != u
+    assert StateVector([big, SQRT2 * SQRT2 - ONE]) is u
+    assert StateVector([big, -ONE]) is not u
+    assert StateVector([big + ONE, ONE]) is not u
+    assert StateVector([big + ONE, ONE]) != u
 
 
 def test_apply_memo_finds_its_own_states_by_identity(fresh_tables,
                                                      monkeypatch):
-    # A memo hit on a state the memo holds is found without comparing
-    # values; an equal state built elsewhere is compared exactly.
+    # A memo hit never compares values, whether the state came out of the
+    # memo or was built again elsewhere: both are the one object.
     v = StateVector([ONE, SQRT3])
     out = H.apply(v)
     assert SquareMatrix.apply.cache_info().currsize == 1
     compared = []
-    real_eq = StateVector.__eq__
     monkeypatch.setattr(StateVector, "__eq__",
-                        lambda a, b: compared.append(1) or real_eq(a, b))
+                        lambda a, b: compared.append(1) or a is b)
     assert H.apply(v) is out
-    assert compared == []
     assert H.apply(StateVector([ONE, SQRT3])) is out
-    assert compared == [1]
+    assert compared == []
+    assert SquareMatrix.apply.cache_info().hits == 2
+
+
+def test_every_constructor_returns_the_one_object_of_its_value(fresh_tables):
+    e0 = StateVector.basis_state(3, 0)
+    assert StateVector([ONE, ZERO, ZERO]) is e0
+    assert StateVector._new(((1,) + (0,) * 7, (0,) * 8, (0,) * 8), 1) is e0
+    assert StateVector.from_json(e0.to_json()) is e0
+    minus = StateVector([-ONE, ZERO, ZERO])
+    assert e0._negated((0,)) is minus
+    assert minus._negated((0,)) is e0
+    e1 = StateVector.basis_state(2, 1)
+    assert H.apply(H.apply(e1)) is e1
+    assert _product(H, e1) is H.apply(e1)
+    eye = SquareMatrix.identity(5)
+    assert SquareMatrix([[ONE if i == j else ZERO for j in range(5)]
+                         for i in range(5)]) is eye
+    assert SquareMatrix._new(eye._num, 1) is eye
+    assert QFT.dagger().matmul(QFT) is eye
+    assert U @ eye is U
+    assert QFT.dagger() is SquareMatrix([[QFT[j, i].conj() for j in range(5)]
+                                         for i in range(5)])
+    assert QFT.dagger().dagger() is QFT
+    assert SquareMatrix.from_json(U.to_json()) is U
+    for obj in (e0, U):
+        assert pickle.loads(pickle.dumps(obj)) is obj
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+
+
+def test_a_subclass_value_is_its_own_object():
+    class Sub(StateVector):
+        __slots__ = ()
+    s = Sub([ONE, ZERO])
+    assert type(s) is Sub and type(Sub([ONE, ZERO])) is Sub
+    assert Sub([ONE, ZERO]) is s is not StateVector.basis_state(2, 0)
+
+
+def test_intern_table_drops_what_nothing_holds():
+    # The table holds its objects weakly: 1 000 random states add one
+    # entry each while they live and none once they are dropped.
+    gc.collect()
+    size = len(linalg._INTERNED)
+    rng = random.Random(16)
+    states = [StateVector(AlgebraicNumber.from_rational(
+                  Fraction(rng.randrange(-10 ** 40, 10 ** 40),
+                           rng.randrange(1, 10 ** 6)))
+                          for _ in range(3))
+              for _ in range(1000)]
+    assert len(linalg._INTERNED) == size + len(set(states))
+    del states
+    gc.collect()
+    assert len(linalg._INTERNED) == size

@@ -162,6 +162,20 @@ def test_run_sweep_rejects_moduli_before_any_cell(monkeypatch, moduli,
             run_sweep(3, moduli, threads=threads)
 
 
+@pytest.mark.parametrize("m, error", [
+    (1, ValueError), (0, ValueError), (5, UnsupportedModulus),
+    (10, UnsupportedModulus),
+])
+def test_verify_cell_rejects_a_modulus_before_any_input(monkeypatch, m,
+                                                         error):
+    # A bad modulus raises; it is not counted as a failure of each input.
+    def no_run(*args, **kwargs):
+        raise AssertionError("an input was run")
+    monkeypatch.setattr(sweep, "partition_weight", no_run)
+    with pytest.raises(error):
+        verify_cell(3, m)
+
+
 class InProcessPool:
     """Stands in for ProcessPoolExecutor: records its size and the items
     given to ``map``, runs in-process."""
