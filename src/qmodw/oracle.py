@@ -7,8 +7,13 @@ query.  The oracle may act on extra trailing "padding" dimensions where it
 is the identity; such queries still count.
 
 Indices are 1-based, matching the convention x = x_1 x_2 ... x_n.  The
-oracle keeps the string as an int whose bit i - 1 is x_i.  Each query is
-logged compactly, as the view itself or the index read;
+oracle keeps the string as an int whose bit i - 1 is x_i.  It is built
+from the string, which ``CountingOracle(bits)`` checks and parses once,
+or from that int and n, which :meth:`CountingOracle.from_int` checks
+against the range [0, 2^n): the sweep carries its inputs as these ints
+and never builds a string for a passing one.  No method hands the int
+back.  Each query is logged compactly, as the view itself or the index
+read;
 :attr:`CountingOracle.transcript` expands the log into fresh dicts on
 every read, and the query count is the log's length.
 
@@ -107,6 +112,8 @@ def block_view(map: tuple, padding: int = 0) -> BlockView:
 class CountingOracle:
     """The only channel to the hidden input string."""
 
+    __slots__ = ("_n", "_hidden", "_log")
+
     def __init__(self, bits: str):
         if bits.strip("01"):
             raise ValueError(f"not a bit string: {bits!r}")
@@ -116,6 +123,20 @@ class CountingOracle:
         # One entry per query: the BlockView of a phase query, the index
         # of a bit read.
         self._log = []
+
+    @classmethod
+    def from_int(cls, hidden: int, n: int) -> "CountingOracle":
+        """The oracle of the n-bit input whose x_i is bit i - 1 of
+        ``hidden``; ValueError unless n >= 0 and 0 <= hidden < 2^n."""
+        if n < 0:
+            raise ValueError(f"negative length: {n}")
+        if not 0 <= hidden < 1 << n:
+            raise ValueError(f"{hidden} is not an input of {n} bits")
+        oracle = object.__new__(cls)
+        oracle._n = n
+        oracle._hidden = hidden
+        oracle._log = []
+        return oracle
 
     @property
     def n(self) -> int:

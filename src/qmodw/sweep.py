@@ -2,18 +2,27 @@
 
 For every input the harness replays the partition algorithm against a
 fresh counting oracle and then audits the result against the hidden
-string it chose itself: residue correctness, the query budget, and the
+input it chose itself: residue correctness, the query budget, and the
 partition contract (disjoint constant blocks of size m whose union with
-the remainder is everything, with the remainder weight exact).  The
-audit runs on every input, over bitmasks: the input and each block and
-the remainder become ints with bit i - 1 for index i, so a block is
-constant when its mask meets the input's in nothing or in all of it.
-Each index tuple's mask is memoised per (tuple, n), so a block, the
-remainder s2 or the queried indices seen before cost one lookup.  The
-weight on s2 is the popcount of its mask on the input's; only an s2
-with a repeated index, which no correct run gives, is summed index by
-index, since the weight counts a repeat on every occurrence.  Any
-exception raised while running one input, such as an
+the remainder is everything, with the remainder weight exact).  Each
+input is one int from the enumeration to the oracle
+(:meth:`CountingOracle.from_int`), the run check and the audit: bit
+i - 1 is x_i, and the ints come in the lexicographic order of the
+strings x_1 ... x_n, from two half tables of O(2^(n/2)) entries.  A bit
+string is built only for a failing input that a row keeps.
+
+The audit runs on every input, over bitmasks: each block and the
+remainder s2 become ints with bit i - 1 for index i, so a block is
+constant when its mask meets the input in nothing or in all of it.
+Everything else the audit checks (the masks, the block sizes, whether
+blocks and s2 partition the queried indices, and indices outside
+[1, n]) holds for every input, so it is memoised per (m, blocks, s2,
+indices, n): a cell has at most 128 distinct results at n = 15.  Per
+input there remain the constant test of each block and the popcount of
+s2 for its weight.  A repeated index of s2, which no correct run gives,
+counts on every occurrence.
+
+Any exception raised while running one input, such as an
 ``InvariantViolation`` (an impossible measurement outcome) or the
 dimension mismatch of a corrupted circuit matrix, counts as that input's
 failure, with its type and message as the reason; the sweep goes on.
@@ -71,70 +80,138 @@ class SweepRow:
                 and self.zero_input_queries == self.bound)
 
 
-def audit_partition(result, bits: str, indices: Sequence[int]) -> list:
+def audit_partition(result, ones: int, n: int,
+                    indices: Sequence[int]) -> list:
     """Check a PartitionResult against the hidden input, post hoc.
 
-    The reasons, in order: each block of the wrong size or not constant
-    on ``bits``, then blocks and s2 that are not a partition of
-    ``indices`` (an index missing, extra or repeated), then a wrong
+    ``ones`` is the input of ``n`` bits as the oracle holds it: bit i - 1
+    is x_i.  The reasons, in order: each block of the wrong size or not
+    constant on the input, then blocks and s2 that are not a partition
+    of ``indices`` (an index missing, extra or repeated), then a wrong
     ``w2``, then any index of the result outside [1, n].  Queried
     ``indices`` that repeat or fall outside [1, n] fail the partition
-    check.
+    check.  Everything but the constant blocks and ``w2`` depends on
+    the input only through n, so it comes from :func:`_audit_shape`.
     """
+    try:
+        checks, s2_masks, partition, outside = _audit_shape(
+            result.m, result.blocks, result.s2, tuple(indices), n)
+    except TypeError:    # a block or s2 given as a list
+        checks, s2_masks, partition, outside = _audit_shape(
+            result.m, tuple(map(tuple, result.blocks)), tuple(result.s2),
+            tuple(indices), n)
     problems = []
-    n = len(bits)
-    ones = int(bits[::-1], 2) if bits else 0    # bit i - 1 is x_i
-    m = result.m
-    outside = []
-    covered = 0    # union of the blocks and s2
-    seen = 0       # their total length, repeats included
-    for block in result.blocks:
-        if len(block) != m:
-            problems.append(f"block {block} has size != {m}")
-        mask, out = _bitmask(tuple(block), n)
-        outside.extend(out)
-        if not block or (ones & mask) not in (0, mask):
-            problems.append(f"block {block} not constant on input {bits}")
-        covered |= mask
-        seen += len(block)
-    s2 = tuple(result.s2)
-    mask, out = _bitmask(s2, n)
-    outside.extend(out)
-    covered |= mask
-    if mask.bit_count() + len(out) == len(s2):
-        true_w2 = (ones & mask).bit_count()
-    else:
-        # An index repeats in s2: the mask holds it once, but |x_S2|
-        # counts it on every occurrence.
-        true_w2 = sum(ones >> (i - 1) & 1 for i in s2 if 0 < i <= n)
-    seen += len(s2)
-    queried = _bitmask(tuple(indices), n)[0]
-    if not (covered == queried
-            and seen == len(indices) == queried.bit_count()):
-        problems.append("blocks and s2 do not partition the queried indices")
+    for block, mask, constant, size in checks:
+        if size:
+            problems.append(size)
+        if ones & mask not in constant:
+            problems.append(f"block {block} not constant on input "
+                            f"{_bit_string(ones, n)}")
+    if partition:
+        problems.append(partition)
+    true_w2 = 0
+    for mask in s2_masks:
+        true_w2 += (ones & mask).bit_count()
     if result.w2 != true_w2:
         problems.append(f"w2={result.w2} but |x_S2|={true_w2}")
     if outside:
-        problems.append(f"indices {outside} out of range [1, {n}]")
+        problems.append(outside)
     return problems
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _bitmask(indices: tuple, n: int) -> tuple:
-    """(mask, outside): bit i - 1 of mask set for each i of ``indices`` in
-    [1, n], and the other indices in order."""
-    mask = 0
+def _audit_shape(m: int, blocks: tuple, s2: tuple, indices: tuple,
+                 n: int) -> tuple:
+    """(checks, s2_masks, partition, outside): the part of the audit of a
+    result that holds for every input of n bits.
+
+    ``checks`` has one (block, mask, constant, size) per block: the mask
+    has bit i - 1 set for each index i of the block in [1, n], the block
+    is constant on an input whose AND with the mask is in ``constant``
+    ((0, mask), or nothing for an empty block), and ``size`` is its size
+    reason or "".  ``s2_masks[j]`` holds the indices of s2 that occur
+    more than j times, so the weight on s2, which counts a repeated
+    index on every occurrence, is the sum of their popcounts; a correct
+    run gives one mask.  ``partition`` and ``outside`` are the partition
+    and range reasons, or "".
+    """
+    checks = []
     outside = []
+    covered = 0    # union of the blocks and s2
+    seen = 0       # their total length, repeats included
+    for block in blocks:
+        mask = _bitmask(block, n, outside)
+        size = f"block {block} has size != {m}" if len(block) != m else ""
+        checks.append((block, mask, (0, mask) if block else (), size))
+        covered |= mask
+        seen += len(block)
+    s2_masks = []
+    for i in s2:
+        if 0 < i <= n:
+            bit = 1 << (i - 1)
+            level = 0
+            while level < len(s2_masks) and s2_masks[level] & bit:
+                level += 1
+            if level == len(s2_masks):
+                s2_masks.append(0)
+            s2_masks[level] |= bit
+        else:
+            outside.append(i)
+    covered |= s2_masks[0] if s2_masks else 0
+    seen += len(s2)
+    queried = _bitmask(indices, n, [])
+    partition = ""
+    if not (covered == queried
+            and seen == len(indices) == queried.bit_count()):
+        partition = "blocks and s2 do not partition the queried indices"
+    return (tuple(checks), tuple(s2_masks), partition,
+            f"indices {outside} out of range [1, {n}]" if outside else "")
+
+
+def _bitmask(indices: tuple, n: int, outside: list) -> int:
+    """The mask with bit i - 1 set for each i of ``indices`` in [1, n];
+    the other indices are appended to ``outside`` in order."""
+    mask = 0
     for i in indices:
         if 0 < i <= n:
             mask |= 1 << (i - 1)
         else:
             outside.append(i)
-    return mask, tuple(outside)
+    return mask
+
+
+def _bit_string(ones: int, n: int) -> str:
+    """x_1 ... x_n of the input whose bit i - 1 is x_i."""
+    return format(ones, f"0{n}b")[::-1] if n else ""
+
+
+def _inputs(n: int):
+    """Every input of n bits as the int whose bit i - 1 is x_i, in the
+    lexicographic order of the strings x_1 ... x_n.
+
+    The outer loop runs over x_1 ... x_k and the inner one over the
+    rest, each from a table of bit-reversed values, so only O(2^(n/2))
+    ints are held, never a list of all 2^n.
+    """
+    k = n // 2
+    firsts = _reversed_values(k)
+    lasts = [value << k for value in _reversed_values(n - k)]
+    for first in firsts:
+        for last in lasts:
+            yield first | last
+
+
+def _reversed_values(k: int) -> list:
+    """The ints whose bit i - 1 is x_i, for every x_1 ... x_k in order."""
+    return [int(format(value, f"0{k}b")[::-1], 2) for value in range(2 ** k)]
 
 
 def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
-    """Run the algorithm on all 2^n inputs for one modulus."""
+    """Run the algorithm on all 2^n inputs for one modulus.
+
+    Each input is carried as the int whose bit i - 1 is x_i; a bit
+    string is built only for a failing input that the row keeps.
+    """
     bound = query_bound(n, m)
     # A bad modulus raises here, not as a failure of every input below.
     # The check bypasses the memo, whose counters then show exactly one
@@ -145,36 +222,36 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
     max_queries = 0
     zero_queries = -1
     indices = tuple(range(1, n + 1))
-    spec = f"0{n}b"
-    for value in range(2 ** n):
-        bits = format(value, spec) if n else ""
-        oracle = CountingOracle(bits)
+    for hidden in _inputs(n):
+        oracle = CountingOracle.from_int(hidden, n)
         try:
             result = partition_weight(oracle, indices, m)
         except Exception as exc:
             reasons = [f"{type(exc).__name__}: {exc}"]
         else:
-            reasons = _run_problems(result, bits, m, bound, oracle)
+            reasons = _run_problems(result, hidden, m, bound, oracle)
             if not reasons and audit:
-                reasons = audit_partition(result, bits, indices)
+                reasons = audit_partition(result, hidden, n, indices)
             max_queries = max(max_queries, result.queries)
-            if value == 0:
+            if hidden == 0:
                 zero_queries = result.queries
         if reasons:
             failures += 1
             if len(first_failures) < FAILURES_KEPT:
-                first_failures.append((bits, tuple(reasons)))
+                first_failures.append((_bit_string(hidden, n),
+                                       tuple(reasons)))
     return SweepRow(n=n, m=m, inputs=2 ** n, failures=failures,
                     max_queries=max_queries, bound=bound,
                     zero_input_queries=zero_queries,
                     first_failures=tuple(first_failures))
 
 
-def _run_problems(result, bits: str, m: int, bound: int, oracle) -> list:
-    """Residue and query-budget mismatches of one run."""
+def _run_problems(result, ones: int, m: int, bound: int, oracle) -> list:
+    """Residue and query-budget mismatches of one run on the input
+    ``ones`` (bit i - 1 is x_i)."""
     problems = []
     residue = result.w2 % m
-    expected = bits.count("1") % m
+    expected = ones.bit_count() % m
     if residue != expected:
         problems.append(f"residue {residue} but |x| mod {m} = {expected}")
     if result.queries > bound:

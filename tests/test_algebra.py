@@ -408,3 +408,134 @@ def test_state_table_fixture_reencodes_exactly():
         for bits in raw["order"]:
             for entry in raw[stage][bits]:
                 assert AlgebraicNumber.from_json(entry).to_json() == entry
+
+
+# ---------------------------------------------------------
+# An independent reference: the cyclotomic ring Z[x]/(x^8 - x^4 + 1)
+# ---------------------------------------------------------
+#
+# Q(i, sqrt2, sqrt3) is Q(zeta24), and x^8 - x^4 + 1 is the minimal
+# polynomial of x = zeta24.  With i = x^6, sqrt2 = x^3 + x^21 (zeta8 plus
+# its inverse), sqrt3 = x^2 + x^22 (zeta12 plus its inverse),
+# omega = x^8 and complex conjugation x -> x^23 = 1/x, the arithmetic
+# below is polynomial arithmetic alone: it shares nothing with
+# BASIS_MUL, and the tests check the table against it.
+
+def cyc_power(k):
+    """x^k reduced mod x^8 - x^4 + 1: eight Fraction coefficients."""
+    coeffs = [Fraction(0)] * (k + 1)
+    coeffs[k] = Fraction(1)
+    return cyc_reduce(coeffs)
+
+
+def cyc_reduce(coeffs):
+    coeffs = list(coeffs)
+    for k in range(len(coeffs) - 1, 7, -1):   # x^k = x^(k-4) - x^(k-8)
+        c, coeffs[k] = coeffs[k], 0
+        coeffs[k - 4] += c
+        coeffs[k - 8] -= c
+    return tuple(coeffs[:8]) + (Fraction(0),) * (8 - len(coeffs))
+
+
+def cyc_add(p, q):
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def cyc_scale(c, p):
+    return tuple(c * a for a in p)
+
+
+def cyc_mul(p, q):
+    out = [Fraction(0)] * 15
+    for j, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[j + k] += a * b
+    return cyc_reduce(out)
+
+
+def cyc_conj(p):
+    """x -> x^23, the automorphism that is complex conjugation."""
+    out = (Fraction(0),) * 8
+    for k, a in enumerate(p):
+        out = cyc_add(out, cyc_scale(a, cyc_power(23 * k % 24)))
+    return out
+
+
+CYC_ONE = cyc_power(0)
+CYC_I = cyc_power(6)
+CYC_SQRT2 = cyc_add(cyc_power(3), cyc_power(21))
+CYC_SQRT3 = cyc_add(cyc_power(2), cyc_power(22))
+# The images of 1, sqrt2, sqrt3, sqrt6, i, i sqrt2, i sqrt3, i sqrt6.
+CYC_BASIS = [cyc_mul(imag, real)
+             for imag in (CYC_ONE, CYC_I)
+             for real in (CYC_ONE, CYC_SQRT2, CYC_SQRT3,
+                          cyc_mul(CYC_SQRT2, CYC_SQRT3))]
+
+
+def cyc(a):
+    """The image of a field element: its coordinates on CYC_BASIS."""
+    out = (Fraction(0),) * 8
+    for c, image in zip(a.coeffs, CYC_BASIS):
+        out = cyc_add(out, cyc_scale(c, image))
+    return out
+
+
+def rank(rows):
+    """Rank over Q, by Gaussian elimination on Fractions."""
+    rows = [list(r) for r in rows]
+    found = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(found, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for r in range(len(rows)):
+            if r != found and rows[r][col]:
+                f = rows[r][col] / rows[found][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[found])]
+        found += 1
+    return found
+
+
+def test_reference_constants_are_what_they_stand_for():
+    minus_one = cyc_scale(-1, CYC_ONE)
+    assert cyc_mul(CYC_I, CYC_I) == minus_one
+    assert cyc_mul(CYC_SQRT2, CYC_SQRT2) == cyc_scale(2, CYC_ONE)
+    assert cyc_mul(CYC_SQRT3, CYC_SQRT3) == cyc_scale(3, CYC_ONE)
+    assert cyc_power(12) == minus_one          # x has order 24
+    assert cyc_power(8) != CYC_ONE and cyc_power(24) == CYC_ONE
+    assert cyc_conj(CYC_SQRT2) == CYC_SQRT2
+    assert cyc_conj(CYC_SQRT3) == CYC_SQRT3
+    assert cyc_conj(CYC_I) == cyc_scale(-1, CYC_I)
+
+
+def test_the_map_into_the_reference_is_injective():
+    # The images of the eight basis elements are linearly independent.
+    assert rank(CYC_BASIS) == 8
+
+
+def test_basis_mul_matches_the_reference():
+    for a in range(8):
+        for b in range(8):
+            idx, coef = BASIS_MUL[a][b]
+            assert (cyc_mul(CYC_BASIS[a], CYC_BASIS[b])
+                    == cyc_scale(coef, CYC_BASIS[idx])), (a, b)
+
+
+def test_omega_is_x_to_the_eighth():
+    assert cyc(OMEGA) == cyc_power(8)
+    assert cyc(ONE) == CYC_ONE and cyc(I) == CYC_I
+    assert cyc(SQRT2) == CYC_SQRT2 and cyc(SQRT3) == CYC_SQRT3
+    assert cyc(SQRT6) == cyc_mul(CYC_SQRT2, CYC_SQRT3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_elements, field_elements)
+def test_the_map_into_the_reference_is_a_ring_homomorphism(a, b):
+    assert cyc(a + b) == cyc_add(cyc(a), cyc(b))
+    assert cyc(a * b) == cyc_mul(cyc(a), cyc(b))
+    assert cyc(-a) == cyc_scale(-1, cyc(a))
+    assert cyc(a.conj()) == cyc_conj(cyc(a))
+    if not a.is_zero():
+        assert cyc_mul(cyc(a.inv()), cyc(a)) == CYC_ONE

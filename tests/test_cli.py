@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from qmodw import cli
+from qmodw import cli, hamming_mod, subroutines
 from qmodw.algebra import ONE
 from qmodw.cli import main
+from qmodw.linalg import SquareMatrix
 from qmodw.subroutines import gram_matrix
 
 
@@ -58,6 +59,47 @@ def test_run_trace_attaches_transcript(capsys):
     report = json.loads(out)
     assert [ev["kind"] for ev in report["transcript"]] == ["phase", "phase"]
     assert report["transcript"][-1]["count"] == report["queries"]
+
+
+def test_run_exits_3_on_a_wrong_answer(capsys, monkeypatch):
+    # A Deutsch step that makes its query but always reports a constant
+    # pair: the run stays within its budget, so only the residue check
+    # can tell.
+    def constant(o, group):
+        o.query_bit(group[0])
+        return 0
+    monkeypatch.setattr(hamming_mod, "deutsch", constant)
+    code, out, err = run_cli(capsys, "run", "--x", "10", "--m", "2")
+    assert code == 3
+    assert out == ""
+    assert "error: residue 0 but |x| mod 2 = 1" in err
+
+
+def test_run_exits_3_on_an_exception_in_the_run(capsys, monkeypatch):
+    # A 4 x 4 middle matrix of the mod-3 circuit: the run raises, and
+    # the CLI reports it as the sweep does, without a traceback.
+    monkeypatch.setattr(subroutines, "_MID", SquareMatrix.identity(4))
+    code, out, err = run_cli(capsys, "run", "--x", "101", "--m", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "error: ValueError: dimension mismatch: 4 != 5\n"
+
+
+def test_run_exits_3_when_the_audit_fails(capsys, monkeypatch):
+    # The last leftover bit is read and counted in w2 but left out of
+    # s2: residue and budget are right, only the audit sees it.
+    real = hamming_mod._base_case
+
+    def base_case(o, indices, m):
+        blocks, s2, w2 = real(o, indices, m)
+        return blocks, s2[:-1] if len(indices) % m else s2, w2
+    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+    code, out, err = run_cli(capsys, "run", "--x", "101", "--m", "2")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: blocks and s2 do not partition the queried indices",
+        "error: w2=2 but |x_S2|=1"]
 
 
 def test_run_deterministic_output(capsys):

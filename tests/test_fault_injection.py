@@ -4,7 +4,7 @@ Each fault makes ``verify_cell`` report failing inputs with reasons and
 ``qmodw sweep --n-max 4`` exit 3.  A warm run first fills every memo
 (the oracle's views and flips, the outcomes of ``deutsch`` and ``mod3``
 keyed on their final matrix, the prime factors of each modulus, the
-index checks, the audit's masks and the ``apply`` products) with a
+index checks, the audit's shapes and the ``apply`` products) with a
 correct sweep, so a fault that a stored entry could hide would
 show up as a passing warm run.  The ``fresh_tables`` fixture empties
 those memos before and after the test.
@@ -183,10 +183,11 @@ def _audit_failures(n, m, bound):
     failures = []
     for value in range(2 ** n):
         bits = format(value, f"0{n}b")
-        o = CountingOracle(bits)
+        hidden = int(bits[::-1], 2)
+        o = CountingOracle.from_int(hidden, n)
         result = hamming_mod.partition_weight(o, indices, m)
-        assert _run_problems(result, bits, m, bound, o) == []
-        reasons = audit_partition(result, bits, indices)
+        assert _run_problems(result, hidden, m, bound, o) == []
+        reasons = audit_partition(result, hidden, n, indices)
         if reasons:
             failures.append((bits, tuple(reasons)))
     return failures

@@ -11,6 +11,10 @@ from qmodw.linalg import _APPLY_MEMO_CAP, StateVector
 from qmodw.oracle import BlockView, CountingOracle
 
 
+def uniform(dim):
+    return StateVector([AlgebraicNumber.from_rational(1)] * dim)
+
+
 def uniform5():
     # 1/sqrt5 is outside the field; an unnormalized uniform vector tests the
     # phase action just as well
@@ -105,8 +109,40 @@ def test_bad_bit_string_rejected():
 def test_hidden_string_not_on_public_surface():
     o = CountingOracle("1101")
     public = [name for name in dir(o) if not name.startswith("_")]
-    assert sorted(public) == ["n", "phase_apply", "query_bit",
+    assert sorted(public) == ["from_int", "n", "phase_apply", "query_bit",
                               "query_count", "transcript"]
+    # from_int builds a new oracle; it reads nothing from this one.
+    assert o.from_int.__self__ is CountingOracle
+
+
+@pytest.mark.parametrize("hidden, n", [(-1, 3), (8, 3), (1, 0), (0, -1),
+                                       (-1, -1)])
+def test_from_int_rejects_a_value_outside_n_bits(hidden, n):
+    with pytest.raises(ValueError):
+        CountingOracle.from_int(hidden, n)
+
+
+def test_from_int_answers_as_the_bit_string_does():
+    # Bit i - 1 of the int is x_i.  The all-indices view shows every
+    # bit's sign at once, and each single view and bit read one bit.
+    assert CountingOracle.from_int(0, 0).n == CountingOracle("").n == 0
+    for n in range(1, 9):
+        views = [(BlockView(tuple(range(1, n + 1))),
+                  StateVector([AlgebraicNumber.from_rational(j)
+                               for j in range(1, n + 1)]))]
+        views += [(BlockView((i,), padding=1), uniform(2))
+                  for i in range(1, n + 1)]
+        for hidden in range(2 ** n):
+            bits = format(hidden, f"0{n}b")[::-1]
+            pair = CountingOracle.from_int(hidden, n), CountingOracle(bits)
+            assert pair[0].n == pair[1].n == n
+            for view, v in views:
+                first, second = (o.phase_apply(view, v) for o in pair)
+                assert first is second
+            for i in range(1, n + 1):
+                assert pair[0].query_bit(i) == pair[1].query_bit(i)
+            assert pair[0].transcript == pair[1].transcript
+            assert pair[0].query_count == pair[1].query_count == 2 * n + 1
 
 
 # ---------------------------------------------------------

@@ -5,6 +5,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -19,8 +20,19 @@ from qmodw.oracle import CountingOracle
 from qmodw.sweep import DEFAULT_MODULI, audit_partition, run_sweep, verify_cell
 
 
+def ones(bits):
+    """The int an oracle holds for ``bits``: bit i - 1 is x_i."""
+    return int(bits[::-1], 2) if bits else 0
+
+
+def audit(result, bits, indices):
+    """``audit_partition`` on the input ``bits``."""
+    return audit_partition(result, ones(bits), len(bits), indices)
+
+
 def reference_audit(result, bits, indices):
-    """The list-based audit that ``audit_partition`` replaced."""
+    """The list-based audit that ``audit_partition`` replaced; it reads
+    the bit string and shares no code with the audit."""
     problems = []
     seen = []
     for block in result.blocks:
@@ -43,10 +55,11 @@ def reference_audit(result, bits, indices):
 def test_audit_matches_reference_on_every_sweep_result(m):
     for n in range(1, 9):
         indices = range(1, n + 1)
-        for value in range(2 ** n):
-            bits = format(value, f"0{n}b")
-            result = partition_weight(CountingOracle(bits), indices, m)
-            assert audit_partition(result, bits, indices) == []
+        for hidden in range(2 ** n):
+            result = partition_weight(CountingOracle.from_int(hidden, n),
+                                      indices, m)
+            assert audit_partition(result, hidden, n, indices) == []
+            bits = format(hidden, f"0{n}b")[::-1]
             assert reference_audit(result, bits, indices) == []
 
 
@@ -75,7 +88,7 @@ BAD_RESULTS = {
 @pytest.mark.parametrize("case", BAD_RESULTS)
 def test_audit_matches_reference_on_bad_results(case):
     result, indices = BAD_RESULTS[case]
-    got = audit_partition(result, BITS, indices)
+    got = audit(result, BITS, indices)
     assert got
     assert got == reference_audit(result, BITS, indices)
 
@@ -92,7 +105,7 @@ def test_audit_matches_reference_on_bad_results(case):
 def test_audit_matches_reference_on_random_results(case):
     bits, m, blocks, s2, w2, indices = case
     result = PartitionResult(m, blocks, s2, w2, 0)
-    assert (audit_partition(result, bits, indices)
+    assert (audit(result, bits, indices)
             == reference_audit(result, bits, indices))
 
 
@@ -104,7 +117,7 @@ def test_audit_matches_reference_on_random_results(case):
 def test_audit_reports_an_index_outside_the_input(blocks, s2, outside):
     # The reference raised IndexError past n and read a wrapped bit below 1.
     result = PartitionResult(2, blocks, s2, 0, 0)
-    problems = audit_partition(result, "0" * 8, range(1, 9))
+    problems = audit(result, "0" * 8, range(1, 9))
     assert "blocks and s2 do not partition the queried indices" in problems
     assert problems[-1] == f"indices {outside} out of range [1, 8]"
 
@@ -120,18 +133,61 @@ def test_audit_counts_a_repeat_in_s2_beside_an_outside_index(w2):
     assert ("blocks and s2 do not partition the queried indices"
             in expected)
     assert (f"w2={w2} but |x_S2|=4" in expected) == (w2 != 4)
-    assert (audit_partition(result, bits, range(1, 9))
+    assert (audit(result, bits, range(1, 9))
             == expected + ["indices [0] out of range [1, 8]"])
 
 
 def test_mask_memo_keys_on_the_tuple_and_n(fresh_tables):
-    # The same tuple under a smaller n puts its last index outside.
-    assert sweep._bitmask((1, 3, 5), 5) == (0b10101, ())
-    assert sweep._bitmask((1, 3, 5), 4) == (0b101, (5,))
-    assert sweep._bitmask((0, 2, -1), 4) == (0b10, (0, -1))
-    assert sweep._bitmask((1, 3, 5), 5) == (0b10101, ())
-    info = sweep._bitmask.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
+    # The masks are memoised with the rest of a result's shape.  The
+    # same result under a smaller n puts its last index outside.
+    shape = sweep._audit_shape
+    assert shape(2, ((1, 3),), (5,), (1, 3, 5), 5) == (
+        (((1, 3), 0b101, (0, 0b101), ""),), (0b10000,), "", "")
+    assert shape(2, ((1, 3),), (5,), (1, 3, 5), 4) == (
+        (((1, 3), 0b101, (0, 0b101), ""),), (),
+        "blocks and s2 do not partition the queried indices",
+        "indices [5] out of range [1, 4]")
+    assert shape(2, ((0, 2),), (-1, 2, 2), (1, 2), 4) == (
+        (((0, 2), 0b10, (0, 0b10), ""),), (0b10, 0b10),
+        "blocks and s2 do not partition the queried indices",
+        "indices [0, -1] out of range [1, 4]")
+    result = PartitionResult(2, ((1, 3),), (5,), 1, 0)
+    assert audit_partition(result, 0b10101, 5, (1, 3, 5)) == []
+    assert audit_partition(result, 0b10000, 5, (1, 3, 5)) == []
+    info = shape.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
+
+
+def test_an_altered_block_gets_its_own_shape_and_fails(fresh_tables):
+    # After a warm cell, a result with one block altered must not find a
+    # stored shape: it gets its own entry, and the audit fails it.
+    assert verify_cell(6, 2).failures == 0
+    shapes = sweep._audit_shape.cache_info().currsize
+    assert shapes == 2 ** 3    # each of the 3 pairs constant or not
+    indices = tuple(range(1, 7))
+    result = partition_weight(CountingOracle.from_int(0, 6), indices, 2)
+    assert result.blocks == ((1, 2), (3, 4), (5, 6))
+    assert audit_partition(result, 0, 6, indices) == []
+    assert sweep._audit_shape.cache_info().currsize == shapes
+    moved = result._replace(blocks=((1, 2), (3, 4), (5, 7)))
+    assert audit_partition(moved, 0, 6, indices) == [
+        "blocks and s2 do not partition the queried indices",
+        "indices [7] out of range [1, 6]"]
+    assert sweep._audit_shape.cache_info().currsize == shapes + 1
+    crossed = result._replace(blocks=((1, 2), (3, 5), (4, 6)))
+    assert audit_partition(crossed, 0b010000, 6, indices) == [
+        "block (3, 5) not constant on input 000010"]
+    assert sweep._audit_shape.cache_info().currsize == shapes + 2
+
+
+def test_audit_reads_blocks_and_s2_given_as_lists():
+    # The shape memo keys on tuples; a result holding lists is audited
+    # the same, not rejected as unhashable.
+    result = PartitionResult(2, ([1, 2], [3, 4]), [5], 1, 0)
+    as_tuples = PartitionResult(2, ((1, 2), (3, 4)), (5,), 1, 0)
+    for hidden in range(2 ** 5):
+        assert (audit_partition(result, hidden, 5, range(1, 6))
+                == audit_partition(as_tuples, hidden, 5, range(1, 6)))
 
 
 def test_audit_rejects_queried_indices_that_repeat():
@@ -140,7 +196,7 @@ def test_audit_rejects_queried_indices_that_repeat():
     result = PartitionResult(2, ((1, 2),), (1,), 0, 0)
     expected = ["blocks and s2 do not partition the queried indices"]
     assert reference_audit(result, "00", (1, 2, 2)) == expected
-    assert audit_partition(result, "00", (1, 2, 2)) == expected
+    assert audit(result, "00", (1, 2, 2)) == expected
 
 
 @pytest.mark.parametrize("moduli, error", [
@@ -244,18 +300,52 @@ def test_verify_cell_calls_partition_and_audit_once_per_input(monkeypatch):
         assert calls == dict.fromkeys(calls, 2 ** n), (n, m)
 
 
-def test_verify_cell_zero_checks_the_empty_input(monkeypatch):
-    # format(0, "00b") is "0", a 1-bit input; n = 0 has one input, "".
+def recorded_inputs(monkeypatch, n, m=2):
+    """The (hidden, n) of every oracle ``verify_cell(n, m)`` builds, and
+    its row."""
     seen = []
 
-    def recorder(bits):
-        seen.append(bits)
-        return CountingOracle(bits)
-    monkeypatch.setattr(sweep, "CountingOracle", recorder)
-    row = sweep.verify_cell(0, 2)
-    assert seen == [""]
+    class Recorder(CountingOracle):
+        __slots__ = ()
+
+        @classmethod
+        def from_int(cls, hidden, n):
+            seen.append((hidden, n))
+            return super().from_int(hidden, n)
+    monkeypatch.setattr(sweep, "CountingOracle", Recorder)
+    return seen, sweep.verify_cell(n, m)
+
+
+def test_verify_cell_zero_checks_the_empty_input(monkeypatch):
+    # format(0, "00b") is "0", a 1-bit input; n = 0 has one input, the
+    # empty string, held as 0.
+    seen, row = recorded_inputs(monkeypatch, 0)
+    assert seen == [(0, 0)]
     assert row.inputs == 1 and row.failures == 0
     assert row.max_queries == row.zero_input_queries == 0
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_verify_cell_runs_the_inputs_in_string_order(monkeypatch, n):
+    # The hidden ints come in the lexicographic order of the strings
+    # x_1 ... x_n, which keeps first_failures and the rows unchanged.
+    seen, row = recorded_inputs(monkeypatch, n)
+    expected = [int(format(v, f"0{n}b")[::-1], 2) for v in range(2 ** n)]
+    assert seen == [(hidden, n) for hidden in expected]
+    assert row.failures == 0
+
+
+def test_the_enumeration_holds_no_list_of_all_inputs():
+    # Two half tables of 2^8 ints; a list of all 2^16 would pass 512 KiB
+    # in pointers alone.
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in sweep._inputs(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 ** 16
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------
@@ -267,7 +357,8 @@ def test_every_memo_is_capped(fresh_tables):
     # later is cleared by the fault tests and must be bounded like these.
     assert {f.__name__ for f in fresh_tables} >= {
         "_flipped", "block_view", "_measure_parity", "_measure_mod3",
-        "factor_split", "apply", "_check_indices", "_bitmask", "_layout"}
+        "factor_split", "apply", "_check_indices", "_audit_shape",
+        "_layout"}
     for f in fresh_tables:
         assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
 
@@ -277,16 +368,17 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     # local flip patterns, 4 parity and 7 mod-3 states before the final
     # matrix, 19 products (8 of _MID, and the 4 of H and 7 of _FIN that
     # the outcome memos make on their misses), one index check per n,
-    # 86 layouts and 149 masks.
+    # 86 layouts and 245 audit shapes.
     # The layouts are the 10 queried index tuples cut by 2 and by 3, and
     # 68 distinct (representatives, prime) pairs of the later levels, 2
     # of which ((1,) by 2 and by 3) are also a queried tuple's:
     # 20 + 68 - 2 = 86.
-    # The masks are the 10 queried tuples, the 99 distinct (block, n)
-    # pairs and the 114 distinct (s2, n) pairs.  Every queried tuple is
-    # also an s2 (all of it non-constant), 64 (block, n) pairs are also
-    # an s2, and 6 queried tuples (n = m = 2, 3, 4, 6, 8, 9) are all
-    # three: 10 + 99 + 114 - 10 - 64 - 6 + 6 = 149.
+    # The shapes are the distinct (blocks, s2) results of each cell; m
+    # and n are in the key, so no two cells share one.  For a prime m
+    # each of the n // m groups of the first level is constant or not,
+    # so a cell has 2^(n // m) shapes: 93 over n <= 10 for m = 2 and 36
+    # for m = 3.  The composite moduli give 47 (m = 4), 30 (6), 17 (8),
+    # 12 (9) and 10 (12): 93 + 36 + 47 + 30 + 17 + 12 + 10 = 245.
     for n in range(1, 11):
         for m in DEFAULT_MODULI:
             assert verify_cell(n, m).failures == 0
@@ -300,7 +392,7 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert SquareMatrix.apply.cache_info().currsize == 19
     assert hamming_mod._check_indices.cache_info().currsize == 10
     assert hamming_mod._layout.cache_info().currsize == 86
-    assert sweep._bitmask.cache_info().currsize == 149
+    assert sweep._audit_shape.cache_info().currsize == 245
     # One factorisation and one index check per input.
     inputs = len(DEFAULT_MODULI) * sum(2 ** n for n in range(1, 11))
     for f in (factor_split, hamming_mod._check_indices):
