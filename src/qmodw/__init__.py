@@ -17,8 +17,8 @@ from .hamming_mod import (
 from .polymethod import (
     DomainError, HypothesisViolated, MultilinearPolynomial,
     SymmetricFunctionSpec, UnivariatePolynomial, certificate_roundtrip,
-    is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound, symmetrize,
-    symmetrize_bruteforce, weight_certificate,
+    exact_degree, is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound,
+    symmetrize, symmetrize_bruteforce, weight_certificate,
 )
 from .sweep import SweepRow, run_sweep, verify_cell
 
@@ -33,7 +33,7 @@ __all__ = [
     "factor_split", "partition_weight", "query_bound", "weight_mod",
     "DomainError", "HypothesisViolated", "MultilinearPolynomial",
     "SymmetricFunctionSpec", "UnivariatePolynomial", "certificate_roundtrip",
-    "is_nondeterministic_poly", "mod_m_spec", "ndeg_lower_bound",
+    "exact_degree", "is_nondeterministic_poly", "mod_m_spec", "ndeg_lower_bound",
     "symmetrize", "symmetrize_bruteforce", "weight_certificate",
     "SweepRow", "run_sweep", "verify_cell",
 ]

@@ -83,15 +83,19 @@ def _canonical(flat: list, den: int):
 def _pack(entries: Sequence[AlgebraicNumber]):
     """Stack AlgebraicNumbers as (tuple of int rows, common den).
 
-    Each entry's int row is scaled to the lcm of the denominators.  Other
-    entries go through the field's rule: an exact rational is accepted,
-    anything else raises ``TypeError``.
+    Each entry's int row is scaled to the lcm of the denominators; a row
+    already over that denominator is copied as it is.  Other entries go
+    through the field's rule: an exact rational is accepted, anything
+    else raises ``TypeError``.
     """
     entries = [e if isinstance(e, AlgebraicNumber)
                else AlgebraicNumber.from_rational(e) for e in entries]
     den = math.lcm(*(e._den for e in entries))
-    return _canonical([x * (den // e._den) for e in entries for x in e._num],
-                      den)
+    flat = []
+    for e in entries:
+        flat += (e._num if e._den == den
+                 else [x * (den // e._den) for x in e._num])
+    return _canonical(flat, den)
 
 
 # The one live object of each (class, den, rows), held weakly.  It is

@@ -10,8 +10,13 @@ query algorithm's cost exactly.
 
 Coefficients are handled as packed int rows, the canonical form that
 ``AlgebraicNumber`` and ``linalg`` share (8 Python-int numerators over
-one common denominator).  ``symmetrize`` sums each degree level's rows in
-a plain loop and scales each level once.
+one common denominator), and no field ``*`` or ``+`` runs in a loop.
+``symmetrize`` sums each degree level's rows column by column, scales the
+level by an integer, adds it into one int row per output coefficient and
+reduces each coefficient once.  A ``UnivariatePolynomial`` packs its
+coefficients when it is made, and ``eval`` runs Horner's rule on the
+integer columns: at t = p/q it sums c_d p^d q^(D-d) and reduces once over
+den * q^D.
 
 Values on the whole Boolean cube come from one subset-sum (zeta)
 transform per coordinate column that is nonzero in some coefficient: the
@@ -49,11 +54,15 @@ class HypothesisViolated(ValueError):
 
 
 def _as_bits(x) -> tuple:
-    if isinstance(x, str):
-        if any(c not in "01" for c in x):
-            raise ValueError(f"not a bit string: {x!r}")
-        return tuple(int(c) for c in x)
-    return tuple(int(b) for b in x)
+    """The bits of a bit string or of a sequence of 0/1 entries.
+
+    Raises ValueError naming the first entry that is not 0 or 1.
+    """
+    bits = tuple(x)
+    for i, b in enumerate(bits):
+        if b not in (0, 1, "0", "1"):
+            raise ValueError(f"entry {i} is {b!r}, not 0 or 1")
+    return tuple(map(int, bits))
 
 
 class MultilinearPolynomial:
@@ -100,7 +109,12 @@ class MultilinearPolynomial:
 
 
 class UnivariatePolynomial:
-    """Polynomial over Q(i, sqrt2, sqrt3); trailing zero coefficients dropped."""
+    """Polynomial over Q(i, sqrt2, sqrt3); trailing zero coefficients dropped.
+
+    ``coeffs`` holds the coefficients, constant term first.  They are
+    also kept packed over one denominator, as the coordinate columns that
+    are nonzero in some coefficient.
+    """
 
     def __init__(self, coeffs: Sequence):
         cs = [c if isinstance(c, AlgebraicNumber)
@@ -108,6 +122,9 @@ class UnivariatePolynomial:
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
+        rows, self._den = _pack(cs)
+        self._cols = [(c, col) for c, col in enumerate(zip(*rows))
+                      if any(col)]
 
     @property
     def degree(self) -> int:
@@ -118,14 +135,21 @@ class UnivariatePolynomial:
         return not self.coeffs
 
     def eval(self, t: Union[int, Fraction]) -> AlgebraicNumber:
+        """The value at an exact rational t = p/q, reduced once.
+
+        Horner's rule on each integer column gives sum_d c_d p^d q^(D-d),
+        which is over den * q^D.
+        """
         p, q = _ratio(t)
-        t = p if q == 1 else Fraction(p, q)
-        total = ZERO
-        power = 1
-        for c in self.coeffs:
-            total = total + c * AlgebraicNumber.from_rational(power)
-            power *= t
-        return total
+        out = [0] * 8
+        for c, col in self._cols:
+            acc = 0
+            power = 1
+            for x in reversed(col):
+                acc = acc * p + x * power
+                power *= q
+            out[c] = acc
+        return AlgebraicNumber._from_row(out, self._den * q ** self.degree)
 
     def __eq__(self, other):
         if not isinstance(other, UnivariatePolynomial):
@@ -144,27 +168,29 @@ def symmetrize(p: MultilinearPolynomial) -> UnivariatePolynomial:
     0/1 inputs the degree-k part sums to C(|x|, k), so
 
         q(t) = sum_k c_k * t (t-1) ... (t-k+1) / k!.
+
+    The weight 1/C(n, k) * 1/k! is (n-k)!/n!, so level k's summed rows are
+    scaled by the integer (n-k)! and every coefficient is over den * n!.
     """
     n = p.n
-    out = [ZERO] * (p.degree + 1)
     rows, den = _pack(list(p.coeffs.values()))
-    sizes = [len(s) for s in p.coeffs]
-    level_sums = [[0] * 8 for _ in out]
-    for k, row in zip(sizes, rows):
-        level = level_sums[k]
-        for c, x in enumerate(row):
-            level[c] += x
-    for k in set(sizes):
-        # 1/C(n, k) for the average and 1/k! for the falling factorial.
-        c_k = (AlgebraicNumber._from_row(level_sums[k], den)
-               * AlgebraicNumber.from_rational(Fraction(1, math.perm(n, k))))
-        # t(t-1)...(t-k+1) expanded in the monomial basis
-        falling = [1]
-        for j in range(k):
-            falling = _shift_mul(falling, -j)
-        for d, coef in enumerate(falling):
-            out[d] = out[d] + c_k * AlgebraicNumber.from_rational(coef)
-    return UnivariatePolynomial(out)
+    levels = {}
+    for s, row in zip(p.coeffs, rows):
+        levels.setdefault(len(s), []).append(row)
+    degree = max(levels, default=0)
+    out = [[0] * 8 for _ in range(degree + 1)]
+    falling = [1]  # t(t-1)...(t-k+1) in the monomial basis
+    for k in range(degree + 1):
+        if k in levels:
+            scale = math.factorial(n - k)
+            level = [scale * sum(col) for col in zip(*levels[k])]
+            for d, f in enumerate(falling):
+                if f:
+                    out[d] = [x + f * y for x, y in zip(out[d], level)]
+        falling = _shift_mul(falling, -k)
+    den *= math.factorial(n)
+    return UnivariatePolynomial(
+        [AlgebraicNumber._from_row(row, den) for row in out])
 
 
 def _shift_mul(poly, root):
@@ -289,14 +315,33 @@ def weight_certificate(n: int, m: int) -> MultilinearPolynomial:
     Its degree is the number of zero weights, the lower bound itself.
     """
     zeros = mod_m_spec(n, m).zero_weights()
-    diffs = [math.prod(t - w for w in zeros) for t in range(n + 1)]
-    level = []
-    while diffs:
-        level.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    level = _forward_differences(
+        [math.prod(t - w for w in zeros) for t in range(n + 1)])
     return MultilinearPolynomial(n, {
         s: level[k] for k in range(n + 1) if level[k]
         for s in itertools.combinations(range(1, n + 1), k)})
+
+
+def _forward_differences(values: Sequence[int]) -> list:
+    """D^k P(0) for k = 0 .. len(values) - 1, where P(t) = values[t]."""
+    diffs = list(values)
+    out = []
+    while diffs:
+        out.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return out
+
+
+def exact_degree(f: SymmetricFunctionSpec) -> int:
+    """deg(f): the degree of f's multilinear representation; 0 if constant.
+
+    A symmetric f is sum_k D^k F(0) * (sum of the k-variable monomials),
+    where F(w) is f's value at weight w, as in :func:`weight_certificate`.
+    So deg(f) is the index of the last nonzero forward difference, which
+    is also the degree of the interpolant F(t) = sum_k D^k F(0) C(t, k).
+    """
+    diffs = _forward_differences(f.values)
+    return max((k for k, d in enumerate(diffs) if d), default=0)
 
 
 def is_nondeterministic_poly(p: MultilinearPolynomial, f) -> bool:

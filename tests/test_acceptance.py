@@ -6,6 +6,7 @@ input sweep is computed once and shared between the correctness and
 tightness criteria.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -21,9 +22,9 @@ from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_tabl
 from qmodw.hamming_mod import partition_weight, query_bound
 from qmodw.oracle import CountingOracle
 from qmodw.polymethod import (
-    MultilinearPolynomial, certificate_roundtrip, is_nondeterministic_poly,
-    mod_m_spec, ndeg_lower_bound, symmetrize, symmetrize_bruteforce,
-    weight_certificate,
+    MultilinearPolynomial, certificate_roundtrip, exact_degree,
+    is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound, symmetrize,
+    symmetrize_bruteforce, weight_certificate,
 )
 from qmodw.subroutines import (
     ALL_3BIT, H, PI0, PI1, PI2, QFT, U, V,
@@ -142,6 +143,27 @@ def test_weight_certificate_pins_ndeg():
     report(f"prod over zero weights w of (x_1 + ... + x_n - w) certifies "
            f"|x| mod m with degree n - floor(n/m), 2 <= m <= n <= "
            f"{CERT_N_MAX}", ok)
+
+
+def test_query_bound_beats_the_general_polynomial_method():
+    # Beals et al. (quant-ph/9802049, Thm 4.3): any exact algorithm makes
+    # at least deg(f)/2 queries, and deg(f) <= n.  For m > 2 the bound
+    # n - floor(n/m) exceeds both n/2 and ceil(deg(f)/2), so the
+    # nondeterministic bound is the stronger one; for m = 2 they agree.
+    bad = []
+    for n in range(2, 61):
+        for m in range(2, n + 1):
+            bound = query_bound(n, m)
+            half_deg = math.ceil(exact_degree(mod_m_spec(n, m)) / 2)
+            if m == 2:
+                ok = bound == half_deg
+            else:
+                ok = 2 * bound > n and bound > half_deg
+            if not ok:
+                bad.append((n, m))
+    report(f"n - floor(n/m) > n/2 and > ceil(deg(f)/2) for 3 <= m <= n <= 60, "
+           f"and equals ceil(deg(f)/2) for m = 2 (failures: {bad[:5]})",
+           not bad)
 
 
 def test_composite_query_count_at_all_zeros():

@@ -12,8 +12,8 @@ from qmodw.hamming_mod import query_bound
 from qmodw.polymethod import (
     DomainError, HypothesisViolated, MultilinearPolynomial,
     SymmetricFunctionSpec, UnivariatePolynomial, certificate_roundtrip,
-    is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound, symmetrize,
-    symmetrize_bruteforce, weight_certificate,
+    exact_degree, is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound,
+    symmetrize, symmetrize_bruteforce, weight_certificate,
 )
 
 
@@ -52,6 +52,33 @@ def reference_is_nondeterministic_poly(p, f):
     return True
 
 
+def reference_symmetrize(p):
+    """The per-term formula in field arithmetic: level k's sum over C(n, k),
+    times t(t-1)...(t-k+1)/k!, added one coefficient at a time."""
+    out = [ZERO] * (p.degree + 1)
+    for k in {len(s) for s in p.coeffs}:
+        c_k = sum((a for s, a in p.coeffs.items() if len(s) == k), ZERO)
+        c_k = c_k * Fraction(1, math.comb(p.n, k) * math.factorial(k))
+        falling = [1]
+        for j in range(k):
+            falling = ([-j * falling[0]]
+                       + [a - j * b for a, b in zip(falling, falling[1:])]
+                       + [1])
+        for d, coef in enumerate(falling):
+            out[d] = out[d] + c_k * AlgebraicNumber.from_rational(coef)
+    return UnivariatePolynomial(out)
+
+
+def reference_eval(q, t):
+    """sum_d c_d t^d, one field product and sum per term."""
+    total = ZERO
+    power = Fraction(1)
+    for c in q.coeffs:
+        total = total + c * AlgebraicNumber.from_rational(power)
+        power *= Fraction(t)
+    return total
+
+
 def sparse_field_element(rng):
     """Small coordinates, about half of them zero, so that sums cancel."""
     return AlgebraicNumber(
@@ -80,6 +107,17 @@ def test_eval_length_mismatch():
         poly(2, p_1=1).eval("101")
 
 
+@pytest.mark.parametrize("evaluate, x, bad", [
+    (mod_m_spec(3, 2).eval, [2, 0, 0], "entry 0 is 2"),
+    (mod_m_spec(3, 2).eval, [3, 3, 0], "entry 0 is 3"),
+    (MultilinearPolynomial(2, {(1,): ONE}).eval, [2, 0], "entry 0 is 2"),
+    (MultilinearPolynomial(2, {(1,): ONE}).eval, [0.5, 0], "entry 0 is 0.5"),
+], ids=["weight-read-as-2", "index-error", "multilinear-2", "half-read-as-0"])
+def test_eval_rejects_entries_that_are_not_bits(evaluate, x, bad):
+    with pytest.raises(ValueError, match=bad):
+        evaluate(x)
+
+
 def test_coefficients_merge_and_drop_zeros():
     p = MultilinearPolynomial(2, {(1,): ONE, frozenset({1}): -ONE})
     assert p.coeffs == {}
@@ -102,6 +140,30 @@ def test_univariate_eval_at_exact_rationals():
     assert q.eval(Fraction(1, 3)) == Fraction(2)
     assert q.eval(np.int64(2)) == 17
     assert q.eval(-1) == 2
+
+
+EVAL_POINTS = [0, -3, 10**12 + 1, np.int64(5), Fraction(-5, 7),
+               Fraction(11, 3 ** 20)]
+
+
+def test_univariate_eval_matches_per_term_reference():
+    rng = random.Random(20261019)
+    polys = [UnivariatePolynomial([]), UnivariatePolynomial([SQRT2]),
+             UnivariatePolynomial([1, 2, 3])]
+    for _ in range(40):
+        polys.append(UnivariatePolynomial(
+            [sparse_field_element(rng) for _ in range(rng.randint(1, 9))]))
+    for q in polys:
+        for t in EVAL_POINTS:
+            got = q.eval(t)
+            assert type(got) is AlgebraicNumber
+            assert got == reference_eval(q, t), (q.coeffs, t)
+
+
+def test_zero_polynomial_evaluates_to_canonical_zero():
+    got = UnivariatePolynomial([0, ZERO]).eval(Fraction(1, 3))
+    assert got == ZERO
+    assert (got._num, got._den) == ((0,) * 8, 1)
 
 
 # ---------------------------------------------------------
@@ -137,6 +199,17 @@ def test_symmetrize_matches_bruteforce_randomized():
         assert q.degree <= p.degree
         for k in range(n + 1):
             assert q.eval(k) == symmetrize_bruteforce(p, k), (n, k)
+
+
+def test_symmetrize_matches_per_term_reference():
+    rng = random.Random(20261019)
+    cases = [MultilinearPolynomial(0, {}), MultilinearPolynomial(4, {}),
+             poly(3, p_=Fraction(-2, 3)), poly(0, p_=I)]
+    for n in range(9):
+        for _ in range(12):
+            cases.append(random_polynomial(rng, n))
+    for p in cases:
+        assert symmetrize(p).coeffs == reference_symmetrize(p).coeffs, p
 
 
 def test_bruteforce_is_the_literal_average():
@@ -302,6 +375,37 @@ def test_hypothesis_requires_one_at_weight_zero():
     f = SymmetricFunctionSpec(3, (0, 1, 1, 1))
     with pytest.raises(HypothesisViolated):
         ndeg_lower_bound(f)
+
+
+def test_exact_degree_of_known_functions():
+    n = 6
+    assert exact_degree(SymmetricFunctionSpec(n, (1,) * 7)) == 0
+    assert exact_degree(SymmetricFunctionSpec(n, (0,) * 7)) == 0
+    and_ = SymmetricFunctionSpec(n, (0,) * 6 + (1,))
+    or_ = SymmetricFunctionSpec(n, (0,) + (1,) * 6)
+    threshold = SymmetricFunctionSpec(n, (0, 0, 0, 1, 1, 1, 1))
+    assert exact_degree(and_) == exact_degree(or_) == n
+    assert exact_degree(threshold) == n
+    assert exact_degree(mod_m_spec(n, 2)) == n
+    assert exact_degree(SymmetricFunctionSpec(1, (0, 1))) == 1
+    assert exact_degree(SymmetricFunctionSpec(0, (1,))) == 0
+
+
+def test_exact_degree_is_the_degree_of_the_multilinear_form():
+    # Every symmetric f on n <= 6 bits: the polynomial with coefficient
+    # sum_j (-1)^(k-j) C(k, j) f(j) on each k-subset equals f on the cube,
+    # so it is f's multilinear form, and its degree is exact_degree.
+    for n in range(1, 7):
+        for values in itertools.product((0, 1), repeat=n + 1):
+            f = SymmetricFunctionSpec(n, values)
+            diffs = [sum((-1) ** (k - j) * math.comb(k, j) * values[j]
+                         for j in range(k + 1)) for k in range(n + 1)]
+            p = MultilinearPolynomial(n, {
+                s: diffs[k] for k in range(n + 1)
+                for s in itertools.combinations(range(1, n + 1), k)})
+            assert p.degree == exact_degree(f), values
+            assert all(p.eval(bits) == f.eval(bits)
+                       for bits in itertools.product((0, 1), repeat=n))
 
 
 def test_bound_table_matches_query_bound():
