@@ -83,6 +83,16 @@ def _canonical(flat: list, den: int):
 def _pack(entries: Sequence[AlgebraicNumber]):
     """Stack AlgebraicNumbers as (tuple of int rows, common den).
 
+    The rows are those of :func:`_pack_flat`, cut 8 numerators per entry.
+    """
+    flat, den = _pack_flat(entries)
+    return _rows(flat), den
+
+
+def _pack_flat(entries: Sequence[AlgebraicNumber]):
+    """AlgebraicNumbers as (8 int numerators per entry in one flat
+    sequence, common den), in lowest terms.
+
     Each entry's int row is scaled to the lcm of the denominators; a row
     already over that denominator is copied as it is.  Other entries go
     through the field's rule: an exact rational is accepted, anything
@@ -95,7 +105,7 @@ def _pack(entries: Sequence[AlgebraicNumber]):
     for e in entries:
         flat += (e._num if e._den == den
                  else [x * (den // e._den) for x in e._num])
-    return _canonical(flat, den)
+    return _lowest_terms(flat, den)
 
 
 # The one live object of each (class, den, rows), held weakly.  It is

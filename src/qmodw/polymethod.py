@@ -11,23 +11,29 @@ query algorithm's cost exactly.
 Coefficients are handled as packed int rows, the canonical form that
 ``AlgebraicNumber`` and ``linalg`` share (8 Python-int numerators over
 one common denominator), and no field ``*`` or ``+`` runs in a loop.
-``symmetrize`` sums each degree level's rows column by column, scales the
-level by an integer, adds it into one int row per output coefficient and
-reduces each coefficient once.  A ``UnivariatePolynomial`` packs its
-coefficients when it is made, and ``eval`` runs Horner's rule on the
-integer columns: at t = p/q it sums c_d p^d q^(D-d) and reduces once over
-den * q^D.
+A ``MultilinearPolynomial`` is packed once, when it is made: its
+monomials in order of degree, each as its truth-table mask, and the
+coordinate columns that are nonzero in some coefficient, as numerators
+in that order over one denominator.  Every fast path reads this form.
+``symmetrize`` sums each degree's contiguous slice of each column,
+scales the sum by an integer, adds it into one int row per output
+coefficient and reduces each coefficient once.  ``eval`` sums the
+numerators of the monomials whose masks lie inside the point and
+reduces once.  A ``UnivariatePolynomial`` is packed the same way when
+it is made, and its ``eval`` runs Horner's rule on the integer columns:
+at t = p/q it sums c_d p^d q^(D-d) and reduces once over den * q^D.
 
 Values on the whole Boolean cube come from one subset-sum (zeta)
-transform per coordinate column that is nonzero in some coefficient: the
-column's numerators are placed into a list of 2^n ints indexed by
-bitmask, and for each variable every point with that bit set adds the
-point without it, a slice at a time.  That is n * 2^(n-1) integer
-additions per column (the certificates are rational, so one column of
-eight), in place of evaluating every monomial at every point (O(4^n)
-field additions).  The support check reads these columns; it is exact and
-no float enters.  The brute-force symmetrization walks the weight-k
-points one at a time instead, so it shares no code with the transform.
+transform per packed column: the column's numerators are placed at
+their monomials' masks in a list of 2^n ints, and for each variable
+every point with that bit set adds the point without it, a slice at a
+time.  That is n * 2^(n-1) integer additions per column (the
+certificates are rational, so one column of eight), in place of
+evaluating every monomial at every point (O(4^n) field additions).  The
+support check reads these columns; it is exact and no float enters.
+The brute-force symmetrization packs the coefficients and builds the
+masks itself and walks the weight-k points one at a time, so it shares
+nothing with the packed form or the transform.
 ``weight_certificate`` builds the matching upper-bound certificate, so
 the certifying degree of |x| mod m is pinned from both sides.
 """
@@ -41,8 +47,8 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence, Union
 
-from .algebra import AlgebraicNumber, ZERO, _ratio
-from .linalg import _pack
+from .algebra import AlgebraicNumber, _ratio
+from .linalg import _pack, _pack_flat
 
 
 class DomainError(ValueError):
@@ -65,39 +71,79 @@ def _as_bits(x) -> tuple:
     return tuple(map(int, bits))
 
 
+def _columns(entries: Sequence):
+    """The packed coordinate columns of ``entries`` that are not all zero.
+
+    Returns ([(coordinate, numerators in entry order)], common den), in
+    lowest terms over all the entries.
+    """
+    flat, den = _pack_flat(entries)
+    return [(c, col) for c in range(8) if any(col := flat[c::8])], den
+
+
 class MultilinearPolynomial:
-    """sum over S of a_S * prod_{i in S} x_i, variables indexed 1..n."""
+    """sum over S of a_S * prod_{i in S} x_i, variables indexed 1..n.
+
+    ``coeffs`` maps each monomial's frozenset of variables to its nonzero
+    coefficient.  The polynomial is also packed once, when it is made:
+    the monomials in order of degree, each as its truth-table mask
+    (variable i sets ``1 << (n - i)``), and the coordinate columns that
+    are nonzero in some coefficient, as numerators over one common
+    denominator in the same order.  The monomials of degree k are the
+    slice ``lo:hi`` of each column, for ``_levels[k] == (lo, hi)``.
+    """
 
     def __init__(self, n: int, coeffs: Mapping):
         if n < 0:
             raise ValueError(f"negative variable count: {n}")
         self.n = n
+        bit_of = {i: 1 << (n - i) for i in range(1, n + 1)}.__getitem__
+        masks = {}
         clean = {}
         for subset, a in coeffs.items():
             s = frozenset(subset)
-            if any(not 1 <= i <= n for i in s):
-                raise ValueError(f"variable out of range in {sorted(s)}")
+            try:
+                masks[s] = sum(map(bit_of, s))
+            except KeyError:
+                raise ValueError(
+                    f"variable out of range in {sorted(s)}") from None
             if not isinstance(a, AlgebraicNumber):
                 a = AlgebraicNumber.from_rational(a)
+            if s in clean:
+                a = clean.pop(s) + a
             if not a.is_zero():
-                clean[s] = clean[s] + a if s in clean else a
-        self.coeffs = {s: a for s, a in clean.items() if not a.is_zero()}
+                clean[s] = a
+        self.coeffs = clean
+        order = sorted(self.coeffs, key=len)
+        self._masks = tuple([masks[s] for s in order])
+        self._cols, self._den = _columns([self.coeffs[s] for s in order])
+        self._levels = {}
+        lo = 0
+        for k, group in itertools.groupby(order, len):
+            hi = lo + len(list(group))
+            self._levels[k] = (lo, hi)
+            lo = hi
 
     @property
     def degree(self) -> int:
         """Degree of the zero polynomial is 0 here (it has no monomials)."""
-        return max((len(s) for s in self.coeffs), default=0)
+        return max(self._levels, default=0)
 
     def eval(self, x) -> AlgebraicNumber:
+        """The value at a point of {0,1}^n, reduced once.
+
+        Sums, per packed column, the numerators of the monomials whose
+        mask lies inside the point's mask.
+        """
         bits = _as_bits(x)
         if len(bits) != self.n:
             raise ValueError(f"expected {self.n} bits, got {len(bits)}")
-        ones = {i + 1 for i, b in enumerate(bits) if b}
-        total = ZERO
-        for s, a in self.coeffs.items():
-            if s <= ones:
-                total = total + a
-        return total
+        point = int("".join(map(str, bits)), 2) if bits else 0
+        inside = [mask & point == mask for mask in self._masks]
+        out = [0] * 8
+        for c, col in self._cols:
+            out[c] = sum(itertools.compress(col, inside))
+        return AlgebraicNumber._from_row(out, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearPolynomial):
@@ -122,9 +168,7 @@ class UnivariatePolynomial:
         while cs and cs[-1].is_zero():
             cs.pop()
         self.coeffs = tuple(cs)
-        rows, self._den = _pack(cs)
-        self._cols = [(c, col) for c, col in enumerate(zip(*rows))
-                      if any(col)]
+        self._cols, self._den = _columns(cs)
 
     @property
     def degree(self) -> int:
@@ -169,26 +213,23 @@ def symmetrize(p: MultilinearPolynomial) -> UnivariatePolynomial:
 
         q(t) = sum_k c_k * t (t-1) ... (t-k+1) / k!.
 
-    The weight 1/C(n, k) * 1/k! is (n-k)!/n!, so level k's summed rows are
-    scaled by the integer (n-k)! and every coefficient is over den * n!.
+    The weight 1/C(n, k) * 1/k! is (n-k)!/n!, so the sum of level k's
+    slice of each packed column is scaled by the integer (n-k)! and every
+    coefficient is over den * n!.
     """
     n = p.n
-    rows, den = _pack(list(p.coeffs.values()))
-    levels = {}
-    for s, row in zip(p.coeffs, rows):
-        levels.setdefault(len(s), []).append(row)
-    degree = max(levels, default=0)
-    out = [[0] * 8 for _ in range(degree + 1)]
+    out = [[0] * 8 for _ in range(p.degree + 1)]
     falling = [1]  # t(t-1)...(t-k+1) in the monomial basis
-    for k in range(degree + 1):
-        if k in levels:
+    for k in range(p.degree + 1):
+        if k in p._levels:
+            lo, hi = p._levels[k]
             scale = math.factorial(n - k)
-            level = [scale * sum(col) for col in zip(*levels[k])]
-            for d, f in enumerate(falling):
-                if f:
-                    out[d] = [x + f * y for x, y in zip(out[d], level)]
+            for c, col in p._cols:
+                level = scale * sum(col[lo:hi])
+                for row, f in zip(out, falling):
+                    row[c] += f * level
         falling = _shift_mul(falling, -k)
-    den *= math.factorial(n)
+    den = p._den * math.factorial(n)
     return UnivariatePolynomial(
         [AlgebraicNumber._from_row(row, den) for row in out])
 
@@ -206,24 +247,20 @@ def _cube_values(p: MultilinearPolynomial):
     """p at every point of {0,1}^n: ({coordinate: 2^n numerators}, den).
 
     Item ``mask`` of a column is the point whose bit string, read with x_1
-    as the most significant bit, is ``mask`` -- the truth-table order --
-    so variable i sets bit ``1 << (n - i)``.  Each monomial's coefficient
-    starts at its own mask and the subset-sum transform adds it into every
-    point above it.  A coordinate that is zero in every coefficient is
-    zero at every point and gets no column.
+    as the most significant bit, is ``mask`` -- the truth-table order.
+    Each packed column's numerators start at their monomials' masks and
+    the subset-sum transform adds each into every point above it.  A
+    coordinate that is zero in every coefficient is zero at every point
+    and has no column.
     """
-    n = p.n
-    masks = [sum(1 << (n - i) for i in s) for s in p.coeffs]
-    rows, den = _pack(list(p.coeffs.values()))
     cols = {}
-    for c, coords in enumerate(zip(*rows)):
-        if any(coords):
-            col = [0] * (1 << n)
-            for mask, x in zip(masks, coords):
-                col[mask] = x
-            _subset_sums(col)
-            cols[c] = col
-    return cols, den
+    for c, nums in p._cols:
+        col = [0] * (1 << p.n)
+        for mask, x in zip(p._masks, nums):
+            col[mask] = x
+        _subset_sums(col)
+        cols[c] = col
+    return cols, p._den
 
 
 def _subset_sums(col: list) -> None:
@@ -313,10 +350,12 @@ def weight_certificate(n: int, m: int) -> MultilinearPolynomial:
     Newton's forward-difference formula P(t) = sum_k D^k P(0) C(t, k) for
     P(t) = prod (t - w) gives the coefficient D^k P(0) on every k-subset.
     Its degree is the number of zero weights, the lower bound itself.
+    Each difference is made an AlgebraicNumber once and shared by all
+    the subsets of its size.
     """
     zeros = mod_m_spec(n, m).zero_weights()
-    level = _forward_differences(
-        [math.prod(t - w for w in zeros) for t in range(n + 1)])
+    level = [AlgebraicNumber.from_rational(d) for d in _forward_differences(
+        [math.prod(t - w for w in zeros) for t in range(n + 1)])]
     return MultilinearPolynomial(n, {
         s: level[k] for k in range(n + 1) if level[k]
         for s in itertools.combinations(range(1, n + 1), k)})

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qmodw.algebra import AlgebraicNumber, ONE, SQRT2, SQRT3, ZERO
 from qmodw.fixtures import load_state_table
@@ -14,6 +14,10 @@ from qmodw.linalg import (
     _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner,
 )
 from qmodw.subroutines import H, QFT, U, V
+
+# As in test_algebra.py: a wrong multiplication table fails these on
+# almost every example, so they report the first one without shrinking.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def over_one_denominator(den_max, numerator):
@@ -174,13 +178,13 @@ def test_inner_dimension_mismatch():
         inner(StateVector.basis_state(2, 0), StateVector.basis_state(3, 0))
 
 
-@settings(deadline=2000, max_examples=40)
+@settings(deadline=2000, max_examples=40, phases=NO_SHRINK)
 @given(vectors(3), vectors(3))
 def test_inner_conjugate_symmetry(u, v):
     assert inner(u, v) == inner(v, u).conj()
 
 
-@settings(deadline=2000, max_examples=30)
+@settings(deadline=2000, max_examples=30, phases=NO_SHRINK)
 @given(vectors(5))
 def test_unitary_preserves_norm_sq(v):
     for m in (QFT, U, V):

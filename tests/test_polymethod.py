@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -9,11 +10,13 @@ import pytest
 
 from qmodw.algebra import AlgebraicNumber, I, ONE, SQRT2, ZERO
 from qmodw.hamming_mod import query_bound
+from qmodw.linalg import _pack
 from qmodw.polymethod import (
     DomainError, HypothesisViolated, MultilinearPolynomial,
-    SymmetricFunctionSpec, UnivariatePolynomial, certificate_roundtrip,
-    exact_degree, is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound,
-    symmetrize, symmetrize_bruteforce, weight_certificate,
+    SymmetricFunctionSpec, UnivariatePolynomial, _cube_values,
+    certificate_roundtrip, exact_degree, is_nondeterministic_poly,
+    mod_m_spec, ndeg_lower_bound, symmetrize, symmetrize_bruteforce,
+    weight_certificate,
 )
 
 
@@ -118,6 +121,36 @@ def test_eval_rejects_entries_that_are_not_bits(evaluate, x, bad):
         evaluate(x)
 
 
+@pytest.mark.parametrize("index", [1.5, 0, 3, -1])
+def test_variables_must_be_integers_from_1_to_n(index):
+    with pytest.raises(ValueError, match="variable out of range"):
+        MultilinearPolynomial(2, {(1, index): ONE})
+    with pytest.raises(ValueError, match="variable out of range"):
+        MultilinearPolynomial(2, {(index,): 0})
+
+
+def reference_multilinear_eval(p, bits):
+    """sum of a_S over the monomials S set at the point, one field + each."""
+    ones = {i + 1 for i, b in enumerate(bits) if b}
+    return sum((a for s, a in p.coeffs.items() if s <= ones), ZERO)
+
+
+def test_multilinear_eval_matches_per_term_reference():
+    rng = random.Random(20261020)
+    for n in range(9):
+        for _ in range(6):
+            coeffs = {}
+            for _ in range(rng.randint(0, 12)):
+                subset = rng.sample(range(1, n + 1), rng.randint(0, n))
+                coeffs[frozenset(subset)] = sparse_field_element(rng)
+            p = MultilinearPolynomial(n, coeffs)
+            points = list(itertools.product((0, 1), repeat=n))
+            for bits in rng.sample(points, min(len(points), 24)):
+                got = p.eval(bits)
+                assert type(got) is AlgebraicNumber
+                assert got == reference_multilinear_eval(p, bits), (p, bits)
+
+
 def test_coefficients_merge_and_drop_zeros():
     p = MultilinearPolynomial(2, {(1,): ONE, frozenset({1}): -ONE})
     assert p.coeffs == {}
@@ -164,6 +197,65 @@ def test_zero_polynomial_evaluates_to_canonical_zero():
     got = UnivariatePolynomial([0, ZERO]).eval(Fraction(1, 3))
     assert got == ZERO
     assert (got._num, got._den) == ((0,) * 8, 1)
+
+
+# ---------------------------------------------------------
+# The packed form
+# ---------------------------------------------------------
+
+def assert_packed_form(p):
+    """The stored masks, levels and columns equal a fresh pack of coeffs."""
+    n = p.n
+    by_mask = {sum(1 << (n - i) for i in s): s for s in p.coeffs}
+    assert sorted(p._masks) == sorted(by_mask)
+    monomials = [by_mask[mask] for mask in p._masks]
+    sizes = [len(s) for s in monomials]
+    assert sizes == sorted(sizes)
+    assert p._levels == {
+        k: (sizes.index(k), len(sizes) - sizes[::-1].index(k))
+        for k in sorted(set(sizes))}
+    assert list(p._levels) == sorted(p._levels)
+    rows, den = _pack([p.coeffs[s] for s in monomials])
+    assert p._den == den
+    assert [(c, tuple(col)) for c, col in p._cols] == [
+        (c, col) for c, col in enumerate(zip(*rows)) if any(col)]
+    assert p.degree == max(sizes, default=0)
+
+
+def test_packed_form_matches_a_fresh_pack():
+    rng = random.Random(20261021)
+    cases = [MultilinearPolynomial(0, {}), poly(0, p_=I),
+             MultilinearPolynomial(3, {(1, 2): ONE, (2, 1): SQRT2,
+                                       (): Fraction(1, 6)}),
+             MultilinearPolynomial(2, {(1, 2): ONE, (2, 1): -ONE}),
+             weight_certificate(6, 3)]
+    for n in range(9):
+        for _ in range(6):
+            cases.append(random_polynomial(rng, n))
+    for p in cases:
+        assert_packed_form(p)
+    merged, cancelled = cases[2], cases[3]
+    assert merged.coeffs[frozenset({1, 2})] == ONE + SQRT2
+    assert cancelled.coeffs == {}
+    assert cancelled._cols == [] and cancelled._levels == {}
+
+
+def test_bruteforce_does_not_read_the_packed_form():
+    # n = 5, m = 2: zero weights 1, 3, 5, so p is 0 at 11111.  Adding 1 to
+    # the numerator of x1...x5, the last monomial in degree order, moves
+    # the top coefficient of symmetrize and the value at 11111.
+    p = weight_certificate(5, 2)
+    f = mod_m_spec(5, 2)
+    (c, col), = p._cols
+    changed = copy.copy(p)
+    changed._cols = [(c, tuple(col[:-1]) + (col[-1] + 1,))]
+    assert symmetrize(changed) != symmetrize(p)
+    assert _cube_values(changed) != _cube_values(p)
+    assert is_nondeterministic_poly(p, f)
+    assert not is_nondeterministic_poly(changed, f)
+    assert not changed.eval("11111").is_zero()
+    for k in range(6):
+        assert symmetrize_bruteforce(changed, k) == symmetrize_bruteforce(p, k)
 
 
 # ---------------------------------------------------------
