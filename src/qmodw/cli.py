@@ -14,13 +14,12 @@ import sys
 from fractions import Fraction
 
 from .fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
-from .hamming_mod import UnsupportedModulus, partition_weight, query_bound
+from .hamming_mod import UnsupportedModulus, factor_split, query_bound
 from .linalg import format_state_table
-from .oracle import CountingOracle
 from .polymethod import DomainError, mod_m_spec, ndeg_lower_bound
 from .subroutines import gram_closed_form_mismatches, gram_matrix, trace_mod3
-from .sweep import (DEFAULT_MODULI, _run_problems, audit_partition,
-                    default_threads, parse_threads, run_sweep)
+from .sweep import (DEFAULT_MODULI, default_threads, judge_run, parse_threads,
+                    run_sweep)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,24 +86,15 @@ def cmd_run(args) -> int:
         print(f"error: modulus must be at least 2, got {args.m}",
               file=sys.stderr)
         return EXIT_USAGE
-    n = len(args.x)
-    ones = int(args.x[::-1], 2)    # bit i - 1 is x_i
-    oracle = CountingOracle.from_int(ones, n)
-    indices = tuple(range(1, n + 1))
-    bound = query_bound(n, args.m)
-    # The answer is checked as the sweep checks each input: any exception
-    # but a bad modulus, a wrong residue or budget, or a failed audit
-    # exits 3.
     try:
-        result = partition_weight(oracle, indices, args.m)
+        factor_split(args.m)
     except UnsupportedModulus as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_MODULUS
-    except Exception as exc:
-        reasons = [f"{type(exc).__name__}: {exc}"]
-    else:
-        reasons = (_run_problems(result, ones, args.m, bound, oracle)
-                   or audit_partition(result, ones, n, indices))
+    n = len(args.x)
+    bound = query_bound(n, args.m)
+    oracle, result, reasons = judge_run(int(args.x[::-1], 2), n, args.m,
+                                        tuple(range(1, n + 1)), bound)
     if reasons:
         for reason in reasons:
             print(f"error: {reason}", file=sys.stderr)

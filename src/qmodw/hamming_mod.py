@@ -21,16 +21,15 @@ Leftover indices that do not fill a group are read individually.  All
 choices the underlying math leaves free (prime order, block grouping,
 representatives) are fixed deterministically so runs are replayable.
 
-The prime factors of each modulus are computed once and memoised (an
-unsupported modulus raises on every call).  :func:`partition_weight` is
-the only public entry and the only place that checks: once per call it
-checks the modulus with :func:`factor_split` and the indices with
-:func:`_check_indices`, whose range and duplicate checks are memoised
-per (index tuple, n), so a sweep runs them once per cell, and a bad
-tuple raises on every call.  Its levels pass on
-only indices derived from these and check nothing again; they keep
-plain lists, and only the end sorts s2 and builds a
-:class:`PartitionResult`, a ``NamedTuple`` (immutable, and built in C).
+:func:`partition_weight` is the only public entry and the only place
+that checks: once per call it makes one lookup in :func:`_check_indices`,
+which checks the modulus with :func:`factor_split` and then the range
+and duplicates of the indices, and returns the prime factors.  It is
+memoised per (index tuple, m, n), so a sweep runs the checks once per
+cell, and a bad modulus or tuple raises on every call.  The levels pass
+on only indices derived from these and check nothing again; they keep
+plain lists, and only the end sorts s2 and builds a ``NamedTuple``
+:class:`PartitionResult` (immutable, and built in C).
 Every level measures through :func:`_base_case` (the first directly,
 the others through :func:`_glue`), and the base case calls
 :func:`deutsch` and :func:`mod3`, all through this module's globals, so
@@ -64,7 +63,6 @@ def query_bound(n: int, m: int) -> int:
     return n - n // m
 
 
-@lru_cache(maxsize=_APPLY_MEMO_CAP)
 def factor_split(m: int) -> tuple:
     """Validate m and return its prime factors, 2s first."""
     if m < 2:
@@ -105,9 +103,8 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
     index, all before any query.  These are the only checks of the run:
     the levels trust the indices they derive from these.
     """
-    primes = factor_split(m)
     indices = tuple(indices)
-    _check_indices(indices, o.n)
+    primes = _check_indices(indices, m, o.n)
     start = o.query_count
     size = primes[0]
     blocks, s2, w2 = _base_case(o, indices, size)
@@ -120,14 +117,17 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _check_indices(indices: tuple, n: int) -> None:
-    """Raise IndexError naming the first index outside [1, n], else
-    ValueError if an index repeats."""
+def _check_indices(indices: tuple, m: int, n: int) -> tuple:
+    """The prime factors of m, from :func:`factor_split`, which raises
+    for a bad m; then IndexError naming the first index outside [1, n],
+    else ValueError if an index repeats."""
+    primes = factor_split(m)
     if indices and (min(indices) < 1 or max(indices) > n):
         bad = next(i for i in indices if not 1 <= i <= n)
         raise IndexError(f"index {bad} out of oracle range [1, {n}]")
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate indices")
+    return primes
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)

@@ -97,6 +97,10 @@ class MultilinearPolynomial:
         if n < 0:
             raise ValueError(f"negative variable count: {n}")
         self.n = n
+        # 1.0 and True equal the variable 1, and would pass the lookup.
+        variables = itertools.chain.from_iterable(coeffs)
+        if not {int}.issuperset(map(type, variables)):
+            raise ValueError(f"variable out of range: not an int in 1..{n}")
         bit_of = {i: 1 << (n - i) for i in range(1, n + 1)}.__getitem__
         masks = {}
         clean = {}

@@ -1,15 +1,15 @@
 """Exhaustive verification sweeps over all inputs of each length.
 
-For every input the harness replays the partition algorithm against a
-fresh counting oracle and then audits the result against the hidden
-input it chose itself: residue correctness, the query budget, and the
-partition contract (disjoint constant blocks of size m whose union with
-the remainder is everything, with the remainder weight exact).  Each
-input is one int from the enumeration to the oracle
-(:meth:`CountingOracle.from_int`), the run check and the audit: bit
-i - 1 is x_i, and the ints come in the lexicographic order of the
-strings x_1 ... x_n, from two half tables of O(2^(n/2)) entries.  A bit
-string is built only for a failing input that a row keeps.
+:func:`judge_run` judges one run, for each input of a sweep and for
+``qmodw run``: it replays the partition algorithm against a fresh
+counting oracle, checks the residue, the query budget and the oracle's
+count, then audits the partition contract (disjoint constant blocks of
+size m whose union with the remainder is everything, with the remainder
+weight exact).  The audit has no switch.  Each input is one int (bit
+i - 1 is x_i) through the enumeration, :meth:`CountingOracle.from_int`,
+the run check and the audit, in the lexicographic order of x_1 ... x_n,
+from two half tables of O(2^(n/2)) entries.  A bit string is built only
+for a failing input that a row keeps.
 
 The audit runs on every input, over bitmasks: each block and the
 remainder s2 become ints with bit i - 1 for index i, so a block is
@@ -22,13 +22,12 @@ input there remain the constant test of each block and the popcount of
 s2 for its weight.  A repeated index of s2, which no correct run gives,
 counts on every occurrence.
 
-Any exception raised while running one input, such as an
+Any exception raised while running or judging one input, such as an
 ``InvariantViolation`` (an impossible measurement outcome) or the
-dimension mismatch of a corrupted circuit matrix, counts as that input's
-failure, with its type and message as the reason; the sweep goes on.
-The modulus is checked before the first input, so a bad one raises.
-Each row keeps the first ``FAILURES_KEPT`` failing inputs with their
-reasons.
+dimension mismatch of a corrupted circuit matrix, is that input's one
+reason, with its type and message; the sweep goes on.  The modulus is
+checked before the first input, so a bad one raises.  Each row keeps
+the first ``FAILURES_KEPT`` failing inputs with their reasons.
 
 Cells (one per (n, m) pair) can fan out across worker processes; the
 QMODW_THREADS environment variable bounds the pool.  The pool is
@@ -207,31 +206,21 @@ def _reversed_values(k: int) -> list:
 
 
 def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
-    """Run the algorithm on all 2^n inputs for one modulus.
-
-    Each input is carried as the int whose bit i - 1 is x_i; a bit
-    string is built only for a failing input that the row keeps.
-    """
+    """Judge all 2^n inputs for one modulus with :func:`judge_run`. The
+    audit always runs; ``audit`` other than True raises ValueError."""
+    if audit is not True:
+        raise ValueError(f"the audit cannot be switched off, got {audit!r}")
     bound = query_bound(n, m)
     # A bad modulus raises here, not as a failure of every input below.
-    # The check bypasses the memo, whose counters then show exactly one
-    # lookup per input.
-    factor_split.__wrapped__(m)
+    factor_split(m)
     failures = 0
     first_failures = []
     max_queries = 0
     zero_queries = -1
     indices = tuple(range(1, n + 1))
     for hidden in _inputs(n):
-        oracle = CountingOracle.from_int(hidden, n)
-        try:
-            result = partition_weight(oracle, indices, m)
-        except Exception as exc:
-            reasons = [f"{type(exc).__name__}: {exc}"]
-        else:
-            reasons = _run_problems(result, hidden, m, bound, oracle)
-            if not reasons and audit:
-                reasons = audit_partition(result, hidden, n, indices)
+        _, result, reasons = judge_run(hidden, n, m, indices, bound)
+        if result is not None:
             max_queries = max(max_queries, result.queries)
             if hidden == 0:
                 zero_queries = result.queries
@@ -246,8 +235,23 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
                     first_failures=tuple(first_failures))
 
 
+def judge_run(hidden: int, n: int, m: int, indices: tuple,
+              bound: int) -> tuple:
+    """(oracle, result, reasons) of one run on the n-bit input ``hidden``.
+    An exception in the run or its checks is the one reason, with result
+    None; else :func:`_run_problems`, or if none, :func:`audit_partition`."""
+    oracle = CountingOracle.from_int(hidden, n)
+    try:
+        result = partition_weight(oracle, indices, m)
+        reasons = (_run_problems(result, hidden, m, bound, oracle)
+                   or audit_partition(result, hidden, n, indices))
+    except Exception as exc:
+        return oracle, None, [f"{type(exc).__name__}: {exc}"]
+    return oracle, result, reasons
+
+
 def _run_problems(result, ones: int, m: int, bound: int, oracle) -> list:
-    """Residue and query-budget mismatches of one run on the input
+    """Residue, budget and query-count mismatches of one run on the input
     ``ones`` (bit i - 1 is x_i)."""
     problems = []
     residue = result.w2 % m
@@ -289,9 +293,11 @@ def run_sweep(n_max: int, moduli: Sequence[int] = DEFAULT_MODULI,
               threads: Optional[int] = None, audit: bool = True) -> list:
     """Verify every (n, m) cell with n <= n_max; rows sorted by (n, m).
 
-    Raises ValueError (``UnsupportedModulus`` for a bad modulus) before
-    any cell runs or any worker starts.
+    Raises ValueError (``UnsupportedModulus`` for a bad modulus), and for
+    ``audit`` other than True, before any cell runs or any worker starts.
     """
+    if audit is not True:
+        raise ValueError(f"the audit cannot be switched off, got {audit!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     for m in set(moduli):

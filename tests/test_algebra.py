@@ -383,10 +383,21 @@ def test_from_rational_rejects_non_rationals(value):
 @pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
 def test_arithmetic_rejects_non_rationals(value):
     for op in (lambda: ONE + value, lambda: value + ONE, lambda: ONE - value,
-               lambda: ONE * value, lambda: value * ONE, lambda: ONE / value):
+               lambda: value - ONE, lambda: ONE * value, lambda: value * ONE,
+               lambda: ONE / value):
         with pytest.raises(TypeError):
             op()
     assert ONE != value
+
+
+def test_reflected_subtraction():
+    # int - number and Fraction - number go through __rsub__.
+    for left in (3, Fraction(-5, 7)):
+        got = left - SQRT2
+        assert_canonical(got)
+        assert got == -(SQRT2 - left)
+        assert got + SQRT2 == left
+    assert (1 - ONE).is_zero()
 
 
 def test_numpy_integers_are_exact_rationals():

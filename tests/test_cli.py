@@ -102,6 +102,12 @@ def test_run_exits_3_when_the_audit_fails(capsys, monkeypatch):
         "error: w2=2 but |x_S2|=1"]
 
 
+def test_run_modulus_below_two_exits_1(capsys):
+    code, out, err = run_cli(capsys, "run", "--x", "101", "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: modulus must be at least 2, got 1\n"
+
+
 def test_run_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "run", "--x", "10110", "--m", "4")
     _, second, _ = run_cli(capsys, "run", "--x", "10110", "--m", "4")
@@ -141,6 +147,11 @@ def test_sweep_unsupported_modulus(capsys):
 def test_sweep_bad_moduli_list(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--n-max", "3", "--moduli", "2,x")
     assert code == 1
+
+
+def test_sweep_empty_moduli_list_exits_1(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--n-max", "3", "--moduli", ",")
+    assert (code, out, err) == (1, "", "error: empty moduli list\n")
 
 
 @pytest.mark.parametrize("value", ["two", "0", "-3"])
@@ -192,6 +203,31 @@ def test_verify_states_json(capsys):
     # psi4(100) second amplitude is -sqrt2/2: basis coord idx 1 = -1/2
     entry = payload["psi4"]["100"][1]
     assert entry[1] == [-1, 2]
+
+
+def test_verify_states_reports_a_changed_entry(capsys, monkeypatch):
+    frozen = cli.load_state_table()
+    changed = {stage: dict(column) for stage, column in frozen.items()}
+    changed["psi3"]["101"] = frozen["psi3"]["011"]
+    assert changed["psi3"]["101"] is not frozen["psi3"]["101"]
+    monkeypatch.setattr(cli, "load_state_table", lambda: changed)
+    code, out, _ = run_cli(capsys, "verify-states")
+    assert code == 3
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+        "MISMATCH: psi3(101)"]
+    assert "states match" not in out
+    code, out, _ = run_cli(capsys, "verify-states", "--format", "json")
+    assert code == 3 and json.loads(out)["match"] is False
+
+
+def test_gram_reports_a_changed_entry(capsys, monkeypatch):
+    frozen = [list(row) for row in cli.load_gram()]
+    frozen[2][5] += 1
+    monkeypatch.setattr(cli, "load_gram", lambda: frozen)
+    for argv in (["gram"], ["gram", "--format", "json"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err == "MISMATCH: G[2][5] differs from frozen matrix\n"
 
 
 def test_gram_grid_matches_displayed_matrix(capsys):
@@ -259,6 +295,11 @@ def test_lower_bound_sweep(capsys):
     assert lines[0] == "n,m,zero_weights,bound,equal"
     assert all(line.endswith("True") for line in lines[1:])
     assert len(lines) - 1 == sum(n - 1 for n in range(2, 21))
+
+
+def test_lower_bound_sweep_rejects_n_max_below_two(capsys):
+    code, out, err = run_cli(capsys, "lower-bound", "--sweep", "--n-max", "1")
+    assert (code, out, err) == (1, "", "error: --n-max must be at least 2\n")
 
 
 def test_lower_bound_missing_args(capsys):

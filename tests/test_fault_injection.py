@@ -3,16 +3,18 @@
 Each fault makes ``verify_cell`` report failing inputs with reasons and
 ``qmodw sweep --n-max 4`` exit 3.  A warm run first fills every memo
 (the oracle's views and flips, the outcomes of ``deutsch`` and ``mod3``
-keyed on their final matrix, the prime factors of each modulus, the
-index checks, the audit's shapes and the ``apply`` products) with a
+keyed on their final matrix, the index checks with the prime factors
+of each modulus, the audit's shapes and the ``apply`` products) with a
 correct sweep, so a fault that a stored entry could hide would
 show up as a passing warm run.  The ``fresh_tables`` fixture empties
 those memos before and after the test.
 """
 
+import re
+
 import pytest
 
-from qmodw import hamming_mod, oracle, subroutines
+from qmodw import hamming_mod, oracle, subroutines, sweep
 from qmodw.cli import main
 from qmodw.linalg import SquareMatrix
 from qmodw.sweep import DEFAULT_MODULI, FAILURES_KEPT, verify_cell
@@ -95,8 +97,45 @@ def mid_wrong_dimension(monkeypatch):
     monkeypatch.setattr(subroutines, "_MID", SquareMatrix.identity(4))
 
 
+def extra_leftover_read(monkeypatch):
+    # The last leftover bit is read a second time: the answer and the
+    # partition stay right, and a run that used its whole budget goes
+    # one query over it.
+    real = hamming_mod._base_case
+
+    def base_case(o, indices, m):
+        found = real(o, indices, m)
+        if len(indices) % m:
+            o.query_bit(indices[-1])
+        return found
+    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+
+
+def misreported_queries(monkeypatch):
+    # The run reports one query fewer than the oracle counted.
+    real = sweep.partition_weight
+
+    def partition_weight(o, indices, m):
+        result = real(o, indices, m)
+        return result._replace(queries=result.queries - 1)
+    monkeypatch.setattr(sweep, "partition_weight", partition_weight)
+
+
+def block_with_a_non_index(monkeypatch):
+    # Each base-case block gains a None: at a prime m the run ends with
+    # a right answer and the audit raises reading the block; at a
+    # composite m the next level raises taking its representative.
+    real = hamming_mod._base_case
+
+    def base_case(o, indices, m):
+        blocks, s2, w2 = real(o, indices, m)
+        return [block + (None,) for block in blocks], s2, w2
+    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+
+
 FAULTS = [corrupt_u, corrupt_v, corrupt_h, drop_flip, skip_query,
-          w2_off_by_one, mid_wrong_dimension]
+          w2_off_by_one, mid_wrong_dimension, extra_leftover_read,
+          misreported_queries, block_with_a_non_index]
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -119,6 +158,33 @@ def test_fault_fails_the_sweep(fresh_tables, monkeypatch, capsys, fault,
     bits, reasons = row.first_failures[0]
     assert f"FAIL: n={row.n} m={row.m}: {row.failures} of {row.inputs}" in err
     assert f"  x={bits}: " + "; ".join(reasons) in err
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("fault, reason", [
+    (extra_leftover_read, r"used \d+ queries, bound \d+"),
+    (misreported_queries,
+     r"oracle counted \d+ queries, result reports \d+"),
+    (block_with_a_non_index, r"TypeError: .+"),
+], ids=["extra_leftover_read", "misreported_queries",
+        "block_with_a_non_index"])
+def test_run_reports_the_reason_the_sweep_keeps(fresh_tables, monkeypatch,
+                                                capsys, fault, reason, warm):
+    # Only the budget reason, only the count reason, or an exception in
+    # the judgement sees these faults; `qmodw run` on each kept input
+    # prints the kept reason.
+    if warm:
+        assert all(row.failures == 0 for row in _cells())
+    fault(monkeypatch)
+    failing = [row for row in _cells() if row.failures]
+    assert failing
+    for row in failing:
+        for bits, reasons in row.first_failures:
+            [kept] = reasons
+            assert re.fullmatch(reason, kept)
+            assert main(["run", "--x", bits, "--m", str(row.m)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {kept}\n"
 
 
 def test_an_exception_fails_its_inputs_not_the_sweep(fresh_tables,

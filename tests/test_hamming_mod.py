@@ -72,9 +72,17 @@ def test_factor_split_rejects_other_primes(m):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 36])
-def test_factor_split_is_memoised(m):
-    first = factor_split(m)
-    assert all(factor_split(m) is first for _ in range(3))
+def test_factor_split_is_memoised(fresh_tables, m):
+    # The factors are memoised with the index check, one lookup per run:
+    # factor_split itself has no memo of its own.
+    assert not hasattr(factor_split, "cache_info")
+    indices = tuple(range(1, 7))
+    first = hamming_mod._check_indices(indices, m, 6)
+    assert first == factor_split(m)
+    assert all(hamming_mod._check_indices(indices, m, 6) is first
+               for _ in range(3))
+    info = hamming_mod._check_indices.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
 
 
 def test_factor_split_raises_on_every_call():

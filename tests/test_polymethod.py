@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qmodw import polymethod
 from qmodw.algebra import AlgebraicNumber, I, ONE, SQRT2, ZERO
 from qmodw.hamming_mod import query_bound
 from qmodw.linalg import _pack
@@ -121,7 +122,7 @@ def test_eval_rejects_entries_that_are_not_bits(evaluate, x, bad):
         evaluate(x)
 
 
-@pytest.mark.parametrize("index", [1.5, 0, 3, -1])
+@pytest.mark.parametrize("index", [1.5, 0, 3, -1, 1.0, True, "1"])
 def test_variables_must_be_integers_from_1_to_n(index):
     with pytest.raises(ValueError, match="variable out of range"):
         MultilinearPolynomial(2, {(1, index): ONE})
@@ -155,6 +156,22 @@ def test_coefficients_merge_and_drop_zeros():
     p = MultilinearPolynomial(2, {(1,): ONE, frozenset({1}): -ONE})
     assert p.coeffs == {}
     assert p.degree == 0
+
+
+def test_multilinear_equality():
+    merged = MultilinearPolynomial(2, {(1, 2): 1, (2, 1): SQRT2})
+    assert merged == MultilinearPolynomial(2, {(2, 1): 1 + SQRT2})
+    assert merged != MultilinearPolynomial(3, {(1, 2): 1 + SQRT2})
+    assert merged != MultilinearPolynomial(2, {(1, 2): SQRT2})
+    assert merged.__eq__(merged.coeffs) is NotImplemented
+    assert merged != 0
+
+
+def test_univariate_is_zero():
+    assert UnivariatePolynomial([]).is_zero()
+    assert UnivariatePolynomial([0, ZERO]).is_zero()
+    assert not UnivariatePolynomial([0, 1]).is_zero()
+    assert not UnivariatePolynomial([SQRT2]).is_zero()
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0, 1 + 0j, "1/3", Decimal("0.1")],
@@ -544,3 +561,30 @@ def test_roundtrip_mod2_certificate():
     p = poly(2, p_=1, p_1=-1, p_2=-1, p_12=2)
     ok, roots = certificate_roundtrip(p, f)
     assert ok and roots == 1
+
+
+def _product_of_roots(roots, times_t=False):
+    """The univariate prod over ``roots`` of (t - w), times t if asked."""
+    coeffs = [0, 1] if times_t else [1]
+    for w in roots:
+        coeffs = [a - w * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return UnivariatePolynomial(coeffs)
+
+
+@pytest.mark.parametrize("n, m", [(6, 3), (7, 2), (8, 4)])
+def test_roundtrip_fails_a_symmetrization_that_misses_a_check(monkeypatch,
+                                                               n, m):
+    # The true certificate passes.  With symmetrize replaced, a q that
+    # misses one zero weight, or that vanishes at 0, fails: the support
+    # check on p still passes, so only the root checks can tell.
+    p, f = weight_certificate(n, m), mod_m_spec(n, m)
+    zeros = f.zero_weights()
+    assert certificate_roundtrip(p, f) == (True, len(zeros))
+    for missed in zeros:
+        q = _product_of_roots([w for w in zeros if w != missed])
+        assert not q.eval(0).is_zero() and not q.eval(missed).is_zero()
+        monkeypatch.setattr(polymethod, "symmetrize", lambda p: q)
+        assert certificate_roundtrip(p, f) == (False, len(zeros) - 1)
+    vanishing = _product_of_roots(zeros, times_t=True)
+    monkeypatch.setattr(polymethod, "symmetrize", lambda p: vanishing)
+    assert certificate_roundtrip(p, f) == (False, len(zeros))

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmodw import hamming_mod, oracle, subroutines, sweep
+from qmodw import cli, hamming_mod, oracle, subroutines, sweep
 from qmodw.hamming_mod import (PartitionResult, UnsupportedModulus,
-                               factor_split, partition_weight)
+                               partition_weight)
 from qmodw.linalg import _APPLY_MEMO_CAP, SquareMatrix
 from qmodw.oracle import CountingOracle
 from qmodw.sweep import DEFAULT_MODULI, audit_partition, run_sweep, verify_cell
@@ -232,6 +232,45 @@ def test_verify_cell_rejects_a_modulus_before_any_input(monkeypatch, m,
         verify_cell(3, m)
 
 
+@pytest.mark.parametrize("audit", [False, None, 0, 1, "yes"])
+def test_the_audit_cannot_be_switched_off(monkeypatch, audit):
+    # Only audit=True is accepted, and anything else raises before an
+    # input runs or a worker starts.
+    def no_run(*args, **kwargs):
+        raise AssertionError("an input was run or a pool was started")
+    monkeypatch.setattr(sweep, "judge_run", no_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    with pytest.raises(ValueError, match="audit cannot be switched off"):
+        verify_cell(3, 2, audit=audit)
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="audit cannot be switched off"):
+            run_sweep(3, audit=audit, threads=threads)
+
+
+def test_run_sweep_rejects_n_max_below_one():
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max must be positive"):
+            run_sweep(n_max)
+
+
+def test_the_cli_and_the_sweep_share_one_judgement(monkeypatch, capsys):
+    # verify_cell and `qmodw run` both judge each input through judge_run.
+    calls = []
+    real = sweep.judge_run
+
+    def judge_run(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(sweep, "judge_run", judge_run)
+    assert verify_cell(3, 2).failures == 0
+    assert [args[0] for args in calls] == list(sweep._inputs(3))
+    calls.clear()
+    monkeypatch.setattr(cli, "judge_run", judge_run)
+    assert cli.main(["run", "--x", "110", "--m", "2"]) == 0
+    assert calls == [(0b011, 3, 2, (1, 2, 3), 2)]
+    capsys.readouterr()
+
+
 class InProcessPool:
     """Stands in for ProcessPoolExecutor: records its size and the items
     given to ``map``, runs in-process."""
@@ -357,8 +396,7 @@ def test_every_memo_is_capped(fresh_tables):
     # later is cleared by the fault tests and must be bounded like these.
     assert {f.__name__ for f in fresh_tables} >= {
         "_flipped", "block_view", "_measure_parity", "_measure_mod3",
-        "factor_split", "apply", "_check_indices", "_audit_shape",
-        "_layout"}
+        "apply", "_check_indices", "_audit_shape", "_layout"}
     for f in fresh_tables:
         assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
 
@@ -367,7 +405,7 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     # Every miss is stored and nothing is dropped, far below the cap: 19
     # local flip patterns, 4 parity and 7 mod-3 states before the final
     # matrix, 19 products (8 of _MID, and the 4 of H and 7 of _FIN that
-    # the outcome memos make on their misses), one index check per n,
+    # the outcome memos make on their misses), one index check per cell,
     # 86 layouts and 245 audit shapes.
     # The layouts are the 10 queried index tuples cut by 2 and by 3, and
     # 68 distinct (representatives, prime) pairs of the later levels, 2
@@ -390,14 +428,13 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert subroutines._measure_parity.cache_info().currsize == 4
     assert subroutines._measure_mod3.cache_info().currsize == 7
     assert SquareMatrix.apply.cache_info().currsize == 19
-    assert hamming_mod._check_indices.cache_info().currsize == 10
+    assert hamming_mod._check_indices.cache_info().currsize == 70
     assert hamming_mod._layout.cache_info().currsize == 86
     assert sweep._audit_shape.cache_info().currsize == 245
-    # One factorisation and one index check per input.
+    # One index check, which gives the prime factors, per input.
     inputs = len(DEFAULT_MODULI) * sum(2 ** n for n in range(1, 11))
-    for f in (factor_split, hamming_mod._check_indices):
-        info = f.cache_info()
-        assert info.hits + info.misses == inputs, f.__name__
+    info = hamming_mod._check_indices.cache_info()
+    assert info.hits + info.misses == inputs
     # apply runs for _MID once per mod3 call, and for H and _FIN only on
     # the 4 + 7 outcome misses.
     mod3_calls = subroutines._measure_mod3.cache_info()
