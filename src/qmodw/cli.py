@@ -93,7 +93,7 @@ def cmd_run(args) -> int:
         return EXIT_UNSUPPORTED_MODULUS
     n = len(args.x)
     bound = query_bound(n, args.m)
-    oracle, result, reasons = judge_run(int(args.x[::-1], 2), n, args.m,
+    oracle, result, reasons = judge_run(int(args.x, 2), n, args.m,
                                         tuple(range(1, n + 1)), bound)
     if reasons:
         for reason in reasons:

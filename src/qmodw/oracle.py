@@ -7,23 +7,24 @@ query.  The oracle may act on extra trailing "padding" dimensions where it
 is the identity; such queries still count.
 
 Indices are 1-based, matching the convention x = x_1 x_2 ... x_n.  The
-oracle keeps the string as an int whose bit i - 1 is x_i.  It is built
-from the string, which ``CountingOracle(bits)`` checks and parses once,
-or from that int and n, which :meth:`CountingOracle.from_int` checks
-against the range [0, 2^n): the sweep carries its inputs as these ints
-and never builds a string for a passing one.  No method hands the int
-back.  Each query is logged compactly, as the view itself or the index
-read;
+oracle keeps the string as the int ``int(x_1...x_n, 2)``, so x_i is bit
+n - i: the one format of an input throughout the package, and the index
+of x in a truth table.  It is built from the string, which
+``CountingOracle(bits)`` checks and parses once, or from that int and n,
+which :meth:`CountingOracle.from_int` checks are ints with the value in
+[0, 2^n): the sweep carries its inputs as these ints and never builds a
+string for a passing one.  No method hands the int back.  Each query is
+logged compactly, as the view itself or the index read;
 :attr:`CountingOracle.transcript` expands the log into fresh dicts on
 every read, and the query count is the log's length.
 
 A :class:`BlockView` is immutable and holds no hidden data, so
 :func:`block_view` interns views by ``(map, padding)``: its duplicate
 check, its index range and its sign table are built once per distinct
-view, not once per query.  The sign table maps each of the 2^k values
-of ``hidden & view.mask`` for a view of k indices to the local rows
-that value flips, so a query finds its rows with one AND and one
-lookup.
+view, not once per query.  A view does not depend on n: the sign table
+maps each of the 2^k values of ``hidden >> (n - view.hi) & view.mask``
+for a view of k indices to the local rows that value flips, so a query
+finds its rows with one shift, one AND and one lookup.
 
 The sign-flipped states are memoised by ``(input state, flipped local
 rows)``: the rows are the local sign pattern, never global indices, so
@@ -62,11 +63,12 @@ class BlockView:
     bit ``map[j]``; the last ``padding`` dimensions are untouched.  The
     map is stored as a tuple; ``lo`` and ``hi`` are its least and greatest
     index (1 and 0 for an empty map), so a query checks the range with two
-    comparisons.  ``mask`` has bit i - 1 set for each index i, and
-    ``_flips`` maps each value of ``hidden & mask`` to the tuple of local
-    rows whose bits it sets, in increasing order.  The table has 2^k
-    entries for k indices, so views are meant to be small: the circuits
-    use two and three.
+    comparisons.  ``mask`` has bit ``hi - i`` set for each index i, which
+    is where x_i lands once the input is shifted right by ``n - hi``, and
+    ``_flips`` maps each value of the shifted input AND ``mask`` to the
+    tuple of local rows whose bits it sets, in increasing order.  The
+    table has 2^k entries for k indices, so views are meant to be small:
+    the circuits use two and three.
     """
 
     map: tuple
@@ -95,7 +97,7 @@ class BlockView:
         if self.lo >= 1:
             flips[0] = ()
             for j, i in enumerate(indices):
-                bit = 1 << (i - 1)
+                bit = 1 << (self.hi - i)
                 mask |= bit
                 flips.update([(key | bit, rows + (j,))
                               for key, rows in flips.items()])
@@ -118,20 +120,20 @@ class CountingOracle:
         if bits.strip("01"):
             raise ValueError(f"not a bit string: {bits!r}")
         self._n = len(bits)
-        # Bit i - 1 holds x_i.
-        self._hidden = int(bits[::-1], 2) if bits else 0
+        self._hidden = int(bits, 2) if bits else 0
         # One entry per query: the BlockView of a phase query, the index
         # of a bit read.
         self._log = []
 
     @classmethod
     def from_int(cls, hidden: int, n: int) -> "CountingOracle":
-        """The oracle of the n-bit input whose x_i is bit i - 1 of
-        ``hidden``; ValueError unless n >= 0 and 0 <= hidden < 2^n."""
-        if n < 0:
-            raise ValueError(f"negative length: {n}")
-        if not 0 <= hidden < 1 << n:
-            raise ValueError(f"{hidden} is not an input of {n} bits")
+        """The oracle of the n-bit input ``hidden == int(x_1...x_n, 2)``,
+        so x_i is bit n - i; ValueError unless both are ints, n >= 0 and
+        0 <= hidden < 2^n."""
+        if type(n) is not int or n < 0:
+            raise ValueError(f"not a length: {n!r}")
+        if type(hidden) is not int or not 0 <= hidden < 1 << n:
+            raise ValueError(f"{hidden!r} is not an input of {n} bits")
         oracle = object.__new__(cls)
         oracle._n = n
         oracle._hidden = hidden
@@ -172,11 +174,12 @@ class CountingOracle:
             raise ValueError(
                 f"state dim {v.dim} != view dim {view.dim}")
         self._log.append(view)
-        return _flipped(v, view._flips[self._hidden & view.mask])
+        return _flipped(v, view._flips[self._hidden >> (n - view.hi)
+                                       & view.mask])
 
     def query_bit(self, i: int) -> int:
         """Classical read of bit x_i; costs one query."""
         if not 1 <= i <= self._n:
             raise self._index_error(i)
         self._log.append(i)
-        return self._hidden >> (i - 1) & 1
+        return self._hidden >> (self._n - i) & 1

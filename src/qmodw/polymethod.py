@@ -391,7 +391,8 @@ def is_nondeterministic_poly(p: MultilinearPolynomial, f) -> bool:
     """True iff p and f have the same support on the Boolean cube.
 
     ``f`` is a :class:`SymmetricFunctionSpec` or a truth table of 0/1
-    entries indexed by the input read as a binary number, x_1 first.
+    entries whose index is ``int(x_1...x_n, 2)``, the same int the
+    oracle holds for the input x.
     """
     if isinstance(f, SymmetricFunctionSpec):
         if f.n != p.n:

@@ -5,14 +5,15 @@
 counting oracle, checks the residue, the query budget and the oracle's
 count, then audits the partition contract (disjoint constant blocks of
 size m whose union with the remainder is everything, with the remainder
-weight exact).  The audit has no switch.  Each input is one int (bit
-i - 1 is x_i) through the enumeration, :meth:`CountingOracle.from_int`,
-the run check and the audit, in the lexicographic order of x_1 ... x_n,
-from two half tables of O(2^(n/2)) entries.  A bit string is built only
-for a failing input that a row keeps.
+weight exact).  The audit has no switch.  Each input is one int,
+``int(x_1...x_n, 2)`` as the oracle holds it (x_i is bit n - i), through
+the enumeration, :meth:`CountingOracle.from_int`, the run check and the
+audit, so ``range(2**n)`` runs the inputs in the lexicographic order of
+x_1 ... x_n.  A bit string is built only for a failing input that a row
+keeps.
 
 The audit runs on every input, over bitmasks: each block and the
-remainder s2 become ints with bit i - 1 for index i, so a block is
+remainder s2 become ints with bit n - i for index i, so a block is
 constant when its mask meets the input in nothing or in all of it.
 Everything else the audit checks (the masks, the block sizes, whether
 blocks and s2 partition the queried indices, and indices outside
@@ -83,7 +84,7 @@ def audit_partition(result, ones: int, n: int,
                     indices: Sequence[int]) -> list:
     """Check a PartitionResult against the hidden input, post hoc.
 
-    ``ones`` is the input of ``n`` bits as the oracle holds it: bit i - 1
+    ``ones`` is the input of ``n`` bits as the oracle holds it: bit n - i
     is x_i.  The reasons, in order: each block of the wrong size or not
     constant on the input, then blocks and s2 that are not a partition
     of ``indices`` (an index missing, extra or repeated), then a wrong
@@ -95,10 +96,14 @@ def audit_partition(result, ones: int, n: int,
     try:
         checks, s2_masks, partition, outside = _audit_shape(
             result.m, result.blocks, result.s2, tuple(indices), n)
-    except TypeError:    # a block or s2 given as a list
+    except TypeError:
+        blocks = tuple(map(tuple, result.blocks))
+        s2 = tuple(result.s2)
+        if blocks == result.blocks and s2 == result.s2:
+            raise    # already tuples: the error is the audit's own
+        # A block or s2 given as a list, which the memo cannot key on.
         checks, s2_masks, partition, outside = _audit_shape(
-            result.m, tuple(map(tuple, result.blocks)), tuple(result.s2),
-            tuple(indices), n)
+            result.m, blocks, s2, tuple(indices), n)
     problems = []
     for block, mask, constant, size in checks:
         if size:
@@ -125,7 +130,7 @@ def _audit_shape(m: int, blocks: tuple, s2: tuple, indices: tuple,
     result that holds for every input of n bits.
 
     ``checks`` has one (block, mask, constant, size) per block: the mask
-    has bit i - 1 set for each index i of the block in [1, n], the block
+    has bit n - i set for each index i of the block in [1, n], the block
     is constant on an input whose AND with the mask is in ``constant``
     ((0, mask), or nothing for an empty block), and ``size`` is its size
     reason or "".  ``s2_masks[j]`` holds the indices of s2 that occur
@@ -147,7 +152,7 @@ def _audit_shape(m: int, blocks: tuple, s2: tuple, indices: tuple,
     s2_masks = []
     for i in s2:
         if 0 < i <= n:
-            bit = 1 << (i - 1)
+            bit = 1 << (n - i)
             level = 0
             while level < len(s2_masks) and s2_masks[level] & bit:
                 level += 1
@@ -168,41 +173,20 @@ def _audit_shape(m: int, blocks: tuple, s2: tuple, indices: tuple,
 
 
 def _bitmask(indices: tuple, n: int, outside: list) -> int:
-    """The mask with bit i - 1 set for each i of ``indices`` in [1, n];
+    """The mask with bit n - i set for each i of ``indices`` in [1, n];
     the other indices are appended to ``outside`` in order."""
     mask = 0
     for i in indices:
         if 0 < i <= n:
-            mask |= 1 << (i - 1)
+            mask |= 1 << (n - i)
         else:
             outside.append(i)
     return mask
 
 
 def _bit_string(ones: int, n: int) -> str:
-    """x_1 ... x_n of the input whose bit i - 1 is x_i."""
-    return format(ones, f"0{n}b")[::-1] if n else ""
-
-
-def _inputs(n: int):
-    """Every input of n bits as the int whose bit i - 1 is x_i, in the
-    lexicographic order of the strings x_1 ... x_n.
-
-    The outer loop runs over x_1 ... x_k and the inner one over the
-    rest, each from a table of bit-reversed values, so only O(2^(n/2))
-    ints are held, never a list of all 2^n.
-    """
-    k = n // 2
-    firsts = _reversed_values(k)
-    lasts = [value << k for value in _reversed_values(n - k)]
-    for first in firsts:
-        for last in lasts:
-            yield first | last
-
-
-def _reversed_values(k: int) -> list:
-    """The ints whose bit i - 1 is x_i, for every x_1 ... x_k in order."""
-    return [int(format(value, f"0{k}b")[::-1], 2) for value in range(2 ** k)]
+    """x_1 ... x_n of the input ``ones``."""
+    return format(ones, f"0{n}b") if n else ""
 
 
 def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
@@ -218,7 +202,7 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
     max_queries = 0
     zero_queries = -1
     indices = tuple(range(1, n + 1))
-    for hidden in _inputs(n):
+    for hidden in range(1 << n):
         _, result, reasons = judge_run(hidden, n, m, indices, bound)
         if result is not None:
             max_queries = max(max_queries, result.queries)
@@ -252,7 +236,7 @@ def judge_run(hidden: int, n: int, m: int, indices: tuple,
 
 def _run_problems(result, ones: int, m: int, bound: int, oracle) -> list:
     """Residue, budget and query-count mismatches of one run on the input
-    ``ones`` (bit i - 1 is x_i)."""
+    ``ones`` (bit n - i is x_i)."""
     problems = []
     residue = result.w2 % m
     expected = ones.bit_count() % m

@@ -200,6 +200,25 @@ def test_an_exception_fails_its_inputs_not_the_sweep(fresh_tables,
     assert verify_cell(3, 2).failures == 0
 
 
+def test_a_block_with_a_non_index_is_audited_once(fresh_tables,
+                                                  monkeypatch):
+    # The result's blocks are tuples, so the TypeError is the audit's
+    # own: the shape is computed once and the error chains to nothing.
+    block_with_a_non_index(monkeypatch)
+    result = hamming_mod.partition_weight(CountingOracle.from_int(0, 2),
+                                          (1, 2), 2)
+    assert result.blocks == ((1, 2, None),)
+    with pytest.raises(TypeError) as caught:
+        audit_partition(result, 0, 2, (1, 2))
+    assert caught.value.__context__ is None
+    assert sweep._audit_shape.cache_info().misses == 1
+    _, result, reasons = sweep.judge_run(0, 2, 2, (1, 2), 1)
+    assert result is None
+    assert reasons == ["TypeError: '<' not supported between instances "
+                       "of 'int' and 'NoneType'"]
+    assert sweep._audit_shape.cache_info().misses == 2
+
+
 # ---------------------------------------------------------
 # Faults that keep the residue and the query budget right
 # ---------------------------------------------------------
@@ -247,9 +266,8 @@ def _audit_failures(n, m, bound):
     """
     indices = range(1, n + 1)
     failures = []
-    for value in range(2 ** n):
-        bits = format(value, f"0{n}b")
-        hidden = int(bits[::-1], 2)
+    for hidden in range(2 ** n):
+        bits = format(hidden, f"0{n}b")
         o = CountingOracle.from_int(hidden, n)
         result = hamming_mod.partition_weight(o, indices, m)
         assert _run_problems(result, hidden, m, bound, o) == []

@@ -333,7 +333,7 @@ def test_audit_catches_wrong_w2():
     o, r = run("110", 3)
     broken = type(r)(m=r.m, blocks=r.blocks, s2=r.s2, w2=r.w2 + 1,
                      queries=r.queries)
-    assert audit_partition(broken, 0b011, 3, (1, 2, 3))
+    assert audit_partition(broken, 0b110, 3, (1, 2, 3))
 
 
 def test_algorithm_never_touches_hidden_string_directly():
@@ -357,5 +357,5 @@ def test_partition_weight_on_random_inputs(m, bits):
     o, result = run(bits, m)
     assert result.w2 % m == bits.count("1") % m
     assert result.queries == o.query_count <= query_bound(n, m)
-    assert audit_partition(result, int(bits[::-1], 2), n,
+    assert audit_partition(result, int(bits, 2), n,
                            range(1, n + 1)) == []

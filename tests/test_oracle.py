@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from qmodw import oracle, subroutines
+from qmodw import oracle, subroutines, sweep
 from qmodw.algebra import AlgebraicNumber, SQRT3
 from qmodw.linalg import _APPLY_MEMO_CAP, StateVector
 from qmodw.oracle import BlockView, CountingOracle
+from qmodw.polymethod import MultilinearPolynomial, is_nondeterministic_poly
 
 
 def uniform(dim):
@@ -122,8 +123,39 @@ def test_from_int_rejects_a_value_outside_n_bits(hidden, n):
         CountingOracle.from_int(hidden, n)
 
 
+@pytest.mark.parametrize("hidden, n", [(1.0, 2), (1.5, 2), (True, 1),
+                                       (1, 2.0)])
+def test_from_int_rejects_a_non_int(hidden, n):
+    # 1.0 and True pass the range check, and 2.0 would fail only at the
+    # first query; each is refused when the oracle is built.
+    with pytest.raises(ValueError):
+        CountingOracle.from_int(hidden, n)
+
+
+def test_one_int_format_across_modules():
+    # x_i is bit n - i of the int: the oracle built from the int or from
+    # the string, a polynomial's truth table and the sweep's bit string
+    # all read the input h as format(h, f"0{n}b").  At n = 0 the format
+    # gives "0", so the empty input is checked on its own.
+    assert sweep._bit_string(0, 0) == ""
+    for n in range(1, 9):
+        for i in range(1, n + 1):
+            x_i = MultilinearPolynomial(n, {(i,): 1})
+            table = []
+            for h in range(2 ** n):
+                bits = format(h, f"0{n}b")
+                bit = int(bits[i - 1])
+                assert CountingOracle.from_int(h, n).query_bit(i) == bit
+                assert CountingOracle(bits).query_bit(i) == bit
+                assert x_i.eval(bits) == bit
+                table.append(bit)
+            assert is_nondeterministic_poly(x_i, table)
+        for h in range(2 ** n):
+            assert sweep._bit_string(h, n) == format(h, f"0{n}b")
+
+
 def test_from_int_answers_as_the_bit_string_does():
-    # Bit i - 1 of the int is x_i.  The all-indices view shows every
+    # Bit n - i of the int is x_i.  The all-indices view shows every
     # bit's sign at once, and each single view and bit read one bit.
     assert CountingOracle.from_int(0, 0).n == CountingOracle("").n == 0
     for n in range(1, 9):
@@ -133,7 +165,7 @@ def test_from_int_answers_as_the_bit_string_does():
         views += [(BlockView((i,), padding=1), uniform(2))
                   for i in range(1, n + 1)]
         for hidden in range(2 ** n):
-            bits = format(hidden, f"0{n}b")[::-1]
+            bits = format(hidden, f"0{n}b")
             pair = CountingOracle.from_int(hidden, n), CountingOracle(bits)
             assert pair[0].n == pair[1].n == n
             for view, v in views:
@@ -390,14 +422,15 @@ def test_sign_table_matches_the_bit_string_reference():
                              for j in range(k + 1)])
         for map in itertools.permutations(range(1, n + 1), k):
             view = BlockView(map, padding=1)
-            assert view.mask == sum(1 << (i - 1) for i in map)
+            assert view.mask == sum(1 << (max(map) - i) for i in map)
             assert len(view._flips) == 2 ** k
             for value in range(2 ** n):
                 bits = format(value, f"0{n}b")
                 o = CountingOracle(bits)
                 rows = tuple([j for j, i in enumerate(map)
                               if bits[i - 1] == "1"])
-                assert view._flips[o._hidden & view.mask] == rows
+                assert view._flips[o._hidden >> (n - view.hi)
+                                   & view.mask] == rows
                 got = o.phase_apply(view, start)
                 assert got is oracle._flipped(start, rows)
                 assert got == fresh_negation(start, rows)

@@ -5,7 +5,6 @@ import concurrent.futures
 import os
 import subprocess
 import sys
-import tracemalloc
 import types
 from pathlib import Path
 
@@ -21,8 +20,8 @@ from qmodw.sweep import DEFAULT_MODULI, audit_partition, run_sweep, verify_cell
 
 
 def ones(bits):
-    """The int an oracle holds for ``bits``: bit i - 1 is x_i."""
-    return int(bits[::-1], 2) if bits else 0
+    """The int an oracle holds for ``bits``: bit n - i is x_i."""
+    return int(bits, 2) if bits else 0
 
 
 def audit(result, bits, indices):
@@ -59,7 +58,7 @@ def test_audit_matches_reference_on_every_sweep_result(m):
             result = partition_weight(CountingOracle.from_int(hidden, n),
                                       indices, m)
             assert audit_partition(result, hidden, n, indices) == []
-            bits = format(hidden, f"0{n}b")[::-1]
+            bits = format(hidden, f"0{n}b")
             assert reference_audit(result, bits, indices) == []
 
 
@@ -142,18 +141,18 @@ def test_mask_memo_keys_on_the_tuple_and_n(fresh_tables):
     # same result under a smaller n puts its last index outside.
     shape = sweep._audit_shape
     assert shape(2, ((1, 3),), (5,), (1, 3, 5), 5) == (
-        (((1, 3), 0b101, (0, 0b101), ""),), (0b10000,), "", "")
+        (((1, 3), 0b10100, (0, 0b10100), ""),), (0b00001,), "", "")
     assert shape(2, ((1, 3),), (5,), (1, 3, 5), 4) == (
-        (((1, 3), 0b101, (0, 0b101), ""),), (),
+        (((1, 3), 0b1010, (0, 0b1010), ""),), (),
         "blocks and s2 do not partition the queried indices",
         "indices [5] out of range [1, 4]")
     assert shape(2, ((0, 2),), (-1, 2, 2), (1, 2), 4) == (
-        (((0, 2), 0b10, (0, 0b10), ""),), (0b10, 0b10),
+        (((0, 2), 0b0100, (0, 0b0100), ""),), (0b0100, 0b0100),
         "blocks and s2 do not partition the queried indices",
         "indices [0, -1] out of range [1, 4]")
     result = PartitionResult(2, ((1, 3),), (5,), 1, 0)
     assert audit_partition(result, 0b10101, 5, (1, 3, 5)) == []
-    assert audit_partition(result, 0b10000, 5, (1, 3, 5)) == []
+    assert audit_partition(result, 0b00001, 5, (1, 3, 5)) == []
     info = shape.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 3, 3)
 
@@ -175,7 +174,7 @@ def test_an_altered_block_gets_its_own_shape_and_fails(fresh_tables):
         "indices [7] out of range [1, 6]"]
     assert sweep._audit_shape.cache_info().currsize == shapes + 1
     crossed = result._replace(blocks=((1, 2), (3, 5), (4, 6)))
-    assert audit_partition(crossed, 0b010000, 6, indices) == [
+    assert audit_partition(crossed, 0b000010, 6, indices) == [
         "block (3, 5) not constant on input 000010"]
     assert sweep._audit_shape.cache_info().currsize == shapes + 2
 
@@ -263,11 +262,11 @@ def test_the_cli_and_the_sweep_share_one_judgement(monkeypatch, capsys):
         return real(*args)
     monkeypatch.setattr(sweep, "judge_run", judge_run)
     assert verify_cell(3, 2).failures == 0
-    assert [args[0] for args in calls] == list(sweep._inputs(3))
+    assert [args[0] for args in calls] == list(range(2 ** 3))
     calls.clear()
     monkeypatch.setattr(cli, "judge_run", judge_run)
     assert cli.main(["run", "--x", "110", "--m", "2"]) == 0
-    assert calls == [(0b011, 3, 2, (1, 2, 3), 2)]
+    assert calls == [(0b110, 3, 2, (1, 2, 3), 2)]
     capsys.readouterr()
 
 
@@ -369,22 +368,8 @@ def test_verify_cell_runs_the_inputs_in_string_order(monkeypatch, n):
     # The hidden ints come in the lexicographic order of the strings
     # x_1 ... x_n, which keeps first_failures and the rows unchanged.
     seen, row = recorded_inputs(monkeypatch, n)
-    expected = [int(format(v, f"0{n}b")[::-1], 2) for v in range(2 ** n)]
-    assert seen == [(hidden, n) for hidden in expected]
+    assert seen == [(hidden, n) for hidden in range(2 ** n)]
     assert row.failures == 0
-
-
-def test_the_enumeration_holds_no_list_of_all_inputs():
-    # Two half tables of 2^8 ints; a list of all 2^16 would pass 512 KiB
-    # in pointers alone.
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in sweep._inputs(16))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == 2 ** 16
-    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------
