@@ -185,6 +185,15 @@ def cmd_verify_states(args) -> int:
     return EXIT_VERIFICATION if mismatches else EXIT_OK
 
 
+def _grid_cell(entry) -> str:
+    """2·entry when that is an integer, as it is for every entry of the
+    true Gram matrix; else the exact entry, so a wrong one still prints."""
+    doubled = entry.rational_part() * 2
+    if entry.is_rational() and doubled.denominator == 1:
+        return f"{doubled.numerator:3d}"
+    return f"{entry!s:>3}"
+
+
 def cmd_gram(args) -> int:
     gram = gram_matrix()
     frozen = load_gram()
@@ -202,10 +211,8 @@ def cmd_gram(args) -> int:
             "match": not problems,
         }))
     else:
-        # half-integer grid: twice each entry is an integer
         for row in gram:
-            doubled = [e.as_rational() * 2 for e in row]
-            print("  ".join(f"{int(v):3d}" for v in doubled))
+            print("  ".join(map(_grid_cell, row)))
         if args.closed_form and not problems:
             print("closed forms agree with the state Gram matrix "
                   "on all 64 pairs")

@@ -306,6 +306,23 @@ class SquareMatrix(_Interned):
 
     __matmul__ = matmul
 
+    def _negated_rows(self, rows) -> "SquareMatrix":
+        """O · this matrix, for the diagonal sign matrix O that is -1
+        exactly on ``rows``: the given rows negated.
+
+        The matrix counterpart of :meth:`StateVector._negated`, the sign
+        flip a phase query makes on a state.  Negation keeps the gcd, so
+        the result is already canonical and skips :func:`_canonical`.  A
+        row repeated in ``rows`` is negated once; one outside
+        [0, dim) raises ``IndexError``.
+        """
+        num = list(self._num)
+        for i in set(rows):
+            if not 0 <= i < self.dim:
+                raise IndexError(f"row {i} out of range for dim {self.dim}")
+            num[i] = tuple([tuple([-x for x in entry]) for entry in num[i]])
+        return self._new(tuple(num), self._den)
+
     def is_unitary(self) -> bool:
         """True iff M† M equals the identity exactly."""
         return self.dagger().matmul(self) == SquareMatrix.identity(self.dim)

@@ -10,7 +10,8 @@ Indices are 1-based, matching the convention x = x_1 x_2 ... x_n.  The
 oracle keeps the string as the int ``int(x_1...x_n, 2)``, so x_i is bit
 n - i: the one format of an input throughout the package, and the index
 of x in a truth table.  It is built from the string, which
-``CountingOracle(bits)`` checks and parses once, or from that int and n,
+``CountingOracle(bits)`` checks is a ``str`` of 0s and 1s and parses
+once, or from that int and n,
 which :meth:`CountingOracle.from_int` checks are ints with the value in
 [0, 2^n): the sweep carries its inputs as these ints and never builds a
 string for a passing one.  No method hands the int back.  Each query is
@@ -117,7 +118,7 @@ class CountingOracle:
     __slots__ = ("_n", "_hidden", "_log")
 
     def __init__(self, bits: str):
-        if bits.strip("01"):
+        if type(bits) is not str or bits.strip("01"):
             raise ValueError(f"not a bit string: {bits!r}")
         self._n = len(bits)
         self._hidden = int(bits, 2) if bits else 0

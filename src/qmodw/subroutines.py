@@ -4,7 +4,10 @@
   (H . O_x . H applied to |0>), and
 * a 2-query, 5-dimensional circuit computing the Hamming weight of three
   input bits modulo 3 (V . Ox~ . U . Ox~ applied to |0>, with the oracle
-  conjugated into the Fourier basis, Ox~ = QFT† O_x QFT).
+  conjugated into the Fourier basis, Ox~ = QFT† O_x QFT).  Ox~ is built
+  as QFT with the rows of the 1-bits negated, then one product with QFT†:
+  O_x is the same sign flip :meth:`CountingOracle.phase_apply` makes on a
+  state.
 
 All matrices are built exactly from the field basis, never from decimal
 literals.  The mod-3 run is fused into two constant matrices around the
@@ -112,20 +115,6 @@ _QFT_KET0 = QFT.apply(StateVector.basis_state(5, 0))
 _H_KET0 = H.apply(StateVector.basis_state(2, 0))
 
 
-def oracle_matrix(bits: str, padding: int = 0) -> SquareMatrix:
-    """The diagonal phase oracle for an explicit bit string (trace use only)."""
-    dim = len(bits) + padding
-    rows = []
-    for i in range(dim):
-        row = [ZERO] * dim
-        if i < len(bits) and bits[i] == "1":
-            row[i] = -ONE
-        else:
-            row[i] = ONE
-        rows.append(row)
-    return SquareMatrix(rows)
-
-
 def deutsch(o: CountingOracle, pair) -> int:
     """Parity of two input bits with one query: measure H O_x H |0>.
 
@@ -201,10 +190,16 @@ class IntermediateTrace:
 
 
 def fourier_oracle(bits: str) -> SquareMatrix:
-    """Ox~ = QFT† O_x QFT for a 3-bit input, on 5 dimensions."""
+    """Ox~ = QFT† O_x QFT for a 3-bit input, on 5 dimensions.
+
+    O_x QFT is QFT with the rows of the 1-bits negated, the same sign flip
+    :meth:`CountingOracle.phase_apply` makes on a state, so Ox~ is one
+    product with QFT†.
+    """
     if len(bits) != 3 or any(c not in "01" for c in bits):
         raise ValueError(f"need a 3-bit string, got {bits!r}")
-    return _QFT_DAG.matmul(oracle_matrix(bits, padding=2)).matmul(QFT)
+    return _QFT_DAG.matmul(
+        QFT._negated_rows(i for i, c in enumerate(bits) if c == "1"))
 
 
 def trace_mod3(bits: str) -> IntermediateTrace:

@@ -263,6 +263,26 @@ def test_gram_closed_form_check_bites(capsys, monkeypatch):
         "MISMATCH: closed form 16 differs at (001, 010)"]
 
 
+def test_gram_exits_3_on_a_corrupted_circuit(capsys, monkeypatch):
+    # With U[1][1] negated the Gram entries leave the half-integer grid
+    # and some are not rational: the grid prints them exactly, every
+    # mismatch is reported, and each format exits 3 without raising.
+    rows = [list(r) for r in subroutines.U.entries]
+    rows[1][1] = -rows[1][1]
+    monkeypatch.setattr(subroutines, "U", SquareMatrix(rows))
+    code, _, _ = run_cli(capsys, "verify-states")
+    assert code == 3
+    for argv in (["gram"], ["gram", "--closed-form"],
+                 ["gram", "--format", "json"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert err and all(line.startswith("MISMATCH: ")
+                           for line in err.splitlines())
+        assert "all 64 pairs" not in out
+    _, out, _ = run_cli(capsys, "gram")
+    assert "1/9 - 1/3·i√3" in out.splitlines()[0]
+
+
 def test_gram_json(capsys):
     code, out, _ = run_cli(capsys, "gram", "--format", "json")
     assert code == 0

@@ -8,6 +8,10 @@ of each modulus, the audit's shapes and the ``apply`` products) with a
 correct sweep, so a fault that a stored entry could hide would
 show up as a passing warm run.  The ``fresh_tables`` fixture empties
 those memos before and after the test.
+
+The last test injects a fault the sweep cannot see, a sign flip on the
+wrong row of the Fourier-basis oracle Ox~, which the sweep never builds:
+only the frozen state table and the Gram matrix fail on it.
 """
 
 import re
@@ -297,3 +301,26 @@ def test_only_the_audit_catches_fault(fresh_tables, monkeypatch, capsys,
     bits, reasons = row.first_failures[0]
     assert f"FAIL: n={row.n} m={row.m}: {row.failures} of {row.inputs}" in err
     assert f"  x={bits}: " + "; ".join(reasons) in err
+
+
+# ---------------------------------------------------------
+# A fault that only the state table and the Gram matrix see
+# ---------------------------------------------------------
+
+def test_only_the_state_table_and_gram_see_a_shifted_oracle_flip(
+        fresh_tables, monkeypatch, capsys):
+    # Ox~ negates row (i + 1) % dim of QFT for each 1-bit i in place of
+    # row i.  A sign flip is unitary, and the sweep applies O_x through
+    # phase_apply and never builds Ox~, so only the checks that run the
+    # circuit through Ox~ fail.
+    negated_rows = SquareMatrix._negated_rows
+    monkeypatch.setattr(
+        SquareMatrix, "_negated_rows",
+        lambda m, rows: negated_rows(m, [(i + 1) % m.dim for i in rows]))
+    assert all(subroutines.fourier_oracle(bits).is_unitary()
+               for bits in subroutines.ALL_3BIT)
+    assert main(["verify-states"]) == 3
+    assert main(["gram"]) == 3
+    assert main(["gram", "--format", "json"]) == 3
+    assert "MISMATCH: G[" in capsys.readouterr().err
+    assert all(verify_cell(6, m).all_correct for m in DEFAULT_MODULI)

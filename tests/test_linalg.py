@@ -408,3 +408,39 @@ def test_intern_table_drops_what_nothing_holds():
     del states
     gc.collect()
     assert len(linalg._INTERNED) == size
+
+
+def _random_field_matrix(rng, dim):
+    """Rows of field elements with all eight coordinates drawn, small
+    and above 2**62 in magnitude, over denominators up to 60."""
+    def coordinate():
+        bound = rng.choice((3, 2 ** 70))
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 60))
+    return [[AlgebraicNumber(coordinate() for _ in range(8))
+             for _ in range(dim)] for _ in range(dim)]
+
+
+def test_negated_rows_is_the_diagonal_sign_product():
+    # O · M for the sign matrix O that is -1 on the subset, built as an
+    # explicit diagonal and multiplied entry by entry, for every subset.
+    rng = random.Random(23)
+    for dim in range(1, 6):
+        for _ in range(3):
+            rows = _random_field_matrix(rng, dim)
+            m = SquareMatrix(rows)
+            for subset in range(1 << dim):
+                negated = [i for i in range(dim) if subset >> i & 1]
+                sign = [[(-ONE if i in negated else ONE) if i == j else ZERO
+                         for j in range(dim)] for i in range(dim)]
+                expected = SquareMatrix(reference_matmul(sign, rows))
+                assert m._negated_rows(negated) is expected
+                assert SquareMatrix(sign).matmul(m) is expected
+
+
+def test_negated_rows_edge_cases():
+    assert QFT._negated_rows(()) is QFT
+    assert QFT._negated_rows([0, 2])._negated_rows((2, 0)) is QFT
+    assert QFT._negated_rows((1, 1)) is QFT._negated_rows((1,))
+    for row in (5, -1):
+        with pytest.raises(IndexError):
+            QFT._negated_rows((0, row))

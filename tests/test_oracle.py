@@ -107,6 +107,13 @@ def test_bad_bit_string_rejected():
         CountingOracle("10a")
 
 
+@pytest.mark.parametrize("bits", [101, None, b"101"],
+                         ids=["int", "None", "bytes"])
+def test_a_non_str_is_rejected(bits):
+    with pytest.raises(ValueError):
+        CountingOracle(bits)
+
+
 def test_hidden_string_not_on_public_surface():
     o = CountingOracle("1101")
     public = [name for name in dir(o) if not name.startswith("_")]

@@ -11,7 +11,7 @@ from qmodw.sweep import verify_cell
 from qmodw.subroutines import (
     ALL_3BIT, H, PI0, PI1, PI2, QFT, U, V, InvariantViolation,
     deutsch, fourier_oracle, gram_closed_form, gram_closed_form_mismatches,
-    gram_matrix, mod3, mod3_final_state, oracle_matrix, signs_of, trace_mod3,
+    gram_matrix, mod3, mod3_final_state, signs_of, trace_mod3,
 )
 
 
@@ -39,10 +39,29 @@ def test_projectors_sum_to_identity():
     assert not PI1.indices & PI2.indices
 
 
-def test_oracle_matrix_signs():
-    m = oracle_matrix("101", padding=2)
-    diag = [m[i, i] for i in range(5)]
-    assert diag == [-ONE, ONE, -ONE, ONE, ONE]
+def sign_oracle(bits):
+    """O_x on 5 dimensions as an explicit diagonal: -1 on the 1-bits."""
+    return SquareMatrix([[(-ONE if i < 3 and bits[i] == "1" else ONE)
+                          if i == j else ZERO for j in range(5)]
+                         for i in range(5)])
+
+
+def test_sign_oracle_diagonal():
+    m = sign_oracle("101")
+    assert [m[i, i] for i in range(5)] == [-ONE, ONE, -ONE, ONE, ONE]
+    assert all(m[i, j] == ZERO for i in range(5) for j in range(5) if i != j)
+
+
+def test_fourier_oracle_is_the_two_product_form():
+    for bits in ALL_3BIT:
+        reference = subroutines._QFT_DAG.matmul(sign_oracle(bits)).matmul(QFT)
+        assert fourier_oracle(bits) is reference
+
+
+@pytest.mark.parametrize("bits", ["10", "1010", "10a", "abc"])
+def test_fourier_oracle_needs_three_bits(bits):
+    with pytest.raises(ValueError):
+        fourier_oracle(bits)
 
 
 # ---------------------------------------------------------
