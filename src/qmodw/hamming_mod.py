@@ -28,16 +28,21 @@ and duplicates of the indices, and returns the prime factors.  It is
 memoised per (index tuple, m, n), so a sweep runs the checks once per
 cell, and a bad modulus or tuple raises on every call.  The levels pass
 on only indices derived from these and check nothing again; they keep
-plain lists, and only the end sorts s2 and builds a ``NamedTuple``
-:class:`PartitionResult` (immutable, and built in C).
+plain lists, and only the end sorts s2 in place and builds the
+immutable ``NamedTuple`` :class:`PartitionResult` with
+``tuple.__new__``, as its ``_make`` does, past the generated Python
+``__new__``.
 Every level measures through :func:`_base_case` (the first directly,
 the others through :func:`_glue`), and the base case calls
 :func:`deutsch` and :func:`mod3`, all through this module's globals, so
 code that replaces one of them there sees every level.  The base case
 takes its groups and leftovers from :func:`_layout`, memoised per
-(index tuple, prime), so the 2^n inputs of a sweep cell share one
-cutting of each index tuple; the measurements and reads are still made
-on every call.
+(index tuple, prime), and :func:`_glue` takes the representatives, the
+map from each to its block and each representative group's merged,
+sorted block from :func:`_glue_plan`, memoised per (blocks, prime).  So
+the 2^n inputs of a sweep cell share one cutting of each index tuple
+and one plan of each glue level; the measurements and reads are still
+made on every call.
 """
 
 from __future__ import annotations
@@ -112,8 +117,9 @@ def partition_weight(o: CountingOracle, indices: Sequence[int],
         blocks, level_w2 = _glue(o, blocks, p, s2)
         w2 += size * level_w2
         size *= p
-    return PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
-                           o.query_count - start)
+    s2.sort()
+    return tuple.__new__(PartitionResult, (m, tuple(blocks), tuple(s2), w2,
+                                           o.query_count - start))
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
@@ -170,22 +176,36 @@ def _glue(o: CountingOracle, blocks: list, p: int, s2: list):
     """One level for the prime p over constant, equal-sized ``blocks``.
 
     x is constant on each block, so its smallest index stands for all of
-    it.  The representatives go through the base case p at a time; each
-    constant group becomes one sorted block, and the blocks of the rest
-    are appended to ``s2``.  Returns the new blocks and the weight of the
-    representatives put in s2, which the caller scales by the block size.
+    it.  The representatives go through the base case p at a time, on
+    every call; each constant group becomes its merged, sorted block, and
+    the blocks of the rest are appended to ``s2``.  Everything but the
+    measurements comes from :func:`_glue_plan`, so a group the plan does
+    not hold raises ``KeyError``.  Returns the new blocks and the weight
+    of the representatives put in s2, which the caller scales by the
+    block size.
     """
-    rep_block = {min(b): b for b in blocks}
-    rep_groups, rep_s2, level_w2 = _base_case(o, tuple(rep_block), p)
-    glued = []
-    for group in rep_groups:
-        merged = []
-        for rep in group:
-            merged.extend(rep_block[rep])
-        glued.append(tuple(sorted(merged)))
+    reps, rep_block, merged = _glue_plan(tuple(blocks), p)
+    rep_groups, rep_s2, level_w2 = _base_case(o, reps, p)
     for rep in rep_s2:
         s2.extend(rep_block[rep])
-    return glued, level_w2
+    return [merged[group] for group in rep_groups], level_w2
+
+
+@lru_cache(maxsize=_APPLY_MEMO_CAP)
+def _glue_plan(blocks: tuple, p: int) -> tuple:
+    """(reps, rep_block, merged): the part of a :func:`_glue` level that
+    holds for every input.
+
+    ``reps`` are the blocks' smallest indices in block order,
+    ``rep_block`` maps each to its block, and ``merged`` maps each group
+    of ``_layout(reps, p)`` to the sorted union of its blocks.  The maps
+    are shared by every caller and only read.
+    """
+    rep_block = {min(b): b for b in blocks}
+    reps = tuple(rep_block)
+    merged = {group: tuple(sorted(i for rep in group for i in rep_block[rep]))
+              for group in _layout(reps, p)[0]}
+    return reps, rep_block, merged
 
 
 def weight_mod(o: CountingOracle, m: int) -> int:

@@ -150,10 +150,14 @@ class StateVector(_Interned):
         """This state with the given entries negated.
 
         Negation keeps the gcd, so the result is already canonical and
-        skips :func:`_canonical`.
+        skips :func:`_canonical`.  As in
+        :meth:`SquareMatrix._negated_rows`, a repeated row is negated
+        once and one outside [0, dim) raises ``IndexError``.
         """
         num = list(self._num)
-        for j in rows:
+        for j in set(rows):
+            if not 0 <= j < self.dim:
+                raise IndexError(f"row {j} out of range for dim {self.dim}")
             num[j] = tuple([-x for x in num[j]])
         return self._new(tuple(num), self._den)
 

@@ -119,10 +119,11 @@ def deutsch(o: CountingOracle, pair) -> int:
     """Parity of two input bits with one query: measure H O_x H |0>.
 
     The outcome is memoised per (H, state after the query); the query is
-    made on every call.
+    made on every call.  The view is looked up on ``tuple(pair)``, so a
+    group of the wrong length gives a view of the wrong dimension, which
+    :meth:`CountingOracle.phase_apply` rejects before it logs a query.
     """
-    i, j = pair
-    return _measure_parity(H, o.phase_apply(block_view((i, j)), _H_KET0))
+    return _measure_parity(H, o.phase_apply(block_view(tuple(pair)), _H_KET0))
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
@@ -137,9 +138,11 @@ def _measure_parity(matrix: SquareMatrix, state: StateVector) -> int:
 
 
 def _state_before_fin(o: CountingOracle, triple) -> StateVector:
-    """Both queries of the mod-3 circuit: the state that ``_FIN`` ends."""
-    i, j, k = triple
-    view = block_view((i, j, k), 2)
+    """Both queries of the mod-3 circuit: the state that ``_FIN`` ends.
+
+    As in :func:`deutsch`, a group of the wrong length raises
+    ``ValueError`` before the first query."""
+    view = block_view(tuple(triple), 2)
     v = o.phase_apply(view, _QFT_KET0)
     v = _MID.apply(v)
     return o.phase_apply(view, v)

@@ -223,6 +223,29 @@ def test_a_block_with_a_non_index_is_audited_once(fresh_tables,
     assert sweep._audit_shape.cache_info().misses == 2
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_group_the_glue_plan_does_not_hold_fails_its_input(
+        fresh_tables, monkeypatch, warm):
+    # Each base case hands its groups back reversed.  The first level's
+    # blocks stay constant and a partition, so m = 2 passes; a constant
+    # group of representatives, (3, 1) at m = 4, is not one the glue
+    # plan holds, so its input fails with a KeyError instead of being
+    # glued.
+    if warm:
+        assert verify_cell(4, 4).failures == 0
+    real = hamming_mod._base_case
+
+    def base_case(o, indices, m):
+        blocks, s2, w2 = real(o, indices, m)
+        return [block[::-1] for block in blocks], s2, w2
+    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+    assert verify_cell(4, 2).failures == 0
+    row = verify_cell(4, 4)
+    assert row.failures == 2
+    assert row.first_failures == tuple(
+        (bits, ("KeyError: (3, 1)",)) for bits in ("0000", "1111"))
+
+
 # ---------------------------------------------------------
 # Faults that keep the residue and the query budget right
 # ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from qmodw.hamming_mod import (
     factor_split, partition_weight, query_bound, weight_mod,
 )
 from qmodw.oracle import CountingOracle
-from qmodw.sweep import audit_partition, verify_cell
+from qmodw.sweep import DEFAULT_MODULI, audit_partition, verify_cell
 
 
 def run(bits, m, indices=None):
@@ -197,6 +198,7 @@ def test_partition_result_is_an_immutable_tuple_of_five_fields():
     for field in PartitionResult._fields:
         with pytest.raises(AttributeError):
             setattr(result, field, 0)
+    assert type(result) is PartitionResult
     assert result == (6, result.blocks, result.s2, result.w2, result.queries)
 
 
@@ -284,6 +286,92 @@ def test_recursion_matches_level_by_level_reference(m):
         ref_o, ref_result = reference_run(bits, m, indices)
         assert result == ref_result, (bits, indices)
         assert o.transcript == ref_o.transcript, (bits, indices)
+
+
+# ---------------------------------------------------------
+# The glue plan against the glue it replaced
+# ---------------------------------------------------------
+
+def reference_glue(o, blocks, p, s2):
+    """One glue level built afresh on every call: the map from each
+    block's smallest index to the block, and each constant group's
+    blocks merged and sorted."""
+    rep_block = {min(b): b for b in blocks}
+    rep_groups, rep_s2, level_w2 = hamming_mod._base_case(
+        o, tuple(rep_block), p)
+    glued = []
+    for group in rep_groups:
+        merged = []
+        for rep in group:
+            merged.extend(rep_block[rep])
+        glued.append(tuple(sorted(merged)))
+    for rep in rep_s2:
+        s2.extend(rep_block[rep])
+    return glued, level_w2
+
+
+def index_orders(n):
+    """1..n and three seeded permutations of it."""
+    rng = random.Random(n)
+    return [tuple(range(1, n + 1))] + [
+        tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
+def test_glue_plan_matches_the_per_call_glue(fresh_tables, monkeypatch, m):
+    # Same result and same queries on every input n <= 8.  The
+    # representative is a block's smallest index, not its first, so the
+    # permuted orders give blocks whose first index is not the smallest.
+    cases = [(hidden, n, indices) for n in range(9)
+             for indices in index_orders(n) for hidden in range(2 ** n)]
+    planned = []
+    for hidden, n, indices in cases:
+        o = CountingOracle.from_int(hidden, n)
+        planned.append((partition_weight(o, indices, m), o.transcript))
+    monkeypatch.setattr(hamming_mod, "_glue", reference_glue)
+    for (hidden, n, indices), expected in zip(cases, planned):
+        o = CountingOracle.from_int(hidden, n)
+        assert (partition_weight(o, indices, m), o.transcript) == expected, (
+            hidden, indices)
+
+
+def test_glue_plan_holds_the_representatives_and_merged_groups(
+        fresh_tables):
+    blocks = ((4, 3), (1, 2), (6, 5), (8, 7), (9, 10))
+    for _ in range(2):
+        reps, rep_block, merged = hamming_mod._glue_plan(blocks, 2)
+        assert reps == (3, 1, 5, 7, 9)
+        assert rep_block == dict(zip(reps, blocks))
+        assert merged == {(3, 1): (1, 2, 3, 4), (5, 7): (5, 6, 7, 8)}
+    info = hamming_mod._glue_plan.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_glue_plan_stores_nothing_for_a_block_with_a_non_index(
+        fresh_tables):
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hamming_mod._glue_plan(((1, 2), (3, None)), 2)
+    assert hamming_mod._glue_plan.cache_info().currsize == 0
+
+
+PARTITION_DIGEST = (
+    "936c5d2730e1e2eb744cabe51568c62c8f1c6899ff9f1878c3d413ba871864bf")
+
+
+def test_every_partition_result_up_to_n_10_is_pinned():
+    # The repr of every result of the sweep's cells with n <= 10, in
+    # sweep order, pins the block order, the s2 order, w2 and the query
+    # count of each run; the digest is that of the per-call glue above.
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        indices = tuple(range(1, n + 1))
+        for m in DEFAULT_MODULI:
+            for hidden in range(2 ** n):
+                result = partition_weight(
+                    CountingOracle.from_int(hidden, n), indices, m)
+                digest.update(repr(tuple(result)).encode())
+    assert digest.hexdigest() == PARTITION_DIGEST
 
 
 # ---------------------------------------------------------

@@ -444,3 +444,16 @@ def test_negated_rows_edge_cases():
     for row in (5, -1):
         with pytest.raises(IndexError):
             QFT._negated_rows((0, row))
+
+
+def test_negated_state_edge_cases():
+    # The state counterpart of _negated_rows: the empty tuple returns the
+    # state itself, a repeated row is negated once, and a row outside
+    # [0, dim) raises instead of wrapping round.
+    v = StateVector([ONE, SQRT2])
+    assert v._negated(()) is v
+    assert v._negated((0, 0)) is StateVector([-ONE, SQRT2])
+    assert v._negated((1, 0, 1)) is StateVector([-ONE, -SQRT2])
+    for row in (2, -1):
+        with pytest.raises(IndexError):
+            v._negated((0, row))

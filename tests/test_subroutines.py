@@ -82,9 +82,11 @@ def test_deutsch_arbitrary_pair():
 
 
 def test_deutsch_rejects_equal_indices():
-    # A repeated index and a wrong arity both raise before any query.
+    # A repeated index and a wrong arity both raise before any query: a
+    # group of the wrong length gives a view whose dimension is not the
+    # circuit state's.
     o = CountingOracle("111")
-    for pair in [(1, 1), (1, 2, 3)]:
+    for pair in [(1, 1), (1, 2, 3), [1, 2, 3], (1,)]:
         with pytest.raises(ValueError):
             deutsch(o, pair)
     assert o.query_count == 0
@@ -117,11 +119,21 @@ def test_mod3_deterministic_measurement():
 
 
 def test_mod3_rejects_repeated_indices():
-    o = CountingOracle("111")
-    for triple in [(1, 2, 2), (1, 1, 2), (3, 2, 3), (1, 2)]:
+    o = CountingOracle("1111")
+    for triple in [(1, 2, 2), (1, 1, 2), (3, 2, 3), (1, 2), [1, 2],
+                   (1, 2, 3, 4)]:
         with pytest.raises(ValueError):
             mod3(o, triple)
     assert o.query_count == 0
+
+
+@pytest.mark.parametrize("bits", ["0000", "0110", "1011", "1111"])
+def test_a_list_group_measures_like_the_tuple(bits):
+    for measure, group in [(deutsch, (2, 4)), (deutsch, (3, 1)),
+                           (mod3, (1, 3, 4)), (mod3, (4, 2, 1))]:
+        o, list_o = CountingOracle(bits), CountingOracle(bits)
+        assert measure(list_o, list(group)) == measure(o, group)
+        assert list_o.transcript == o.transcript
 
 
 # ---------------------------------------------------------

@@ -381,7 +381,7 @@ def test_every_memo_is_capped(fresh_tables):
     # later is cleared by the fault tests and must be bounded like these.
     assert {f.__name__ for f in fresh_tables} >= {
         "_flipped", "block_view", "_measure_parity", "_measure_mod3",
-        "apply", "_check_indices", "_audit_shape", "_layout"}
+        "apply", "_check_indices", "_audit_shape", "_layout", "_glue_plan"}
     for f in fresh_tables:
         assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
 
@@ -391,11 +391,20 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     # local flip patterns, 4 parity and 7 mod-3 states before the final
     # matrix, 19 products (8 of _MID, and the 4 of H and 7 of _FIN that
     # the outcome memos make on their misses), one index check per cell,
-    # 86 layouts and 245 audit shapes.
+    # 86 layouts, 101 glue plans and 245 audit shapes.
     # The layouts are the 10 queried index tuples cut by 2 and by 3, and
     # 68 distinct (representatives, prime) pairs of the later levels, 2
     # of which ((1,) by 2 and by 3) are also a queried tuple's:
     # 20 + 68 - 2 = 86.
+    # The glue plans key on (blocks, prime) only, and the blocks of a
+    # level do not depend on n, so cells share them: the empty block list
+    # by 2 and by 3; the 31 nonempty sets of constant pairs among
+    # (1, 2), ..., (9, 10), by 2 (the second level of m = 4, 8 and 12)
+    # and by 3 (m = 6); the 7 nonempty sets of constant triples among
+    # (1, 2, 3), ..., (7, 8, 9), by 3 (m = 9); and the 15 lists of glued
+    # quadruples, each the union of two constant pairs (10 lists of one
+    # and 5 of two), by 2 (m = 8) and by 3 (m = 12):
+    # 2 + 62 + 7 + 30 = 101.
     # The shapes are the distinct (blocks, s2) results of each cell; m
     # and n are in the key, so no two cells share one.  For a prime m
     # each of the n // m groups of the first level is constant or not,
@@ -415,6 +424,7 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert SquareMatrix.apply.cache_info().currsize == 19
     assert hamming_mod._check_indices.cache_info().currsize == 70
     assert hamming_mod._layout.cache_info().currsize == 86
+    assert hamming_mod._glue_plan.cache_info().currsize == 101
     assert sweep._audit_shape.cache_info().currsize == 245
     # One index check, which gives the prime factors, per input.
     inputs = len(DEFAULT_MODULI) * sum(2 ** n for n in range(1, 11))
