@@ -161,25 +161,23 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify_states(args) -> int:
     frozen = load_state_table()
-    computed = {bits: trace_mod3(bits) for bits in STATE_TABLE_ORDER}
-    mismatches = []
-    for stage_idx, stage in enumerate(STAGES):
-        for bits in STATE_TABLE_ORDER:
-            if computed[bits].as_list()[stage_idx] != frozen[stage][bits]:
-                mismatches.append((stage, bits))
+    columns = {bits: trace_mod3(bits).as_list() for bits in STATE_TABLE_ORDER}
+    mismatches = [f"{stage}({bits})"
+                  for stage_idx, stage in enumerate(STAGES)
+                  for bits in STATE_TABLE_ORDER
+                  if columns[bits][stage_idx] != frozen[stage][bits]]
     if args.format == "json":
-        payload = {stage: {bits: frozen[stage][bits].to_json()
+        payload = {stage: {bits: columns[bits][stage_idx].to_json()
                            for bits in STATE_TABLE_ORDER}
-                   for stage in STAGES}
+                   for stage_idx, stage in enumerate(STAGES)}
         payload["match"] = not mismatches
+        payload["mismatches"] = mismatches
         print(json.dumps(payload))
     else:
-        columns = {bits: computed[bits].as_list() for bits in STATE_TABLE_ORDER}
-        print(format_state_table(columns, [f"psi{i}" for i in range(1, 5)]))
-        if mismatches:
-            for stage, bits in mismatches:
-                print(f"MISMATCH: {stage}({bits})")
-        else:
+        print(format_state_table(columns, STAGES))
+        for label in mismatches:
+            print(f"MISMATCH: {label}")
+        if not mismatches:
             print(f"all {len(STAGES) * len(STATE_TABLE_ORDER)} states match "
                   "the frozen table")
     return EXIT_VERIFICATION if mismatches else EXIT_OK
@@ -252,7 +250,7 @@ def cmd_lower_bound(args) -> int:
         "bound": bound,
         "matches_upper_bound": zeros == bound,
     }))
-    return EXIT_OK
+    return EXIT_OK if zeros == bound else EXIT_VERIFICATION
 
 
 _COMMANDS = {

@@ -35,7 +35,7 @@ from qmodw.sweep import run_sweep
 
 SWEEP_N_MAX = 15
 SWEEP_MODULI = (2, 3, 4, 6, 8, 9, 12)
-CERT_N_MAX = 10
+CERT_N_MAX = 12
 
 
 def report(name, ok):

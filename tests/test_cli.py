@@ -5,8 +5,9 @@ import pytest
 from qmodw import cli, hamming_mod, subroutines
 from qmodw.algebra import ONE
 from qmodw.cli import main
+from qmodw.fixtures import STAGES, STATE_TABLE_ORDER
 from qmodw.linalg import SquareMatrix
-from qmodw.subroutines import gram_matrix
+from qmodw.subroutines import gram_matrix, trace_mod3
 
 
 def run_cli(capsys, *argv):
@@ -77,12 +78,16 @@ def test_run_exits_3_on_a_wrong_answer(capsys, monkeypatch):
 
 def test_run_exits_3_on_an_exception_in_the_run(capsys, monkeypatch):
     # A 4 x 4 middle matrix of the mod-3 circuit: the run raises, and
-    # the CLI reports it as the sweep does, without a traceback.
+    # the CLI reports it as the sweep does, without a traceback.  Once
+    # the matrix is restored the same run passes: the failed run stored
+    # nothing.
     monkeypatch.setattr(subroutines, "_MID", SquareMatrix.identity(4))
     code, out, err = run_cli(capsys, "run", "--x", "101", "--m", "3")
     assert code == 3
     assert out == ""
     assert err == "error: ValueError: dimension mismatch: 4 != 5\n"
+    monkeypatch.undo()
+    assert run_cli(capsys, "run", "--x", "101", "--m", "3")[0] == 0
 
 
 def test_run_exits_3_when_the_audit_fails(capsys, monkeypatch):
@@ -100,6 +105,20 @@ def test_run_exits_3_when_the_audit_fails(capsys, monkeypatch):
     assert err.splitlines() == [
         "error: blocks and s2 do not partition the queried indices",
         "error: w2=2 but |x_S2|=1"]
+
+
+@pytest.mark.parametrize("bits, blocks, s2", [
+    ("0001", [[1, 2, 3]], [4]),
+    ("1000", [], [1, 2, 3, 4]),
+])
+def test_run_reads_x_1_as_the_first_character(capsys, bits, blocks, s2):
+    # At m = 3 the first triple is measured and the fourth bit is read:
+    # with x_1 first, 0001 has a constant first triple and 1000 does not,
+    # so a run that reversed the bit order would swap the two reports.
+    code, out, _ = run_cli(capsys, "run", "--x", bits, "--m", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["blocks"], report["s2"]) == (blocks, s2)
 
 
 def test_run_modulus_below_two_exits_1(capsys):
@@ -199,7 +218,7 @@ def test_verify_states_json(capsys):
     code, out, _ = run_cli(capsys, "verify-states", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["match"] is True
+    assert payload["match"] is True and payload["mismatches"] == []
     # psi4(100) second amplitude is -sqrt2/2: basis coord idx 1 = -1/2
     entry = payload["psi4"]["100"][1]
     assert entry[1] == [-1, 2]
@@ -217,7 +236,11 @@ def test_verify_states_reports_a_changed_entry(capsys, monkeypatch):
         "MISMATCH: psi3(101)"]
     assert "states match" not in out
     code, out, _ = run_cli(capsys, "verify-states", "--format", "json")
-    assert code == 3 and json.loads(out)["match"] is False
+    payload = json.loads(out)
+    assert code == 3 and payload["match"] is False
+    # The payload holds the computed states, and names the changed one.
+    assert payload["mismatches"] == ["psi3(101)"]
+    assert payload["psi3"]["101"] == trace_mod3("101").psi3.to_json()
 
 
 def test_gram_reports_a_changed_entry(capsys, monkeypatch):
@@ -272,6 +295,13 @@ def test_gram_exits_3_on_a_corrupted_circuit(capsys, monkeypatch):
     monkeypatch.setattr(subroutines, "U", SquareMatrix(rows))
     code, _, _ = run_cli(capsys, "verify-states")
     assert code == 3
+    code, out, _ = run_cli(capsys, "verify-states", "--format", "json")
+    payload = json.loads(out)
+    assert code == 3 and payload["mismatches"]
+    frozen = cli.load_state_table()
+    assert [f"{stage}({bits})" for stage in STAGES for bits in STATE_TABLE_ORDER
+            if payload[stage][bits] != frozen[stage][bits].to_json()
+            ] == payload["mismatches"]
     for argv in (["gram"], ["gram", "--closed-form"],
                  ["gram", "--format", "json"]):
         code, out, err = run_cli(capsys, *argv)
@@ -301,6 +331,20 @@ def test_lower_bound_single(capsys):
     payload = json.loads(out)
     assert payload == {"n": 6, "m": 3, "zero_weights": 4, "bound": 4,
                        "matches_upper_bound": True}
+
+
+def test_lower_bound_exits_3_when_the_bound_differs(capsys, monkeypatch):
+    # A query bound off by one: both forms print the disagreement and
+    # exit 3.
+    real = cli.query_bound
+    monkeypatch.setattr(cli, "query_bound", lambda n, m: real(n, m) + 1)
+    code, out, _ = run_cli(capsys, "lower-bound", "--n", "6", "--m", "3")
+    assert code == 3
+    assert json.loads(out)["matches_upper_bound"] is False
+    code, out, _ = run_cli(capsys, "lower-bound", "--sweep", "--n-max", "3")
+    assert code == 3
+    assert out.splitlines()[1:] == ["2,2,1,2,False", "3,2,2,3,False",
+                                    "3,3,2,3,False"]
 
 
 def test_lower_bound_domain_error(capsys):

@@ -335,7 +335,7 @@ def test_only_the_state_table_and_gram_see_a_shifted_oracle_flip(
     # Ox~ negates row (i + 1) % dim of QFT for each 1-bit i in place of
     # row i.  A sign flip is unitary, and the sweep applies O_x through
     # phase_apply and never builds Ox~, so only the checks that run the
-    # circuit through Ox~ fail.
+    # circuit through Ox~ fail.  Both pass again once Ox~ is restored.
     negated_rows = SquareMatrix._negated_rows
     monkeypatch.setattr(
         SquareMatrix, "_negated_rows",
@@ -347,3 +347,6 @@ def test_only_the_state_table_and_gram_see_a_shifted_oracle_flip(
     assert main(["gram", "--format", "json"]) == 3
     assert "MISMATCH: G[" in capsys.readouterr().err
     assert all(verify_cell(6, m).all_correct for m in DEFAULT_MODULI)
+    monkeypatch.undo()
+    assert main(["verify-states"]) == 0
+    assert main(["gram"]) == 0
