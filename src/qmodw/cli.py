@@ -243,13 +243,17 @@ def cmd_lower_bound(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     bound = query_bound(args.n, args.m)
-    print(json.dumps({
-        "n": args.n,
-        "m": args.m,
-        "zero_weights": zeros,
-        "bound": bound,
-        "matches_upper_bound": zeros == bound,
-    }))
+    report = {"n": args.n, "m": args.m, "zero_weights": zeros,
+              "bound": bound}
+    try:
+        factor_split(args.m)
+    except UnsupportedModulus:
+        report["upper_bound"] = None
+        report["note"] = ("the upper bound is shown only for "
+                          "m = 2^a * 3^b")
+    else:
+        report["matches_upper_bound"] = zeros == bound
+    print(json.dumps(report))
     return EXIT_OK if zeros == bound else EXIT_VERIFICATION
 
 

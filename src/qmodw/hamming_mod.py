@@ -10,39 +10,33 @@ exact weight is known, using at most n - floor(n/m) queries:
   means a constant triple, outcomes 1 and 2 are the triple's exact weight
   (weights 0 and 3 are the constant cases, so the residue determines it).
 * composite m = p1 * p2 * ... * pk (primes, 2s first): one level per
-  prime.  The first level runs the base case with p1 on the indices.
-  Each further level measures one representative index per constant
-  block, p at a time, through the same base case: a constant group
-  glues its p blocks into one, and the blocks of a non-constant group go
-  to the remainder, their weight being the group's weight times the
-  block size.
+  prime, the first on the indices as above.  Each further level
+  measures one representative index per constant block, p at a time: a
+  constant group glues its p blocks into one, and the blocks of a
+  non-constant group go to the remainder, their weight being the
+  group's weight times the block size.
 
 Leftover indices that do not fill a group are read individually.  All
 choices the underlying math leaves free (prime order, block grouping,
 representatives) are fixed deterministically so runs are replayable.
 
-:func:`partition_weight` is the only public entry and the only place
-that checks: once per call it makes one lookup in :func:`_check_indices`,
-which checks the modulus with :func:`factor_split` and then the range
-and duplicates of the indices, and returns the prime factors.  It is
-memoised per (index tuple, m, n), so a sweep runs the checks once per
-cell, and a bad modulus or tuple raises on every call.  The levels pass
-on only indices derived from these and check nothing again; they keep
-plain lists, and only the end sorts s2 in place and builds the
-immutable ``NamedTuple`` :class:`PartitionResult` with
-``tuple.__new__``, as its ``_make`` does, past the generated Python
-``__new__``.
-Every level measures through :func:`_base_case` (the first directly,
-the others through :func:`_glue`), and the base case calls
-:func:`deutsch` and :func:`mod3`, all through this module's globals, so
-code that replaces one of them there sees every level.  The base case
-takes its groups and leftovers from :func:`_layout`, memoised per
-(index tuple, prime), and :func:`_glue` takes the representatives, the
-map from each to its block and each representative group's merged,
-sorted block from :func:`_glue_plan`, memoised per (blocks, prime).  So
-the 2^n inputs of a sweep cell share one cutting of each index tuple
-and one plan of each glue level; the measurements and reads are still
-made on every call.
+:func:`partition_weight` is the only public entry.  What a run does
+besides measuring (which blocks glue, what goes to s2, what the next
+level measures) depends on the input only through which groups of each
+level came out constant.  So it is one tree per (index tuple, m, n),
+keyed by one int mask per level.  :func:`_plan` memoises the root under
+the shared cap; on a miss it checks the modulus with
+:func:`factor_split`, then the range and duplicates of the indices, and
+stores nothing for bad arguments, so they raise on every call.  A level
+node holds its prime, block size, groups, leftovers, representative to
+block map and ``children`` by mask, built by :func:`_child` on a miss (a
+mask with a bit beyond the level's groups raises); a leaf holds the
+final blocks and sorted s2.  A tree holds at most one node per mask
+path of the inputs run on it, and goes with its root from the capped
+memo.  Per level, :func:`_measure_level` measures every group and reads
+every leftover on every call, through :func:`deutsch` and :func:`mod3`
+looked up in this module's globals, so code that replaces one of them,
+or the level function itself, there sees every level.
 """
 
 from __future__ import annotations
@@ -96,116 +90,121 @@ class PartitionResult(NamedTuple):
 
 def partition_weight(o: CountingOracle, indices: Sequence[int],
                      m: int) -> PartitionResult:
-    """Partition ``indices`` into constant m-blocks and a known remainder.
-
-    One level per prime factor of m: the base case with the first prime
-    on ``indices``, then :func:`_glue` with each further prime on the
-    blocks so far, adding each level's weight times the block size it
-    started from.
+    """Partition ``indices`` into constant m-blocks and a known remainder,
+    one level per prime factor of m down the tree of :func:`_plan`,
+    adding each level's weight times its block size to w2.
 
     Raises ``UnsupportedModulus`` for a bad ``m``, ``IndexError`` naming
     the first index outside [1, n] and ``ValueError`` for a repeated
-    index, all before any query.  These are the only checks of the run:
-    the levels trust the indices they derive from these.
+    index, all before any query.
     """
-    indices = tuple(indices)
-    primes = _check_indices(indices, m, o.n)
+    node = _plan(tuple(indices), m, o.n)
     start = o.query_count
-    size = primes[0]
-    blocks, s2, w2 = _base_case(o, indices, size)
-    for p in primes[1:]:
-        blocks, level_w2 = _glue(o, blocks, p, s2)
-        w2 += size * level_w2
-        size *= p
-    s2.sort()
-    return tuple.__new__(PartitionResult, (m, tuple(blocks), tuple(s2), w2,
+    w2 = 0
+    while node.p:
+        mask, w = _measure_level(o, node.groups, node.rest, node.p)
+        w2 += node.size * w
+        try:
+            node = node.children[mask]
+        except KeyError:
+            node = _child(node, mask)
+    return tuple.__new__(PartitionResult, (m, node.blocks, node.s2, w2,
                                            o.query_count - start))
 
 
+def _measure_level(o: CountingOracle, groups: tuple, rest: tuple,
+                   p: int) -> tuple:
+    """(mask, w) of one level for the prime p: bit j of mask is set when
+    group j came out constant, and w is the weight of the other groups
+    plus the bits of ``rest``, each read once."""
+    measure = deutsch if p == 2 else mod3
+    mask = 0
+    w = 0
+    for j, group in enumerate(groups):
+        outcome = measure(o, group)
+        if outcome:
+            # Weights 0 and p are the constant cases, so for a
+            # non-constant group the residue is the weight itself.
+            w += outcome
+        else:
+            mask |= 1 << j
+    for i in rest:
+        w += o.query_bit(i)
+    return mask, w
+
+
+class _Level:
+    """A level: ``groups`` of p units and leftover units ``rest``, each
+    an index at the first level (``rep_block`` None), else the smallest
+    index of the block ``rep_block[rep]`` of ``size`` indices; ``s2`` is
+    what the levels before sent to the remainder."""
+
+    __slots__ = ("p", "size", "groups", "rest", "rep_block", "s2",
+                 "primes", "children")
+
+    def __init__(self, primes, size, units, rep_block, s2):
+        p = self.p = primes[0]
+        full = len(units) - len(units) % p
+        self.groups = tuple(units[start:start + p]
+                            for start in range(0, full, p))
+        self.rest = units[full:]
+        self.primes = primes[1:]
+        self.size = size
+        self.rep_block = rep_block
+        self.s2 = s2
+        self.children = {}
+
+
+class _Leaf(NamedTuple):
+    """The end of a mask path: the run's blocks and sorted s2."""
+
+    blocks: tuple
+    s2: tuple
+    p: int = 0    # ends the level loop
+
+
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _check_indices(indices: tuple, m: int, n: int) -> tuple:
-    """The prime factors of m, from :func:`factor_split`, which raises
-    for a bad m; then IndexError naming the first index outside [1, n],
-    else ValueError if an index repeats."""
+def _plan(indices: tuple, m: int, n: int) -> _Level:
+    """The root of the plan tree of (indices, m, n), with no children
+    yet.  :func:`factor_split` raises for a bad m; then IndexError names
+    the first index outside [1, n], else ValueError if an index repeats."""
     primes = factor_split(m)
     if indices and (min(indices) < 1 or max(indices) > n):
         bad = next(i for i in indices if not 1 <= i <= n)
         raise IndexError(f"index {bad} out of oracle range [1, {n}]")
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate indices")
-    return primes
+    return _Level(primes, 1, indices, None, ())
 
 
-@lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _layout(indices: tuple, m: int) -> tuple:
-    """(groups, rest): ``indices`` cut into consecutive m-tuples, and the
-    leftover indices that do not fill one."""
-    full = len(indices) - len(indices) % m
-    return (tuple(indices[start:start + m] for start in range(0, full, m)),
-            indices[full:])
-
-
-def _base_case(o: CountingOracle, indices: tuple, m: int):
-    """(blocks, s2, w2) of ``indices`` for a prime m; s2 unsorted.
-
-    The groups and leftovers come from :func:`_layout`, so a sweep cuts
-    each index tuple once, not once per input.  Each group is still
-    measured, and each leftover read, on every call.
-    """
+def _child(node: _Level, mask: int):
+    """The child of ``node`` for ``mask``, stored in its children: a
+    group marked constant is a block (at later levels the sorted union
+    of its representatives' blocks); the rest go to s2 as their blocks."""
+    groups = node.groups
+    if mask >> len(groups):
+        raise ValueError(f"mask {mask:#b} marks a group beyond the "
+                         f"{len(groups)} of its level")
+    rep_block = node.rep_block
     blocks = []
-    s2 = []
-    w2 = 0
-    groups, rest = _layout(indices, m)
-    measure = deutsch if m == 2 else mod3
-    for group in groups:
-        outcome = measure(o, group)
-        if outcome == 0:
+    s2 = list(node.s2)
+    for j, group in enumerate(groups):
+        if rep_block is not None:
+            group = tuple(sorted(i for rep in group for i in rep_block[rep]))
+        if mask >> j & 1:
             blocks.append(group)
         else:
-            # Weights 0 and m are the constant cases, so for a non-constant
-            # group the residue is the weight itself.
             s2.extend(group)
-            w2 += outcome
-    for i in rest:
-        s2.append(i)
-        w2 += o.query_bit(i)
-    return blocks, s2, w2
-
-
-def _glue(o: CountingOracle, blocks: list, p: int, s2: list):
-    """One level for the prime p over constant, equal-sized ``blocks``.
-
-    x is constant on each block, so its smallest index stands for all of
-    it.  The representatives go through the base case p at a time, on
-    every call; each constant group becomes its merged, sorted block, and
-    the blocks of the rest are appended to ``s2``.  Everything but the
-    measurements comes from :func:`_glue_plan`, so a group the plan does
-    not hold raises ``KeyError``.  Returns the new blocks and the weight
-    of the representatives put in s2, which the caller scales by the
-    block size.
-    """
-    reps, rep_block, merged = _glue_plan(tuple(blocks), p)
-    rep_groups, rep_s2, level_w2 = _base_case(o, reps, p)
-    for rep in rep_s2:
-        s2.extend(rep_block[rep])
-    return [merged[group] for group in rep_groups], level_w2
-
-
-@lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _glue_plan(blocks: tuple, p: int) -> tuple:
-    """(reps, rep_block, merged): the part of a :func:`_glue` level that
-    holds for every input.
-
-    ``reps`` are the blocks' smallest indices in block order,
-    ``rep_block`` maps each to its block, and ``merged`` maps each group
-    of ``_layout(reps, p)`` to the sorted union of its blocks.  The maps
-    are shared by every caller and only read.
-    """
-    rep_block = {min(b): b for b in blocks}
-    reps = tuple(rep_block)
-    merged = {group: tuple(sorted(i for rep in group for i in rep_block[rep]))
-              for group in _layout(reps, p)[0]}
-    return reps, rep_block, merged
+    for rep in node.rest:
+        s2.extend((rep,) if rep_block is None else rep_block[rep])
+    if node.primes:
+        rep_block = {min(b): b for b in blocks}
+        child = _Level(node.primes, node.size * node.p, tuple(rep_block),
+                       rep_block, tuple(s2))
+    else:
+        child = _Leaf(tuple(blocks), tuple(sorted(s2)))
+    node.children[mask] = child
+    return child
 
 
 def weight_mod(o: CountingOracle, m: int) -> int:

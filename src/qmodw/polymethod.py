@@ -392,11 +392,16 @@ def is_nondeterministic_poly(p: MultilinearPolynomial, f) -> bool:
 
     ``f`` is a :class:`SymmetricFunctionSpec` or a truth table of 0/1
     entries whose index is ``int(x_1...x_n, 2)``, the same int the
-    oracle holds for the input x.
+    oracle holds for the input x.  A symmetric spec and a symmetric p
+    are compared weight by weight (:func:`_weight_support`); any other
+    p goes through the cube transform.
     """
     if isinstance(f, SymmetricFunctionSpec):
         if f.n != p.n:
             raise ValueError(f"size mismatch: {f.n} != {p.n}")
+        support = _weight_support(p)
+        if support is not None:
+            return support == [v == 1 for v in f.values]
         table = [f.values[w] for w in _weights(p.n)]
     else:
         table = list(f)
@@ -410,6 +415,29 @@ def is_nondeterministic_poly(p: MultilinearPolynomial, f) -> bool:
     if not cols:
         return not any(table)
     return list(map(any, zip(*cols.values()))) == [v == 1 for v in table]
+
+
+def _weight_support(p: MultilinearPolynomial):
+    """[P(w) != 0 for w = 0..n] if p is symmetric, else None.
+
+    p is symmetric when each of its levels k holds all C(n, k) monomials
+    with one value per packed column, c_k.  Then p(x) = P(|x|) with
+    P(w) = sum_k C(w, k) c_k, so P at the n + 1 weights is p's support
+    on the whole cube.  The columns are the coordinates of one basis
+    over Q, so P(w) is zero exactly when each column's sum is.
+    """
+    n = p.n
+    levels = []
+    for k, (lo, hi) in p._levels.items():
+        row = [col[lo] for _, col in p._cols]
+        if hi - lo != math.comb(n, k) or any(
+                col[lo:hi].count(x) != hi - lo
+                for (_, col), x in zip(p._cols, row)):
+            return None
+        levels.append((k, row))
+    return [any(sum(math.comb(w, k) * row[j] for k, row in levels)
+                for j in range(len(p._cols)))
+            for w in range(n + 1)]
 
 
 def ndeg_lower_bound(f: SymmetricFunctionSpec) -> int:

@@ -6,6 +6,7 @@ input sweep is computed once and shared between the correctness and
 tightness criteria.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -64,6 +65,23 @@ def test_query_bound_is_tight(sweep_rows):
         for row in applicable)
     report("worst case attains the bound (at the all-zeros input) "
            "whenever m <= n", ok)
+
+
+# sha256 of repr((n, m, inputs, failures, max_queries, bound,
+# zero_input_queries)) of each row, in (n, m) order.  A repr of ints, not
+# a pickle, so it is the same on every Python version.
+SWEEP_ROWS_DIGEST = (
+    "a996a2866e5e88bfb53e44aa965600a7f4c49b14b5d6fd29fcd79b279fe11fa0")
+
+
+def test_sweep_rows_are_pinned(sweep_rows):
+    digest = hashlib.sha256()
+    for row in sweep_rows:
+        digest.update(repr((row.n, row.m, row.inputs, row.failures,
+                            row.max_queries, row.bound,
+                            row.zero_input_queries)).encode())
+    report(f"the {len(sweep_rows)} sweep rows, n <= {SWEEP_N_MAX}, equal "
+           "the pinned digest", digest.hexdigest() == SWEEP_ROWS_DIGEST)
 
 
 def test_intermediate_states_match_frozen_table():

@@ -91,19 +91,21 @@ def test_run_exits_3_on_an_exception_in_the_run(capsys, monkeypatch):
 
 
 def test_run_exits_3_when_the_audit_fails(capsys, monkeypatch):
-    # The last leftover bit is read and counted in w2 but left out of
-    # s2: residue and budget are right, only the audit sees it.
-    real = hamming_mod._base_case
+    # The first group of each level is reported constant, its outcome
+    # still counted in w: the pair (1, 2) of 101 becomes a block and its
+    # weight stays in w2.  Residue and budget are right, only the audit
+    # sees it.
+    real = hamming_mod._measure_level
 
-    def base_case(o, indices, m):
-        blocks, s2, w2 = real(o, indices, m)
-        return blocks, s2[:-1] if len(indices) % m else s2, w2
-    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+    def measure_level(o, groups, rest, p):
+        mask, w = real(o, groups, rest, p)
+        return mask | 1 if groups else mask, w
+    monkeypatch.setattr(hamming_mod, "_measure_level", measure_level)
     code, out, err = run_cli(capsys, "run", "--x", "101", "--m", "2")
     assert code == 3
     assert out == ""
     assert err.splitlines() == [
-        "error: blocks and s2 do not partition the queried indices",
+        "error: block (1, 2) not constant on input 101",
         "error: w2=2 but |x_S2|=1"]
 
 
@@ -331,6 +333,26 @@ def test_lower_bound_single(capsys):
     payload = json.loads(out)
     assert payload == {"n": 6, "m": 3, "zero_weights": 4, "bound": 4,
                        "matches_upper_bound": True}
+
+
+@pytest.mark.parametrize("m", [5, 7, 10])
+def test_lower_bound_claims_no_upper_bound_without_an_algorithm(capsys, m):
+    # The zero-weight count still equals n - floor(n/m), so the exit code
+    # is 0, but no algorithm here meets the bound for this m.
+    code, out, _ = run_cli(capsys, "lower-bound", "--n", "12", "--m", str(m))
+    assert code == 0
+    bound = 12 - 12 // m
+    assert json.loads(out) == {
+        "n": 12, "m": m, "zero_weights": bound, "bound": bound,
+        "upper_bound": None,
+        "note": "the upper bound is shown only for m = 2^a * 3^b"}
+
+
+def test_lower_bound_matches_the_upper_bound_for_a_supported_modulus(capsys):
+    code, out, _ = run_cli(capsys, "lower-bound", "--n", "12", "--m", "6")
+    assert code == 0
+    assert json.loads(out) == {"n": 12, "m": 6, "zero_weights": 10,
+                               "bound": 10, "matches_upper_bound": True}
 
 
 def test_lower_bound_exits_3_when_the_bound_differs(capsys, monkeypatch):

@@ -3,11 +3,18 @@
 Each fault makes ``verify_cell`` report failing inputs with reasons and
 ``qmodw sweep --n-max 4`` exit 3.  A warm run first fills every memo
 (the oracle's views and flips, the outcomes of ``deutsch`` and ``mod3``
-keyed on their final matrix, the index checks with the prime factors
-of each modulus, the audit's shapes and the ``apply`` products) with a
-correct sweep, so a fault that a stored entry could hide would
-show up as a passing warm run.  The ``fresh_tables`` fixture empties
-those memos before and after the test.
+keyed on their final matrix, the plan trees of ``partition_weight``,
+the audit's shapes and the ``apply`` products) with a correct sweep, so
+a fault that a stored entry could hide would show up as a passing warm
+run.  The ``fresh_tables`` fixture empties those memos before and after
+the test.
+
+The faults of a run's measurements go through the per-level function
+``hamming_mod._measure_level``, which runs on every call.  Blocks and s2
+come from the plan tree, built once per mask path, so a fault in them
+has two forms: one in the child builder ``hamming_mod._child``, which
+only a cold tree runs, and one that rewrites each result on its way to
+the sweep, cold or warm.
 
 The last test injects a fault the sweep cannot see, a sign flip on the
 wrong row of the Fourier-basis oracle Ox~, which the sweep never builds:
@@ -20,6 +27,7 @@ import pytest
 
 from qmodw import hamming_mod, oracle, subroutines, sweep
 from qmodw.cli import main
+from qmodw.hamming_mod import PartitionResult, factor_split
 from qmodw.linalg import SquareMatrix
 from qmodw.sweep import DEFAULT_MODULI, FAILURES_KEPT, verify_cell
 from qmodw.oracle import CountingOracle
@@ -75,24 +83,21 @@ def drop_flip(monkeypatch):
 
 
 def skip_query(monkeypatch):
-    # The last leftover index is put in s2 without being read.
-    real = hamming_mod._base_case
+    # The last leftover index of a level stays in s2 but is not read.
+    real = hamming_mod._measure_level
 
-    def base_case(o, indices, m):
-        if len(indices) % m == 0:
-            return real(o, indices, m)
-        blocks, s2, w2 = real(o, indices[:-1], m)
-        return blocks, s2 + [indices[-1]], w2
-    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+    def measure_level(o, groups, rest, p):
+        return real(o, groups, rest[:-1], p)
+    monkeypatch.setattr(hamming_mod, "_measure_level", measure_level)
 
 
 def w2_off_by_one(monkeypatch):
-    real = hamming_mod._base_case
+    real = hamming_mod._measure_level
 
-    def base_case(o, indices, m):
-        blocks, s2, w2 = real(o, indices, m)
-        return blocks, s2, w2 + 1
-    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+    def measure_level(o, groups, rest, p):
+        mask, w = real(o, groups, rest, p)
+        return mask, w + 1
+    monkeypatch.setattr(hamming_mod, "_measure_level", measure_level)
 
 
 def mid_wrong_dimension(monkeypatch):
@@ -105,14 +110,14 @@ def extra_leftover_read(monkeypatch):
     # The last leftover bit is read a second time: the answer and the
     # partition stay right, and a run that used its whole budget goes
     # one query over it.
-    real = hamming_mod._base_case
+    real = hamming_mod._measure_level
 
-    def base_case(o, indices, m):
-        found = real(o, indices, m)
-        if len(indices) % m:
-            o.query_bit(indices[-1])
+    def measure_level(o, groups, rest, p):
+        found = real(o, groups, rest, p)
+        if rest:
+            o.query_bit(rest[-1])
         return found
-    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+    monkeypatch.setattr(hamming_mod, "_measure_level", measure_level)
 
 
 def misreported_queries(monkeypatch):
@@ -126,15 +131,15 @@ def misreported_queries(monkeypatch):
 
 
 def block_with_a_non_index(monkeypatch):
-    # Each base-case block gains a None: at a prime m the run ends with
-    # a right answer and the audit raises reading the block; at a
-    # composite m the next level raises taking its representative.
-    real = hamming_mod._base_case
+    # Each level's mask also marks constant a group after its last one,
+    # whose block would hold indices the level does not have: the child
+    # lookup raises, cold or warm, and stores nothing.
+    real = hamming_mod._measure_level
 
-    def base_case(o, indices, m):
-        blocks, s2, w2 = real(o, indices, m)
-        return [block + (None,) for block in blocks], s2, w2
-    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+    def measure_level(o, groups, rest, p):
+        mask, w = real(o, groups, rest, p)
+        return mask | 1 << len(groups), w
+    monkeypatch.setattr(hamming_mod, "_measure_level", measure_level)
 
 
 FAULTS = [corrupt_u, corrupt_v, corrupt_h, drop_flip, skip_query,
@@ -169,7 +174,8 @@ def test_fault_fails_the_sweep(fresh_tables, monkeypatch, capsys, fault,
     (extra_leftover_read, r"used \d+ queries, bound \d+"),
     (misreported_queries,
      r"oracle counted \d+ queries, result reports \d+"),
-    (block_with_a_non_index, r"TypeError: .+"),
+    (block_with_a_non_index,
+     r"ValueError: mask 0b1[01]* marks a group beyond the \d+ of its level"),
 ], ids=["extra_leftover_read", "misreported_queries",
         "block_with_a_non_index"])
 def test_run_reports_the_reason_the_sweep_keeps(fresh_tables, monkeypatch,
@@ -208,10 +214,13 @@ def test_a_block_with_a_non_index_is_audited_once(fresh_tables,
                                                   monkeypatch):
     # The result's blocks are tuples, so the TypeError is the audit's
     # own: the shape is computed once and the error chains to nothing.
-    block_with_a_non_index(monkeypatch)
-    result = hamming_mod.partition_weight(CountingOracle.from_int(0, 2),
-                                          (1, 2), 2)
-    assert result.blocks == ((1, 2, None),)
+    # The run that judge_run replays makes its one query and returns it.
+    result = PartitionResult(2, ((1, 2, None),), (), 0, 1)
+
+    def partition_weight(o, indices, m):
+        o.query_bit(1)
+        return result
+    monkeypatch.setattr(sweep, "partition_weight", partition_weight)
     with pytest.raises(TypeError) as caught:
         audit_partition(result, 0, 2, (1, 2))
     assert caught.value.__context__ is None
@@ -226,24 +235,25 @@ def test_a_block_with_a_non_index_is_audited_once(fresh_tables,
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_a_group_the_glue_plan_does_not_hold_fails_its_input(
         fresh_tables, monkeypatch, warm):
-    # Each base case hands its groups back reversed.  The first level's
-    # blocks stay constant and a partition, so m = 2 passes; a constant
-    # group of representatives, (3, 1) at m = 4, is not one the glue
-    # plan holds, so its input fails with a KeyError instead of being
-    # glued.
+    # A mask that marks a group the level does not hold: every input
+    # fails with the ValueError of the child lookup, a warm tree gains no
+    # child, and once the level function is restored the cell passes.
     if warm:
         assert verify_cell(4, 4).failures == 0
-    real = hamming_mod._base_case
-
-    def base_case(o, indices, m):
-        blocks, s2, w2 = real(o, indices, m)
-        return [block[::-1] for block in blocks], s2, w2
-    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
-    assert verify_cell(4, 2).failures == 0
+    root = hamming_mod._plan((1, 2, 3, 4), 4, 4)
+    children = dict(root.children)
+    block_with_a_non_index(monkeypatch)
     row = verify_cell(4, 4)
-    assert row.failures == 2
+    assert row.failures == 16
     assert row.first_failures == tuple(
-        (bits, ("KeyError: (3, 1)",)) for bits in ("0000", "1111"))
+        (bits, (f"ValueError: mask {mask:#b} marks a group beyond the 2 "
+                "of its level",))
+        for bits, mask in (("0000", 0b111), ("0001", 0b101),
+                           ("0010", 0b101)))
+    assert root.children == children
+    assert len(children) == (4 if warm else 0)
+    monkeypatch.undo()
+    assert verify_cell(4, 4).failures == 0
 
 
 # ---------------------------------------------------------
@@ -251,39 +261,87 @@ def test_a_group_the_glue_plan_does_not_hold_fails_its_input(
 # ---------------------------------------------------------
 
 def glue_next_block(monkeypatch):
-    # Each representative brings the block of the representative after it
-    # (the last one brings its own), so a glued block can mix blocks of
-    # different values or repeat one while another goes missing.  s2 and
-    # the level weight stay exact, so only the audit can tell.
-    def glue(o, blocks, p, s2):
-        rep_block = {min(b): b for b in blocks}
-        reps = list(rep_block)
-        rep_groups, rep_s2, level_w2 = hamming_mod._base_case(
-            o, tuple(reps), p)
-        glued = dict(zip(reps, reps[1:] + reps[-1:]))
-        new_blocks = [tuple(sorted(i for rep in group
-                                   for i in rep_block[glued[rep]]))
-                      for group in rep_groups]
-        for rep in rep_s2:
-            s2.extend(rep_block[rep])
-        return new_blocks, level_w2
-    monkeypatch.setattr(hamming_mod, "_glue", glue)
+    # Each block of the result is replaced by the block after it (the
+    # last one stays), so a block repeats while another goes missing.
+    # s2, w2 and the queries stay exact, so only the audit can tell.
+    real = sweep.partition_weight
+
+    def partition_weight(o, indices, m):
+        result = real(o, indices, m)
+        blocks = result.blocks
+        return result._replace(blocks=blocks[1:] + blocks[-1:])
+    monkeypatch.setattr(sweep, "partition_weight", partition_weight)
 
 
 def leftover_read_not_in_s2(monkeypatch):
-    # The last leftover bit is read and counted into w2, but its index is
-    # left out of s2.
-    real = hamming_mod._base_case
+    # The last queried index, a leftover of the first level when the
+    # first prime does not divide the count, is read and counted into w2
+    # but left out of s2.
+    real = sweep.partition_weight
 
-    def base_case(o, indices, m):
-        blocks, s2, w2 = real(o, indices, m)
-        if len(indices) % m:
-            s2 = s2[:-1]
-        return blocks, s2, w2
-    monkeypatch.setattr(hamming_mod, "_base_case", base_case)
+    def partition_weight(o, indices, m):
+        result = real(o, indices, m)
+        if len(indices) % factor_split(m)[0]:
+            result = result._replace(
+                s2=tuple(i for i in result.s2 if i != indices[-1]))
+        return result
+    monkeypatch.setattr(sweep, "partition_weight", partition_weight)
 
 
 AUDIT_ONLY_FAULTS = [glue_next_block, leftover_read_not_in_s2]
+
+
+def glue_next_block_in_the_plan(monkeypatch):
+    # At each glue level a representative brings the block of the
+    # representative after it (the last one brings its own), so a glued
+    # block can mix blocks of different values or repeat one while
+    # another goes missing.  s2 and the level weight stay exact.
+    real = hamming_mod._child
+
+    def child(node, mask):
+        found = real(node, mask)
+        rep_block = node.rep_block
+        if rep_block is None:
+            return found
+        reps = list(rep_block)
+        brought = dict(zip(reps, reps[1:] + reps[-1:]))
+        blocks = tuple(
+            tuple(sorted(i for rep in group for i in rep_block[brought[rep]]))
+            for j, group in enumerate(node.groups) if mask >> j & 1)
+        if found.p:
+            glued = {min(b): b for b in blocks}
+            found = hamming_mod._Level(node.primes, found.size, tuple(glued),
+                                       glued, found.s2)
+        else:
+            found = found._replace(blocks=blocks)
+        node.children[mask] = found
+        return found
+    monkeypatch.setattr(hamming_mod, "_child", child)
+
+
+def leftover_read_not_in_s2_in_the_plan(monkeypatch):
+    # The indices of each level's last leftover are read and counted
+    # into w2, but left out of s2.
+    real = hamming_mod._child
+
+    def child(node, mask):
+        found = real(node, mask)
+        if not node.rest:
+            return found
+        last = node.rest[-1]
+        dropped = ((last,) if node.rep_block is None
+                   else node.rep_block[last])
+        s2 = tuple(i for i in found.s2 if i not in dropped)
+        if found.p:
+            found.s2 = s2
+        else:
+            found = node.children[mask] = found._replace(s2=s2)
+        return found
+    monkeypatch.setattr(hamming_mod, "_child", child)
+
+
+PLAN_FAULTS = [glue_next_block_in_the_plan,
+               leftover_read_not_in_s2_in_the_plan]
 
 
 def _audit_failures(n, m, bound):
@@ -296,7 +354,7 @@ def _audit_failures(n, m, bound):
     for hidden in range(2 ** n):
         bits = format(hidden, f"0{n}b")
         o = CountingOracle.from_int(hidden, n)
-        result = hamming_mod.partition_weight(o, indices, m)
+        result = sweep.partition_weight(o, indices, m)
         assert _run_problems(result, hidden, m, bound, o) == []
         reasons = audit_partition(result, hidden, n, indices)
         if reasons:
@@ -312,6 +370,19 @@ def test_only_the_audit_catches_fault(fresh_tables, monkeypatch, capsys,
         assert all(row.failures == 0 for row in _cells())
         assert all(f.cache_info().currsize for f in fresh_tables)
     fault(monkeypatch)
+    _only_the_audit_fails(capsys)
+
+
+@pytest.mark.parametrize("fault", PLAN_FAULTS, ids=lambda f: f.__name__)
+def test_only_the_audit_catches_a_cold_plan_fault(fresh_tables, monkeypatch,
+                                                  capsys, fault):
+    # The child builder runs only on a cold tree, and every later run of
+    # a path takes its faulty node, so the audit fails the same inputs.
+    fault(monkeypatch)
+    _only_the_audit_fails(capsys)
+
+
+def _only_the_audit_fails(capsys):
     rows = _cells()
     assert any(row.failures for row in rows)
     for row in rows:

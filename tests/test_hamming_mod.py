@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmodw import hamming_mod
+from qmodw import hamming_mod, sweep
 from qmodw.hamming_mod import (
     PartitionResult, UnsupportedModulus,
     factor_split, partition_weight, query_bound, weight_mod,
 )
 from qmodw.oracle import CountingOracle
+from qmodw.subroutines import deutsch, mod3
 from qmodw.sweep import DEFAULT_MODULI, audit_partition, verify_cell
 
 
@@ -74,15 +75,14 @@ def test_factor_split_rejects_other_primes(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 36])
 def test_factor_split_is_memoised(fresh_tables, m):
-    # The factors are memoised with the index check, one lookup per run:
-    # factor_split itself has no memo of its own.
+    # The factors are memoised in the root of the plan, with the index
+    # check, one lookup per run: factor_split has no memo of its own.
     assert not hasattr(factor_split, "cache_info")
     indices = tuple(range(1, 7))
-    first = hamming_mod._check_indices(indices, m, 6)
-    assert first == factor_split(m)
-    assert all(hamming_mod._check_indices(indices, m, 6) is first
-               for _ in range(3))
-    info = hamming_mod._check_indices.cache_info()
+    first = hamming_mod._plan(indices, m, 6)
+    assert (first.p,) + first.primes == factor_split(m)
+    assert all(hamming_mod._plan(indices, m, 6) is first for _ in range(3))
+    info = hamming_mod._plan.cache_info()
     assert (info.hits, info.misses) == (3, 1)
 
 
@@ -188,7 +188,7 @@ def test_index_check_is_memoised_and_raises_on_every_call(fresh_tables):
     with pytest.raises(IndexError, match="index 3"):
         partition_weight(CountingOracle("11"), (1, 2, 3), 3)
     assert o.query_count == 3 * 2
-    info = hamming_mod._check_indices.cache_info()
+    info = hamming_mod._plan.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 8, 1)
 
 
@@ -214,9 +214,11 @@ def test_partition_result_is_an_immutable_tuple_of_five_fields():
 def test_layout_cuts_consecutive_groups_and_keeps_the_rest(fresh_tables,
                                                            indices, m,
                                                            groups, rest):
+    # The root cuts the indices into groups of m and leftovers.
     for _ in range(2):
-        assert hamming_mod._layout(indices, m) == (groups, rest)
-    info = hamming_mod._layout.cache_info()
+        root = hamming_mod._plan(indices, m, max(indices, default=0))
+        assert (root.groups, root.rest) == (groups, rest)
+    info = hamming_mod._plan.cache_info()
     assert (info.hits, info.misses) == (1, 1)
 
 
@@ -230,13 +232,34 @@ def test_unsupported_modulus_propagates():
 # The level loop against the recursion it replaced
 # ---------------------------------------------------------
 
+def reference_base_case(o, indices, m):
+    """(blocks, s2, w2) of ``indices`` for a prime m, s2 unsorted: each
+    consecutive m-tuple measured, a constant one kept as a block, and
+    each leftover index read."""
+    measure = deutsch if m == 2 else mod3
+    full = len(indices) - len(indices) % m
+    blocks, s2, w2 = [], [], 0
+    for start in range(0, full, m):
+        group = indices[start:start + m]
+        outcome = measure(o, group)
+        if outcome == 0:
+            blocks.append(group)
+        else:
+            s2.extend(group)
+            w2 += outcome
+    for i in indices[full:]:
+        s2.append(i)
+        w2 += o.query_bit(i)
+    return blocks, s2, w2
+
+
 def reference_partition(o, indices, m):
     """(blocks, s2, w2) by the smallest-prime-first recursion: the base
     case for a prime m, else the base case with the smallest prime m1,
     then the same recursion with m // m1 on one representative per
     constant block."""
     if m in (2, 3):
-        return hamming_mod._base_case(o, indices, m)
+        return reference_base_case(o, indices, m)
     m1 = 2 if m % 2 == 0 else 3
     inner_blocks, s2, inner_w2 = reference_partition(o, indices, m1)
     rep_block = {min(b): b for b in inner_blocks}
@@ -289,7 +312,7 @@ def test_recursion_matches_level_by_level_reference(m):
 
 
 # ---------------------------------------------------------
-# The glue plan against the glue it replaced
+# The plan tree against the level loop it replaced
 # ---------------------------------------------------------
 
 def reference_glue(o, blocks, p, s2):
@@ -297,7 +320,7 @@ def reference_glue(o, blocks, p, s2):
     block's smallest index to the block, and each constant group's
     blocks merged and sorted."""
     rep_block = {min(b): b for b in blocks}
-    rep_groups, rep_s2, level_w2 = hamming_mod._base_case(
+    rep_groups, rep_s2, level_w2 = reference_base_case(
         o, tuple(rep_block), p)
     glued = []
     for group in rep_groups:
@@ -310,6 +333,22 @@ def reference_glue(o, blocks, p, s2):
     return glued, level_w2
 
 
+def reference_levels(o, indices, m):
+    """PartitionResult by the level loop, everything built per call: the
+    base case with the first prime, then one glue level per further
+    prime, each adding its weight times the block size so far."""
+    primes = factor_split(m)
+    start = o.query_count
+    size = primes[0]
+    blocks, s2, w2 = reference_base_case(o, tuple(indices), size)
+    for p in primes[1:]:
+        blocks, level_w2 = reference_glue(o, blocks, p, s2)
+        w2 += size * level_w2
+        size *= p
+    return PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
+                           o.query_count - start)
+
+
 def index_orders(n):
     """1..n and three seeded permutations of it."""
     rng = random.Random(n)
@@ -318,41 +357,120 @@ def index_orders(n):
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
-def test_glue_plan_matches_the_per_call_glue(fresh_tables, monkeypatch, m):
-    # Same result and same queries on every input n <= 8.  The
+def test_glue_plan_matches_the_per_call_glue(fresh_tables, m):
+    # Same result and same queries on every input n <= 8, with the tree
+    # cold for the first input of each index order and warm after.  The
     # representative is a block's smallest index, not its first, so the
     # permuted orders give blocks whose first index is not the smallest.
-    cases = [(hidden, n, indices) for n in range(9)
-             for indices in index_orders(n) for hidden in range(2 ** n)]
-    planned = []
-    for hidden, n, indices in cases:
-        o = CountingOracle.from_int(hidden, n)
-        planned.append((partition_weight(o, indices, m), o.transcript))
-    monkeypatch.setattr(hamming_mod, "_glue", reference_glue)
-    for (hidden, n, indices), expected in zip(cases, planned):
-        o = CountingOracle.from_int(hidden, n)
-        assert (partition_weight(o, indices, m), o.transcript) == expected, (
-            hidden, indices)
+    for n in range(9):
+        for indices in index_orders(n):
+            for hidden in range(2 ** n):
+                o = CountingOracle.from_int(hidden, n)
+                ref_o = CountingOracle.from_int(hidden, n)
+                assert (partition_weight(o, indices, m), o.transcript) == (
+                    reference_levels(ref_o, indices, m), ref_o.transcript), (
+                    hidden, indices)
 
 
 def test_glue_plan_holds_the_representatives_and_merged_groups(
         fresh_tables):
+    # An all-zeros input takes the path of all-constant masks: five
+    # constant pairs, then two constant pairs of representatives and the
+    # leftover representative 9, read, whose block goes to s2.
+    indices = (4, 3, 1, 2, 6, 5, 8, 7, 9, 10)
+    root = hamming_mod._plan(indices, 4, 10)
     blocks = ((4, 3), (1, 2), (6, 5), (8, 7), (9, 10))
+    assert (root.p, root.size, root.groups, root.rest) == (2, 1, blocks, ())
     for _ in range(2):
-        reps, rep_block, merged = hamming_mod._glue_plan(blocks, 2)
-        assert reps == (3, 1, 5, 7, 9)
-        assert rep_block == dict(zip(reps, blocks))
-        assert merged == {(3, 1): (1, 2, 3, 4), (5, 7): (5, 6, 7, 8)}
-    info = hamming_mod._glue_plan.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+        result = partition_weight(CountingOracle.from_int(0, 10), indices, 4)
+        glue = root.children[0b11111]
+        assert list(root.children) == [0b11111]
+        reps = (3, 1, 5, 7, 9)
+        assert glue.rep_block == dict(zip(reps, blocks))
+        assert (glue.p, glue.size, glue.groups, glue.rest, glue.s2) == (
+            2, 2, ((3, 1), (5, 7)), (9,), ())
+        assert list(glue.children) == [0b11]
+        leaf = glue.children[0b11]
+        assert (leaf.blocks, leaf.s2) == (((1, 2, 3, 4), (5, 6, 7, 8)),
+                                          (9, 10))
+        assert (result.blocks, result.s2) == (leaf.blocks, leaf.s2)
+    info = hamming_mod._plan.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
 
 
 def test_glue_plan_stores_nothing_for_a_block_with_a_non_index(
         fresh_tables):
-    for _ in range(2):
-        with pytest.raises(TypeError):
-            hamming_mod._glue_plan(((1, 2), (3, None)), 2)
-    assert hamming_mod._glue_plan.cache_info().currsize == 0
+    # A mask that marks a group beyond its level's groups constant would
+    # make a block of indices the level does not hold: the child lookup
+    # raises on every call and stores nothing.
+    root = hamming_mod._plan((1, 2, 3), 2, 3)
+    for mask in (0b10, 0b11, 0b100):
+        with pytest.raises(ValueError, match=rf"^mask {mask:#b} marks a "
+                           r"group beyond the 1 of its level$"):
+            hamming_mod._child(root, mask)
+    assert root.children == {}
+    assert hamming_mod._child(root, 0b1).s2 == (3,)
+
+
+def tree_size(node):
+    """The nodes of a plan tree: ``node`` and every node below it."""
+    return 1 + sum(map(tree_size, node.children.values())) if node.p else 1
+
+
+def test_the_plan_memo_is_transparent_and_as_large_as_the_mask_paths(
+        fresh_tables, monkeypatch):
+    # Each input's masks, one per level, are recorded through the level
+    # function.  After a cold cell the tree has one node per distinct
+    # prefix of those sequences, the empty one being the root; a warm
+    # cell builds none, and clearing the memo drops the trees.  Paths,
+    # not results, count: at n = 4, m = 4 the masks 00 and 01 of the
+    # first level both end with no block and s2 = (1, 2, 3, 4).
+    real = hamming_mod._measure_level
+    paths = []
+
+    def measure_level(o, groups, rest, p):
+        found = real(o, groups, rest, p)
+        paths[-1] += (found[0],)
+        return found
+
+    def run_with_path(o, indices, m):
+        paths.append(())
+        return partition_weight(o, indices, m)
+    monkeypatch.setattr(hamming_mod, "_measure_level", measure_level)
+    monkeypatch.setattr(sweep, "partition_weight", run_with_path)
+    nodes = 0
+    for n in range(1, 11):
+        indices = tuple(range(1, n + 1))
+        for m in DEFAULT_MODULI:
+            paths.clear()
+            cold = verify_cell(n, m)
+            assert cold.failures == 0 and len(paths) == 2 ** n
+            prefixes = {path[:k] for path in paths
+                        for k in range(len(path) + 1)}
+            root = hamming_mod._plan(indices, m, n)
+            assert tree_size(root) == len(prefixes)
+            assert verify_cell(n, m) == cold
+            assert hamming_mod._plan(indices, m, n) is root
+            assert tree_size(root) == len(prefixes)
+            nodes += len(prefixes)
+    assert nodes == 1609
+    leaves = {}
+    collect_leaves(hamming_mod._plan((1, 2, 3, 4), 4, 4), (), leaves)
+    assert leaves[(0b00, 0)] == leaves[(0b01, 0)] == ((), (1, 2, 3, 4))
+    assert hamming_mod._plan.cache_info().currsize == 70
+    hamming_mod._plan.cache_clear()
+    assert hamming_mod._plan.cache_info().currsize == 0
+    fresh = hamming_mod._plan((1, 2, 3, 4), 4, 4)
+    assert fresh.children == {}
+
+
+def collect_leaves(node, path, leaves):
+    """(blocks, s2) of each leaf below ``node``, by its mask path."""
+    if not node.p:
+        leaves[path] = (node.blocks, node.s2)
+        return
+    for mask, child in node.children.items():
+        collect_leaves(child, path + (mask,), leaves)
 
 
 PARTITION_DIGEST = (

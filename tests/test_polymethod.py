@@ -449,6 +449,96 @@ def test_weight_certificate_small_cases():
         weight_certificate(3, 4)
 
 
+def symmetric_polynomial(n, level_values):
+    """The sum over k of level_values[k] times every k-variable monomial."""
+    return MultilinearPolynomial(n, {
+        s: c for k, c in enumerate(level_values) if c
+        for s in itertools.combinations(range(1, n + 1), k)})
+
+
+def cube_table(spec):
+    """The truth table of a symmetric spec, which the cube path checks."""
+    return [spec.values[x.bit_count()] for x in range(1 << spec.n)]
+
+
+def no_cube(monkeypatch):
+    """Make the cube path raise, so a check that returns took the weights."""
+    def refuse(*args):
+        raise AssertionError("the cube path ran")
+    monkeypatch.setattr(polymethod, "_weights", refuse)
+    monkeypatch.setattr(polymethod, "_cube_values", refuse)
+
+
+def test_weight_level_check_agrees_with_the_cube_on_every_certificate(
+        monkeypatch):
+    # Every certificate with 2 <= m <= n <= 12 is symmetric.  The cube
+    # check accepts it for its own spec and rejects it for the spec of
+    # another modulus (whose zero weights differ); the weight-level check
+    # gives the same answers without building the weights or the cube.
+    cases = []
+    for n in range(2, 13):
+        for m in range(2, n + 1):
+            p = weight_certificate(n, m)
+            others = [m + 1] if m < n else [m - 1] if m > 2 else []
+            for spec, certifies in [(mod_m_spec(n, m), True)] + [
+                    (mod_m_spec(n, other), False) for other in others]:
+                assert is_nondeterministic_poly(
+                    p, cube_table(spec)) is certifies, (n, m, spec)
+                cases.append((p, spec, certifies))
+    assert len(cases) == 66 + 65
+    no_cube(monkeypatch)
+    for p, spec, certifies in cases:
+        assert is_nondeterministic_poly(p, spec) is certifies, (p.n, spec)
+
+
+def test_a_non_symmetric_certificate_takes_the_cube_path(monkeypatch):
+    # cert * (1 + x_1) has the support of the certificate, since 1 + x_1
+    # is 1 or 2, but its monomials with x_1 have twice the value of the
+    # others.  Dropping one top monomial keeps one value per level but
+    # leaves a level short.  Both go through the cube, and agree with
+    # the per-point definition.
+    n, m = 6, 3
+    spec = mod_m_spec(n, m)
+    cert = weight_certificate(n, m)
+    doubled = {}
+    for subset, a in cert.coeffs.items():
+        for s in (subset, subset | {1}):
+            doubled[s] = doubled.get(s, ZERO) + a
+    short = dict(cert.coeffs)
+    del short[frozenset({1, 2, 3, 4})]
+    real = polymethod._cube_values
+    calls = []
+
+    def cube_values(p):
+        calls.append(p)
+        return real(p)
+    monkeypatch.setattr(polymethod, "_cube_values", cube_values)
+    for p, certifies in ((MultilinearPolynomial(n, doubled), True),
+                         (MultilinearPolynomial(n, short), False)):
+        assert polymethod._weight_support(p) is None
+        calls.clear()
+        assert is_nondeterministic_poly(p, spec) is certifies
+        assert reference_is_nondeterministic_poly(p, spec) is certifies
+        assert calls == [p]
+
+
+def test_a_symmetric_polynomial_that_vanishes_where_f_is_one_is_rejected(
+        monkeypatch):
+    # P(t) = (t - 3) * prod (t - w) over the zero weights of n = 6, m = 3
+    # vanishes at every zero weight and also at 3, where f = 1.
+    n, m = 6, 3
+    spec = mod_m_spec(n, m)
+    values = [math.prod(t - w for w in spec.zero_weights() + (3,))
+              for t in range(n + 1)]
+    p = symmetric_polynomial(n, polymethod._forward_differences(values))
+    assert polymethod._weight_support(p) == [v != 0 for v in values]
+    assert not is_nondeterministic_poly(p, cube_table(spec))
+    assert not reference_is_nondeterministic_poly(p, spec)
+    no_cube(monkeypatch)
+    assert not is_nondeterministic_poly(p, spec)
+    assert is_nondeterministic_poly(weight_certificate(n, m), spec)
+
+
 def test_complex_coefficients_allowed():
     p = MultilinearPolynomial(1, {frozenset(): I, frozenset({1}): SQRT2})
     assert is_nondeterministic_poly(p, [1, 1])

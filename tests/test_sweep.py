@@ -381,7 +381,7 @@ def test_every_memo_is_capped(fresh_tables):
     # later is cleared by the fault tests and must be bounded like these.
     assert {f.__name__ for f in fresh_tables} >= {
         "_flipped", "block_view", "_measure_parity", "_measure_mod3",
-        "apply", "_check_indices", "_audit_shape", "_layout", "_glue_plan"}
+        "apply", "_plan", "_audit_shape"}
     for f in fresh_tables:
         assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
 
@@ -390,21 +390,11 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     # Every miss is stored and nothing is dropped, far below the cap: 19
     # local flip patterns, 4 parity and 7 mod-3 states before the final
     # matrix, 19 products (8 of _MID, and the 4 of H and 7 of _FIN that
-    # the outcome memos make on their misses), one index check per cell,
-    # 86 layouts, 101 glue plans and 245 audit shapes.
-    # The layouts are the 10 queried index tuples cut by 2 and by 3, and
-    # 68 distinct (representatives, prime) pairs of the later levels, 2
-    # of which ((1,) by 2 and by 3) are also a queried tuple's:
-    # 20 + 68 - 2 = 86.
-    # The glue plans key on (blocks, prime) only, and the blocks of a
-    # level do not depend on n, so cells share them: the empty block list
-    # by 2 and by 3; the 31 nonempty sets of constant pairs among
-    # (1, 2), ..., (9, 10), by 2 (the second level of m = 4, 8 and 12)
-    # and by 3 (m = 6); the 7 nonempty sets of constant triples among
-    # (1, 2, 3), ..., (7, 8, 9), by 3 (m = 9); and the 15 lists of glued
-    # quadruples, each the union of two constant pairs (10 lists of one
-    # and 5 of two), by 2 (m = 8) and by 3 (m = 12):
-    # 2 + 62 + 7 + 30 = 101.
+    # the outcome memos make on their misses), one plan root per cell and
+    # 245 audit shapes.
+    # The trees below the roots have no counter of their own: their nodes
+    # are counted in test_the_plan_memo_is_transparent_and_as_large_as_
+    # the_mask_paths, 1,609 over the 70 cells.
     # The shapes are the distinct (blocks, s2) results of each cell; m
     # and n are in the key, so no two cells share one.  For a prime m
     # each of the n // m groups of the first level is constant or not,
@@ -422,13 +412,11 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert subroutines._measure_parity.cache_info().currsize == 4
     assert subroutines._measure_mod3.cache_info().currsize == 7
     assert SquareMatrix.apply.cache_info().currsize == 19
-    assert hamming_mod._check_indices.cache_info().currsize == 70
-    assert hamming_mod._layout.cache_info().currsize == 86
-    assert hamming_mod._glue_plan.cache_info().currsize == 101
+    assert hamming_mod._plan.cache_info().currsize == 70
     assert sweep._audit_shape.cache_info().currsize == 245
-    # One index check, which gives the prime factors, per input.
+    # One root lookup, which checks the indices, per input.
     inputs = len(DEFAULT_MODULI) * sum(2 ** n for n in range(1, 11))
-    info = hamming_mod._check_indices.cache_info()
+    info = hamming_mod._plan.cache_info()
     assert info.hits + info.misses == inputs
     # apply runs for _MID once per mod3 call, and for H and _FIN only on
     # the 4 + 7 outcome misses.
