@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from .fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
 from .hamming_mod import UnsupportedModulus, factor_split, query_bound
@@ -93,8 +92,7 @@ def cmd_run(args) -> int:
         return EXIT_UNSUPPORTED_MODULUS
     n = len(args.x)
     bound = query_bound(n, args.m)
-    oracle, result, reasons = judge_run(int(args.x, 2), n, args.m,
-                                        tuple(range(1, n + 1)), bound)
+    oracle, result, reasons = judge_run(int(args.x, 2), n, args.m, bound)
     if reasons:
         for reason in reasons:
             print(f"error: {reason}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Hamming weight modulo m for m with prime factors 2 and 3 only.
 
-The algorithm partitions the queried indices into constant blocks of
+The algorithm partitions the indices 1..n into constant blocks of
 size m (contributing 0 to the weight mod m) plus a remainder set whose
 exact weight is known, using at most n - floor(n/m) queries:
 
@@ -20,14 +20,15 @@ Leftover indices that do not fill a group are read individually.  All
 choices the underlying math leaves free (prime order, block grouping,
 representatives) are fixed deterministically so runs are replayable.
 
-:func:`partition_weight` is the only public entry.  What a run does
-besides measuring (which blocks glue, what goes to s2, what the next
-level measures) depends on the input only through which groups of each
-level came out constant.  So it is one tree per (index tuple, m, n),
-keyed by one int mask per level.  :func:`_plan` memoises the root under
-the shared cap; on a miss it checks the modulus with
-:func:`factor_split`, then the range and duplicates of the indices, and
-stores nothing for bad arguments, so they raise on every call.  A level
+:func:`partition_weight` is the only public entry; a run covers the
+indices 1..n of its oracle.  What a run does besides measuring (which
+blocks glue, what goes to s2, what the next level measures) depends on
+the input only through which groups of each level came out constant.
+So it is one tree per (m, n), keyed by one int mask per level.
+:func:`_plan` memoises the root under the shared cap; on a miss it
+checks the modulus with :func:`factor_split`, and it stores nothing for
+a bad one, so it raises on every call.  The memo keys on the types too,
+so a float or bool equal to a stored int modulus still raises.  A level
 node holds its prime, block size, groups, leftovers, representative to
 block map and ``children`` by mask, built by :func:`_child` on a miss (a
 mask with a bit beyond the level's groups raises); a leaf holds the
@@ -42,7 +43,7 @@ or the level function itself, there sees every level.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .linalg import _APPLY_MEMO_CAP
 from .oracle import CountingOracle
@@ -50,11 +51,15 @@ from .subroutines import deutsch, mod3
 
 
 class UnsupportedModulus(ValueError):
-    """Modulus with a prime factor other than 2 or 3 (or m < 2)."""
+    """Modulus with a prime factor other than 2 or 3 (or m < 2, or not an
+    int)."""
 
 
 def query_bound(n: int, m: int) -> int:
-    """ceil(n * (1 - 1/m)), computed exactly as n - floor(n/m)."""
+    """ceil(n * (1 - 1/m)), computed exactly as n - floor(n/m).  Raises
+    ValueError unless n and m are ints (a bool is not)."""
+    if type(n) is not int or type(m) is not int:
+        raise ValueError(f"n and m must be ints, got {n!r} and {m!r}")
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
     if n < 0:
@@ -63,7 +68,10 @@ def query_bound(n: int, m: int) -> int:
 
 
 def factor_split(m: int) -> tuple:
-    """Validate m and return its prime factors, 2s first."""
+    """Validate m and return its prime factors, 2s first.  A float or a
+    bool is an ``UnsupportedModulus``, even when it equals an int."""
+    if type(m) is not int:
+        raise UnsupportedModulus(f"modulus must be an int, got {m!r}")
     if m < 2:
         raise UnsupportedModulus(f"modulus must be at least 2, got {m}")
     primes = []
@@ -88,17 +96,14 @@ class PartitionResult(NamedTuple):
     queries: int           # queries consumed by this run
 
 
-def partition_weight(o: CountingOracle, indices: Sequence[int],
-                     m: int) -> PartitionResult:
-    """Partition ``indices`` into constant m-blocks and a known remainder,
-    one level per prime factor of m down the tree of :func:`_plan`,
-    adding each level's weight times its block size to w2.
+def partition_weight(o: CountingOracle, m: int) -> PartitionResult:
+    """Partition the indices 1..n of ``o`` into constant m-blocks and a
+    known remainder, one level per prime factor of m down the tree of
+    :func:`_plan`, adding each level's weight times its block size to w2.
 
-    Raises ``UnsupportedModulus`` for a bad ``m``, ``IndexError`` naming
-    the first index outside [1, n] and ``ValueError`` for a repeated
-    index, all before any query.
+    Raises ``UnsupportedModulus`` for a bad ``m`` before any query.
     """
-    node = _plan(tuple(indices), m, o.n)
+    node = _plan(m, o.n)
     start = o.query_count
     w2 = 0
     while node.p:
@@ -163,24 +168,18 @@ class _Leaf(NamedTuple):
     p: int = 0    # ends the level loop
 
 
-@lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _plan(indices: tuple, m: int, n: int) -> _Level:
-    """The root of the plan tree of (indices, m, n), with no children
-    yet.  :func:`factor_split` raises for a bad m; then IndexError names
-    the first index outside [1, n], else ValueError if an index repeats."""
-    primes = factor_split(m)
-    if indices and (min(indices) < 1 or max(indices) > n):
-        bad = next(i for i in indices if not 1 <= i <= n)
-        raise IndexError(f"index {bad} out of oracle range [1, {n}]")
-    if len(set(indices)) != len(indices):
-        raise ValueError("duplicate indices")
-    return _Level(primes, 1, indices, None, ())
+@lru_cache(maxsize=_APPLY_MEMO_CAP, typed=True)
+def _plan(m: int, n: int) -> _Level:
+    """The root of the plan tree of (m, n) on the indices 1..n, with no
+    children yet; :func:`factor_split` raises for a bad m."""
+    return _Level(factor_split(m), 1, tuple(range(1, n + 1)), None, ())
 
 
 def _child(node: _Level, mask: int):
     """The child of ``node`` for ``mask``, stored in its children: a
-    group marked constant is a block (at later levels the sorted union
-    of its representatives' blocks); the rest go to s2 as their blocks."""
+    group marked constant is a block (at later levels the union of its
+    representatives' blocks, sorted as the blocks of a level are in
+    order and never interleave); the rest go to s2 as their blocks."""
     groups = node.groups
     if mask >> len(groups):
         raise ValueError(f"mask {mask:#b} marks a group beyond the "
@@ -190,7 +189,7 @@ def _child(node: _Level, mask: int):
     s2 = list(node.s2)
     for j, group in enumerate(groups):
         if rep_block is not None:
-            group = tuple(sorted(i for rep in group for i in rep_block[rep]))
+            group = tuple(i for rep in group for i in rep_block[rep])
         if mask >> j & 1:
             blocks.append(group)
         else:
@@ -198,7 +197,7 @@ def _child(node: _Level, mask: int):
     for rep in node.rest:
         s2.extend((rep,) if rep_block is None else rep_block[rep])
     if node.primes:
-        rep_block = {min(b): b for b in blocks}
+        rep_block = {b[0]: b for b in blocks}
         child = _Level(node.primes, node.size * node.p, tuple(rep_block),
                        rep_block, tuple(s2))
     else:
@@ -209,5 +208,5 @@ def _child(node: _Level, mask: int):
 
 def weight_mod(o: CountingOracle, m: int) -> int:
     """|x| mod m for the oracle's full input, with certainty."""
-    result = partition_weight(o, range(1, o.n + 1), m)
+    result = partition_weight(o, m)
     return result.w2 % m

@@ -4,7 +4,7 @@
 ``qmodw run``: it replays the partition algorithm against a fresh
 counting oracle, checks the residue, the query budget and the oracle's
 count, then audits the partition contract (disjoint constant blocks of
-size m whose union with the remainder is everything, with the remainder
+size m whose union with the remainder is 1..n, with the remainder
 weight exact).  The audit has no switch.  Each input is one int,
 ``int(x_1...x_n, 2)`` as the oracle holds it (x_i is bit n - i), through
 the enumeration, :meth:`CountingOracle.from_int`, the run check and the
@@ -16,9 +16,10 @@ The audit runs on every input, over bitmasks: each block and the
 remainder s2 become ints with bit n - i for index i, so a block is
 constant when its mask meets the input in nothing or in all of it.
 Everything else the audit checks (the masks, the block sizes, whether
-blocks and s2 partition the queried indices, and indices outside
-[1, n]) holds for every input, so it is memoised per (m, blocks, s2,
-indices, n): a cell has at most 128 distinct results at n = 15.  Per
+blocks and s2 partition 1..n, and indices outside [1, n]) holds for
+every input, so it is memoised per (m, blocks, s2, n): a cell has at
+most 128 distinct results at n = 15.  A result whose blocks or s2 are
+not tuples cannot key the memo: its ``TypeError`` fails its input.  Per
 input there remain the constant test of each block and the popcount of
 s2 for its weight.  A repeated index of s2, which no correct run gives,
 counts on every occurrence.
@@ -80,30 +81,19 @@ class SweepRow:
                 and self.zero_input_queries == self.bound)
 
 
-def audit_partition(result, ones: int, n: int,
-                    indices: Sequence[int]) -> list:
+def audit_partition(result, ones: int, n: int) -> list:
     """Check a PartitionResult against the hidden input, post hoc.
 
     ``ones`` is the input of ``n`` bits as the oracle holds it: bit n - i
     is x_i.  The reasons, in order: each block of the wrong size or not
     constant on the input, then blocks and s2 that are not a partition
-    of ``indices`` (an index missing, extra or repeated), then a wrong
-    ``w2``, then any index of the result outside [1, n].  Queried
-    ``indices`` that repeat or fall outside [1, n] fail the partition
-    check.  Everything but the constant blocks and ``w2`` depends on
-    the input only through n, so it comes from :func:`_audit_shape`.
+    of 1..n (an index missing, extra or repeated), then a wrong ``w2``,
+    then any index of the result outside [1, n].  Everything but the
+    constant blocks and ``w2`` depends on the input only through n, so
+    it comes from :func:`_audit_shape`.
     """
-    try:
-        checks, s2_masks, partition, outside = _audit_shape(
-            result.m, result.blocks, result.s2, tuple(indices), n)
-    except TypeError:
-        blocks = tuple(map(tuple, result.blocks))
-        s2 = tuple(result.s2)
-        if blocks == result.blocks and s2 == result.s2:
-            raise    # already tuples: the error is the audit's own
-        # A block or s2 given as a list, which the memo cannot key on.
-        checks, s2_masks, partition, outside = _audit_shape(
-            result.m, blocks, s2, tuple(indices), n)
+    checks, s2_masks, partition, outside = _audit_shape(
+        result.m, result.blocks, result.s2, n)
     problems = []
     for block, mask, constant, size in checks:
         if size:
@@ -124,8 +114,7 @@ def audit_partition(result, ones: int, n: int,
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _audit_shape(m: int, blocks: tuple, s2: tuple, indices: tuple,
-                 n: int) -> tuple:
+def _audit_shape(m: int, blocks: tuple, s2: tuple, n: int) -> tuple:
     """(checks, s2_masks, partition, outside): the part of the audit of a
     result that holds for every input of n bits.
 
@@ -163,20 +152,18 @@ def _audit_shape(m: int, blocks: tuple, s2: tuple, indices: tuple,
             outside.append(i)
     covered |= s2_masks[0] if s2_masks else 0
     seen += len(s2)
-    queried = _bitmask(indices, n, [])
     partition = ""
-    if not (covered == queried
-            and seen == len(indices) == queried.bit_count()):
+    if not (covered == (1 << n) - 1 and seen == n):
         partition = "blocks and s2 do not partition the queried indices"
     return (tuple(checks), tuple(s2_masks), partition,
             f"indices {outside} out of range [1, {n}]" if outside else "")
 
 
-def _bitmask(indices: tuple, n: int, outside: list) -> int:
-    """The mask with bit n - i set for each i of ``indices`` in [1, n];
+def _bitmask(block: tuple, n: int, outside: list) -> int:
+    """The mask with bit n - i set for each i of ``block`` in [1, n];
     the other indices are appended to ``outside`` in order."""
     mask = 0
-    for i in indices:
+    for i in block:
         if 0 < i <= n:
             mask |= 1 << (n - i)
         else:
@@ -194,16 +181,15 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
     audit always runs; ``audit`` other than True raises ValueError."""
     if audit is not True:
         raise ValueError(f"the audit cannot be switched off, got {audit!r}")
-    bound = query_bound(n, m)
     # A bad modulus raises here, not as a failure of every input below.
     factor_split(m)
+    bound = query_bound(n, m)
     failures = 0
     first_failures = []
     max_queries = 0
     zero_queries = -1
-    indices = tuple(range(1, n + 1))
     for hidden in range(1 << n):
-        _, result, reasons = judge_run(hidden, n, m, indices, bound)
+        _, result, reasons = judge_run(hidden, n, m, bound)
         if result is not None:
             max_queries = max(max_queries, result.queries)
             if hidden == 0:
@@ -219,16 +205,15 @@ def verify_cell(n: int, m: int, audit: bool = True) -> SweepRow:
                     first_failures=tuple(first_failures))
 
 
-def judge_run(hidden: int, n: int, m: int, indices: tuple,
-              bound: int) -> tuple:
+def judge_run(hidden: int, n: int, m: int, bound: int) -> tuple:
     """(oracle, result, reasons) of one run on the n-bit input ``hidden``.
     An exception in the run or its checks is the one reason, with result
     None; else :func:`_run_problems`, or if none, :func:`audit_partition`."""
     oracle = CountingOracle.from_int(hidden, n)
     try:
-        result = partition_weight(oracle, indices, m)
+        result = partition_weight(oracle, m)
         reasons = (_run_problems(result, hidden, m, bound, oracle)
-                   or audit_partition(result, hidden, n, indices))
+                   or audit_partition(result, hidden, n))
     except Exception as exc:
         return oracle, None, [f"{type(exc).__name__}: {exc}"]
     return oracle, result, reasons
@@ -284,7 +269,7 @@ def run_sweep(n_max: int, moduli: Sequence[int] = DEFAULT_MODULI,
         raise ValueError(f"the audit cannot be switched off, got {audit!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    for m in set(moduli):
+    for m in moduli:
         factor_split(m)
     # Largest first: a pool then ends on small cells, not a 2^n_max one.
     cells = sorted(((n, m) for n in range(1, n_max + 1) for m in set(moduli)),

@@ -190,7 +190,7 @@ def test_composite_query_count_at_all_zeros():
     # total reaches n - floor(n/m) only if the nested floors compose.
     composite = (4, 6, 8, 9, 12, 16, 18, 24, 36)
     ok = all(
-        partition_weight(CountingOracle("0" * n), range(1, n + 1), m).queries
+        partition_weight(CountingOracle("0" * n), m).queries
         == query_bound(n, m)
         for m in composite for n in range(1, 61))
     report(f"the all-zeros input uses exactly n - floor(n/m) queries for "

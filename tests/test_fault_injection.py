@@ -124,8 +124,8 @@ def misreported_queries(monkeypatch):
     # The run reports one query fewer than the oracle counted.
     real = sweep.partition_weight
 
-    def partition_weight(o, indices, m):
-        result = real(o, indices, m)
+    def partition_weight(o, m):
+        result = real(o, m)
         return result._replace(queries=result.queries - 1)
     monkeypatch.setattr(sweep, "partition_weight", partition_weight)
 
@@ -212,20 +212,20 @@ def test_an_exception_fails_its_inputs_not_the_sweep(fresh_tables,
 
 def test_a_block_with_a_non_index_is_audited_once(fresh_tables,
                                                   monkeypatch):
-    # The result's blocks are tuples, so the TypeError is the audit's
-    # own: the shape is computed once and the error chains to nothing.
+    # The TypeError is the audit's own: the shape is computed once per
+    # call, not retried, and the error chains to nothing.
     # The run that judge_run replays makes its one query and returns it.
     result = PartitionResult(2, ((1, 2, None),), (), 0, 1)
 
-    def partition_weight(o, indices, m):
+    def partition_weight(o, m):
         o.query_bit(1)
         return result
     monkeypatch.setattr(sweep, "partition_weight", partition_weight)
     with pytest.raises(TypeError) as caught:
-        audit_partition(result, 0, 2, (1, 2))
+        audit_partition(result, 0, 2)
     assert caught.value.__context__ is None
     assert sweep._audit_shape.cache_info().misses == 1
-    _, result, reasons = sweep.judge_run(0, 2, 2, (1, 2), 1)
+    _, result, reasons = sweep.judge_run(0, 2, 2, 1)
     assert result is None
     assert reasons == ["TypeError: '<' not supported between instances "
                        "of 'int' and 'NoneType'"]
@@ -240,7 +240,7 @@ def test_a_group_the_glue_plan_does_not_hold_fails_its_input(
     # child, and once the level function is restored the cell passes.
     if warm:
         assert verify_cell(4, 4).failures == 0
-    root = hamming_mod._plan((1, 2, 3, 4), 4, 4)
+    root = hamming_mod._plan(4, 4)
     children = dict(root.children)
     block_with_a_non_index(monkeypatch)
     row = verify_cell(4, 4)
@@ -266,24 +266,24 @@ def glue_next_block(monkeypatch):
     # s2, w2 and the queries stay exact, so only the audit can tell.
     real = sweep.partition_weight
 
-    def partition_weight(o, indices, m):
-        result = real(o, indices, m)
+    def partition_weight(o, m):
+        result = real(o, m)
         blocks = result.blocks
         return result._replace(blocks=blocks[1:] + blocks[-1:])
     monkeypatch.setattr(sweep, "partition_weight", partition_weight)
 
 
 def leftover_read_not_in_s2(monkeypatch):
-    # The last queried index, a leftover of the first level when the
-    # first prime does not divide the count, is read and counted into w2
-    # but left out of s2.
+    # The last index n, a leftover of the first level when the first
+    # prime does not divide n, is read and counted into w2 but left out
+    # of s2.
     real = sweep.partition_weight
 
-    def partition_weight(o, indices, m):
-        result = real(o, indices, m)
-        if len(indices) % factor_split(m)[0]:
+    def partition_weight(o, m):
+        result = real(o, m)
+        if o.n % factor_split(m)[0]:
             result = result._replace(
-                s2=tuple(i for i in result.s2 if i != indices[-1]))
+                s2=tuple(i for i in result.s2 if i != o.n))
         return result
     monkeypatch.setattr(sweep, "partition_weight", partition_weight)
 
@@ -349,14 +349,13 @@ def _audit_failures(n, m, bound):
 
     Checks on the way that no input has a residue or budget mismatch.
     """
-    indices = range(1, n + 1)
     failures = []
     for hidden in range(2 ** n):
         bits = format(hidden, f"0{n}b")
         o = CountingOracle.from_int(hidden, n)
-        result = sweep.partition_weight(o, indices, m)
+        result = sweep.partition_weight(o, m)
         assert _run_problems(result, hidden, m, bound, o) == []
-        reasons = audit_partition(result, hidden, n, indices)
+        reasons = audit_partition(result, hidden, n)
         if reasons:
             failures.append((bits, tuple(reasons)))
     return failures

@@ -1,5 +1,4 @@
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +13,9 @@ from qmodw.subroutines import deutsch, mod3
 from qmodw.sweep import DEFAULT_MODULI, audit_partition, verify_cell
 
 
-def run(bits, m, indices=None):
+def run(bits, m):
     o = CountingOracle(bits)
-    result = partition_weight(
-        o, range(1, len(bits) + 1) if indices is None else indices, m)
-    return o, result
+    return o, partition_weight(o, m)
 
 
 # ---------------------------------------------------------
@@ -75,13 +72,12 @@ def test_factor_split_rejects_other_primes(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 36])
 def test_factor_split_is_memoised(fresh_tables, m):
-    # The factors are memoised in the root of the plan, with the index
-    # check, one lookup per run: factor_split has no memo of its own.
+    # The factors are memoised in the root of the plan, one lookup per
+    # run: factor_split has no memo of its own.
     assert not hasattr(factor_split, "cache_info")
-    indices = tuple(range(1, 7))
-    first = hamming_mod._plan(indices, m, 6)
+    first = hamming_mod._plan(m, 6)
     assert (first.p,) + first.primes == factor_split(m)
-    assert all(hamming_mod._plan(indices, m, 6) is first for _ in range(3))
+    assert all(hamming_mod._plan(m, 6) is first for _ in range(3))
     info = hamming_mod._plan.cache_info()
     assert (info.hits, info.misses) == (3, 1)
 
@@ -141,7 +137,8 @@ def test_odd_length_mod2_queries_leftover_bit():
 
 @pytest.mark.parametrize("m", [2, 3, 12])
 def test_empty_index_list_makes_no_query(m):
-    o, r = run("1011", m, ())
+    # The empty input has no index to query.
+    o, r = run("", m)
     assert (r.blocks, r.s2, r.w2, r.queries) == ((), (), 0, 0)
     assert o.query_count == 0
 
@@ -149,47 +146,9 @@ def test_empty_index_list_makes_no_query(m):
 def test_partition_reports_only_its_own_queries():
     o = CountingOracle("0011")
     o.query_bit(1)
-    r = partition_weight(o, (2, 3, 4), 3)
-    assert r.queries == 2
-    assert o.query_count == 3
-
-
-def test_rejects_duplicate_indices():
-    o = CountingOracle("111")
-    with pytest.raises(ValueError):
-        partition_weight(o, (1, 1, 2), 3)
-
-
-def test_rejects_out_of_range_indices():
-    o = CountingOracle("111")
-    with pytest.raises(IndexError):
-        partition_weight(o, (1, 2, 4), 3)
-
-
-@pytest.mark.parametrize("indices, bad", [((1, 2, 4), 4), ((3, 0, 1), 0),
-                                          ((5, 2, -1), 5)])
-def test_out_of_range_error_names_the_first_bad_index(indices, bad):
-    o = CountingOracle("111")
-    with pytest.raises(IndexError, match=rf"^index {bad} out of oracle"):
-        partition_weight(o, indices, 3)
-    assert o.query_count == 0
-
-
-def test_index_check_is_memoised_and_raises_on_every_call(fresh_tables):
-    # lru_cache stores no exception, so a bad tuple raises every time, and
-    # a tuple checked for one n does not pass for a smaller one.
-    o = CountingOracle("111")
-    for _ in range(3):
-        with pytest.raises(IndexError):
-            partition_weight(o, (1, 2, 4), 3)
-        with pytest.raises(ValueError, match="duplicate"):
-            partition_weight(o, [1, 1, 2], 3)
-        partition_weight(o, [1, 2, 3], 3)
-    with pytest.raises(IndexError, match="index 3"):
-        partition_weight(CountingOracle("11"), (1, 2, 3), 3)
-    assert o.query_count == 3 * 2
-    info = hamming_mod._plan.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 8, 1)
+    r = partition_weight(o, 3)
+    assert r.queries == 3    # the triple (1, 2, 3), then x_4
+    assert o.query_count == 4
 
 
 def test_partition_result_is_an_immutable_tuple_of_five_fields():
@@ -205,18 +164,18 @@ def test_partition_result_is_an_immutable_tuple_of_five_fields():
 @pytest.mark.parametrize("indices, m, groups, rest", [
     ((), 2, (), ()),
     ((), 3, (), ()),
-    ((4,), 2, (), (4,)),
-    ((5, 1, 3), 2, ((5, 1),), (3,)),
-    ((7, 2, 6, 1, 3), 3, ((7, 2, 6),), (1, 3)),
-    ((2, 4, 6, 8, 1, 3, 5), 3, ((2, 4, 6), (8, 1, 3)), (5,)),
+    ((1,), 2, (), (1,)),
+    ((1, 2, 3), 2, ((1, 2),), (3,)),
+    ((1, 2, 3, 4, 5), 3, ((1, 2, 3),), (4, 5)),
+    ((1, 2, 3, 4, 5, 6, 7), 3, ((1, 2, 3), (4, 5, 6)), (7,)),
     ((1, 2, 3, 4, 5, 6), 3, ((1, 2, 3), (4, 5, 6)), ()),
 ])
 def test_layout_cuts_consecutive_groups_and_keeps_the_rest(fresh_tables,
                                                            indices, m,
                                                            groups, rest):
-    # The root cuts the indices into groups of m and leftovers.
+    # The root cuts the indices 1..n into groups of m and leftovers.
     for _ in range(2):
-        root = hamming_mod._plan(indices, m, max(indices, default=0))
+        root = hamming_mod._plan(m, len(indices))
         assert (root.groups, root.rest) == (groups, rest)
     info = hamming_mod._plan.cache_info()
     assert (info.hits, info.misses) == (1, 1)
@@ -225,11 +184,38 @@ def test_layout_cuts_consecutive_groups_and_keeps_the_rest(fresh_tables,
 def test_unsupported_modulus_propagates():
     o = CountingOracle("11111")
     with pytest.raises(UnsupportedModulus):
-        partition_weight(o, range(1, 6), 5)
+        partition_weight(o, 5)
+
+
+@pytest.mark.parametrize("value", [2.0, 4.0, 12.0, True])
+def test_factor_split_and_query_bound_take_ints_only(value):
+    # A float or a bool is never a modulus or a length, even when it
+    # equals an int.
+    with pytest.raises(UnsupportedModulus, match="must be an int"):
+        factor_split(value)
+    for n, m in ((10, value), (value, 3)):
+        with pytest.raises(ValueError, match="must be ints"):
+            query_bound(n, m)
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0, 4.0, 12.0])
+def test_a_float_modulus_raises_with_the_plan_memo_cold_and_warm(
+        fresh_tables, m):
+    # m == int(m) with the same hash, so a memo keyed on values alone
+    # would hand the float the root stored for the int.
+    for _ in range(2):
+        o = CountingOracle("1011")
+        with pytest.raises(UnsupportedModulus, match="must be an int"):
+            partition_weight(o, m)
+        with pytest.raises(UnsupportedModulus, match="must be an int"):
+            weight_mod(o, m)
+        assert o.query_count == 0
+        assert partition_weight(o, int(m)).m == int(m)
+    assert hamming_mod._plan.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------
-# The level loop against the recursion it replaced
+# The plan tree against the recursion it replaced
 # ---------------------------------------------------------
 
 def reference_base_case(o, indices, m):
@@ -276,100 +262,22 @@ def reference_partition(o, indices, m):
     return blocks, s2, inner_w2 + m1 * outer_w2
 
 
-def reference_run(bits, m, indices):
-    o = CountingOracle(bits)
-    blocks, s2, w2 = reference_partition(o, tuple(indices), m)
-    return o, PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
-                              o.query_count)
-
-
-def shuffled_subsets(m):
-    """Seeded (bits, indices) cases whose indices are a shuffled subset,
-    so a block's first index is not always its smallest."""
-    rng = random.Random(m)
-    cases = []
-    for _ in range(300):
-        n = rng.randint(1, 12)
-        bits = "".join(rng.choice("01") for _ in range(n))
-        indices = rng.sample(range(1, n + 1), rng.randint(0, n))
-        cases.append((bits, indices))
-    return cases
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 16, 18])
-def test_recursion_matches_level_by_level_reference(m):
-    # Same result, same queries in the same order, on every input n <= 8
-    # over all its indices and on shuffled index subsets.
-    cases = [(format(v, f"0{n}b") if n else "", range(1, n + 1))
-             for n in range(9) for v in range(2 ** n)]
-    cases += shuffled_subsets(m)
-    for bits, indices in cases:
-        o = CountingOracle(bits)
-        result = partition_weight(o, indices, m)
-        ref_o, ref_result = reference_run(bits, m, indices)
-        assert result == ref_result, (bits, indices)
-        assert o.transcript == ref_o.transcript, (bits, indices)
-
-
-# ---------------------------------------------------------
-# The plan tree against the level loop it replaced
-# ---------------------------------------------------------
-
-def reference_glue(o, blocks, p, s2):
-    """One glue level built afresh on every call: the map from each
-    block's smallest index to the block, and each constant group's
-    blocks merged and sorted."""
-    rep_block = {min(b): b for b in blocks}
-    rep_groups, rep_s2, level_w2 = reference_base_case(
-        o, tuple(rep_block), p)
-    glued = []
-    for group in rep_groups:
-        merged = []
-        for rep in group:
-            merged.extend(rep_block[rep])
-        glued.append(tuple(sorted(merged)))
-    for rep in rep_s2:
-        s2.extend(rep_block[rep])
-    return glued, level_w2
-
-
-def reference_levels(o, indices, m):
-    """PartitionResult by the level loop, everything built per call: the
-    base case with the first prime, then one glue level per further
-    prime, each adding its weight times the block size so far."""
-    primes = factor_split(m)
-    start = o.query_count
-    size = primes[0]
-    blocks, s2, w2 = reference_base_case(o, tuple(indices), size)
-    for p in primes[1:]:
-        blocks, level_w2 = reference_glue(o, blocks, p, s2)
-        w2 += size * level_w2
-        size *= p
-    return PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
-                           o.query_count - start)
-
-
-def index_orders(n):
-    """1..n and three seeded permutations of it."""
-    rng = random.Random(n)
-    return [tuple(range(1, n + 1))] + [
-        tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
-
-
-@pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
-def test_glue_plan_matches_the_per_call_glue(fresh_tables, m):
-    # Same result and same queries on every input n <= 8, with the tree
-    # cold for the first input of each index order and warm after.  The
-    # representative is a block's smallest index, not its first, so the
-    # permuted orders give blocks whose first index is not the smallest.
+def test_recursion_matches_level_by_level_reference(fresh_tables, m):
+    # Same result, same queries in the same order, on every input n <= 8,
+    # with each n's plan tree cold for its first input and warm after.
     for n in range(9):
-        for indices in index_orders(n):
-            for hidden in range(2 ** n):
-                o = CountingOracle.from_int(hidden, n)
-                ref_o = CountingOracle.from_int(hidden, n)
-                assert (partition_weight(o, indices, m), o.transcript) == (
-                    reference_levels(ref_o, indices, m), ref_o.transcript), (
-                    hidden, indices)
+        for hidden in range(2 ** n):
+            o = CountingOracle.from_int(hidden, n)
+            result = partition_weight(o, m)
+            ref_o = CountingOracle.from_int(hidden, n)
+            blocks, s2, w2 = reference_partition(
+                ref_o, tuple(range(1, n + 1)), m)
+            assert (result, o.transcript) == (
+                (m, tuple(blocks), tuple(sorted(s2)), w2, ref_o.query_count),
+                ref_o.transcript), (hidden, n)
+    info = hamming_mod._plan.cache_info()
+    assert (info.misses, info.hits) == (9, 2 ** 9 - 1 - 9)
 
 
 def test_glue_plan_holds_the_representatives_and_merged_groups(
@@ -377,18 +285,17 @@ def test_glue_plan_holds_the_representatives_and_merged_groups(
     # An all-zeros input takes the path of all-constant masks: five
     # constant pairs, then two constant pairs of representatives and the
     # leftover representative 9, read, whose block goes to s2.
-    indices = (4, 3, 1, 2, 6, 5, 8, 7, 9, 10)
-    root = hamming_mod._plan(indices, 4, 10)
-    blocks = ((4, 3), (1, 2), (6, 5), (8, 7), (9, 10))
+    root = hamming_mod._plan(4, 10)
+    blocks = ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))
     assert (root.p, root.size, root.groups, root.rest) == (2, 1, blocks, ())
     for _ in range(2):
-        result = partition_weight(CountingOracle.from_int(0, 10), indices, 4)
+        result = partition_weight(CountingOracle.from_int(0, 10), 4)
         glue = root.children[0b11111]
         assert list(root.children) == [0b11111]
-        reps = (3, 1, 5, 7, 9)
+        reps = (1, 3, 5, 7, 9)
         assert glue.rep_block == dict(zip(reps, blocks))
         assert (glue.p, glue.size, glue.groups, glue.rest, glue.s2) == (
-            2, 2, ((3, 1), (5, 7)), (9,), ())
+            2, 2, ((1, 3), (5, 7)), (9,), ())
         assert list(glue.children) == [0b11]
         leaf = glue.children[0b11]
         assert (leaf.blocks, leaf.s2) == (((1, 2, 3, 4), (5, 6, 7, 8)),
@@ -403,7 +310,7 @@ def test_glue_plan_stores_nothing_for_a_block_with_a_non_index(
     # A mask that marks a group beyond its level's groups constant would
     # make a block of indices the level does not hold: the child lookup
     # raises on every call and stores nothing.
-    root = hamming_mod._plan((1, 2, 3), 2, 3)
+    root = hamming_mod._plan(2, 3)
     for mask in (0b10, 0b11, 0b100):
         with pytest.raises(ValueError, match=rf"^mask {mask:#b} marks a "
                            r"group beyond the 1 of its level$"):
@@ -433,34 +340,33 @@ def test_the_plan_memo_is_transparent_and_as_large_as_the_mask_paths(
         paths[-1] += (found[0],)
         return found
 
-    def run_with_path(o, indices, m):
+    def run_with_path(o, m):
         paths.append(())
-        return partition_weight(o, indices, m)
+        return partition_weight(o, m)
     monkeypatch.setattr(hamming_mod, "_measure_level", measure_level)
     monkeypatch.setattr(sweep, "partition_weight", run_with_path)
     nodes = 0
     for n in range(1, 11):
-        indices = tuple(range(1, n + 1))
         for m in DEFAULT_MODULI:
             paths.clear()
             cold = verify_cell(n, m)
             assert cold.failures == 0 and len(paths) == 2 ** n
             prefixes = {path[:k] for path in paths
                         for k in range(len(path) + 1)}
-            root = hamming_mod._plan(indices, m, n)
+            root = hamming_mod._plan(m, n)
             assert tree_size(root) == len(prefixes)
             assert verify_cell(n, m) == cold
-            assert hamming_mod._plan(indices, m, n) is root
+            assert hamming_mod._plan(m, n) is root
             assert tree_size(root) == len(prefixes)
             nodes += len(prefixes)
     assert nodes == 1609
     leaves = {}
-    collect_leaves(hamming_mod._plan((1, 2, 3, 4), 4, 4), (), leaves)
+    collect_leaves(hamming_mod._plan(4, 4), (), leaves)
     assert leaves[(0b00, 0)] == leaves[(0b01, 0)] == ((), (1, 2, 3, 4))
     assert hamming_mod._plan.cache_info().currsize == 70
     hamming_mod._plan.cache_clear()
     assert hamming_mod._plan.cache_info().currsize == 0
-    fresh = hamming_mod._plan((1, 2, 3, 4), 4, 4)
+    fresh = hamming_mod._plan(4, 4)
     assert fresh.children == {}
 
 
@@ -480,14 +386,13 @@ PARTITION_DIGEST = (
 def test_every_partition_result_up_to_n_10_is_pinned():
     # The repr of every result of the sweep's cells with n <= 10, in
     # sweep order, pins the block order, the s2 order, w2 and the query
-    # count of each run; the digest is that of the per-call glue above.
+    # count of each run.
     digest = hashlib.sha256()
     for n in range(1, 11):
-        indices = tuple(range(1, n + 1))
         for m in DEFAULT_MODULI:
             for hidden in range(2 ** n):
                 result = partition_weight(
-                    CountingOracle.from_int(hidden, n), indices, m)
+                    CountingOracle.from_int(hidden, n), m)
                 digest.update(repr(tuple(result)).encode())
     assert digest.hexdigest() == PARTITION_DIGEST
 
@@ -539,14 +444,14 @@ def test_audit_catches_wrong_w2():
     o, r = run("110", 3)
     broken = type(r)(m=r.m, blocks=r.blocks, s2=r.s2, w2=r.w2 + 1,
                      queries=r.queries)
-    assert audit_partition(broken, 0b110, 3, (1, 2, 3))
+    assert audit_partition(broken, 0b110, 3)
 
 
 def test_algorithm_never_touches_hidden_string_directly():
     # every query must appear in the oracle transcript, and the partition's
     # query count must equal the transcript length
     o = CountingOracle("1011010")
-    r = partition_weight(o, range(1, 8), 6)
+    r = partition_weight(o, 6)
     assert len(o.transcript) == o.query_count == r.queries
 
 
@@ -563,5 +468,4 @@ def test_partition_weight_on_random_inputs(m, bits):
     o, result = run(bits, m)
     assert result.w2 % m == bits.count("1") % m
     assert result.queries == o.query_count <= query_bound(n, m)
-    assert audit_partition(result, int(bits, 2), n,
-                           range(1, n + 1)) == []
+    assert audit_partition(result, int(bits, 2), n) == []
