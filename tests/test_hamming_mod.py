@@ -280,6 +280,58 @@ def test_recursion_matches_level_by_level_reference(fresh_tables, m):
     assert (info.misses, info.hits) == (9, 2 ** 9 - 1 - 9)
 
 
+# ---------------------------------------------------------
+# The plan tree against the level loop it replaced
+# ---------------------------------------------------------
+
+def reference_glue(o, blocks, p, s2):
+    """One glue level built afresh on every call: the map from each
+    block's smallest index to the block, and each constant group's
+    blocks merged and sorted."""
+    rep_block = {min(b): b for b in blocks}
+    rep_groups, rep_s2, level_w2 = reference_base_case(
+        o, tuple(rep_block), p)
+    glued = []
+    for group in rep_groups:
+        merged = []
+        for rep in group:
+            merged.extend(rep_block[rep])
+        glued.append(tuple(sorted(merged)))
+    for rep in rep_s2:
+        s2.extend(rep_block[rep])
+    return glued, level_w2
+
+
+def reference_levels(o, n, m):
+    """PartitionResult by the level loop over 1..n, everything built per
+    call: the base case with the first prime, then one glue level per
+    further prime, each adding its weight times the block size so far."""
+    primes = factor_split(m)
+    start = o.query_count
+    size = primes[0]
+    blocks, s2, w2 = reference_base_case(o, tuple(range(1, n + 1)), size)
+    for p in primes[1:]:
+        blocks, level_w2 = reference_glue(o, blocks, p, s2)
+        w2 += size * level_w2
+        size *= p
+    return PartitionResult(m, tuple(blocks), tuple(sorted(s2)), w2,
+                           o.query_count - start)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 12])
+def test_glue_plan_matches_the_per_call_glue(fresh_tables, m):
+    # Same result and same queries on every input n <= 8, with each n's
+    # plan tree cold for its first input and warm after.
+    for n in range(9):
+        for hidden in range(2 ** n):
+            o = CountingOracle.from_int(hidden, n)
+            ref_o = CountingOracle.from_int(hidden, n)
+            assert (partition_weight(o, m), o.transcript) == (
+                reference_levels(ref_o, n, m), ref_o.transcript), (hidden, n)
+    info = hamming_mod._plan.cache_info()
+    assert (info.misses, info.hits) == (9, 2 ** 9 - 1 - 9)
+
+
 def test_glue_plan_holds_the_representatives_and_merged_groups(
         fresh_tables):
     # An all-zeros input takes the path of all-constant masks: five
