@@ -32,12 +32,16 @@ so a float or bool equal to a stored int modulus still raises.  A level
 node holds its prime, block size, groups, leftovers, representative to
 block map and ``children`` by mask, built by :func:`_child` on a miss (a
 mask with a bit beyond the level's groups raises); a leaf holds the
-final blocks and sorted s2.  A tree holds at most one node per mask
+final blocks and sorted s2.  Each group is held as its interned oracle
+view, :func:`block_view` of its indices with the circuit's padding (0
+for a pair, ``MOD3_PADDING`` for a triple), built once with its node, so
+a query looks up no view.  A tree holds at most one node per mask
 path of the inputs run on it, and goes with its root from the capped
 memo.  Per level, :func:`_measure_level` measures every group and reads
-every leftover on every call, through :func:`deutsch` and :func:`mod3`
-looked up in this module's globals, so code that replaces one of them,
-or the level function itself, there sees every level.
+every leftover on every call, handing each group's view to
+:func:`deutsch` or :func:`mod3` looked up in this module's globals, so
+code that replaces one of them, or the level function itself, there
+sees every level.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .linalg import _APPLY_MEMO_CAP
-from .oracle import CountingOracle
-from .subroutines import deutsch, mod3
+from .oracle import CountingOracle, block_view
+from .subroutines import MOD3_PADDING, deutsch, mod3
 
 
 class UnsupportedModulus(ValueError):
@@ -120,13 +124,14 @@ def partition_weight(o: CountingOracle, m: int) -> PartitionResult:
 def _measure_level(o: CountingOracle, groups: tuple, rest: tuple,
                    p: int) -> tuple:
     """(mask, w) of one level for the prime p: bit j of mask is set when
-    group j came out constant, and w is the weight of the other groups
-    plus the bits of ``rest``, each read once."""
+    the group of view ``groups[j]`` came out constant, and w is the
+    weight of the other groups plus the bits of ``rest``, each read
+    once."""
     measure = deutsch if p == 2 else mod3
     mask = 0
     w = 0
-    for j, group in enumerate(groups):
-        outcome = measure(o, group)
+    for j, view in enumerate(groups):
+        outcome = measure(o, view)
         if outcome:
             # Weights 0 and p are the constant cases, so for a
             # non-constant group the residue is the weight itself.
@@ -139,10 +144,11 @@ def _measure_level(o: CountingOracle, groups: tuple, rest: tuple,
 
 
 class _Level:
-    """A level: ``groups`` of p units and leftover units ``rest``, each
-    an index at the first level (``rep_block`` None), else the smallest
-    index of the block ``rep_block[rep]`` of ``size`` indices; ``s2`` is
-    what the levels before sent to the remainder."""
+    """A level: the interned oracle view of each group of p units, in
+    ``groups``, and leftover units ``rest``; a unit is an index at the
+    first level (``rep_block`` None), else the smallest index of the
+    block ``rep_block[rep]`` of ``size`` indices.  ``s2`` is what the
+    levels before sent to the remainder."""
 
     __slots__ = ("p", "size", "groups", "rest", "rep_block", "s2",
                  "primes", "children")
@@ -150,7 +156,8 @@ class _Level:
     def __init__(self, primes, size, units, rep_block, s2):
         p = self.p = primes[0]
         full = len(units) - len(units) % p
-        self.groups = tuple(units[start:start + p]
+        padding = 0 if p == 2 else MOD3_PADDING
+        self.groups = tuple(block_view(units[start:start + p], padding)
                             for start in range(0, full, p))
         self.rest = units[full:]
         self.primes = primes[1:]
@@ -187,7 +194,8 @@ def _child(node: _Level, mask: int):
     rep_block = node.rep_block
     blocks = []
     s2 = list(node.s2)
-    for j, group in enumerate(groups):
+    for j, view in enumerate(groups):
+        group = view.map
         if rep_block is not None:
             group = tuple(i for rep in group for i in rep_block[rep])
         if mask >> j & 1:

@@ -22,10 +22,14 @@ every read, and the query count is the log's length.
 A :class:`BlockView` is immutable and holds no hidden data, so
 :func:`block_view` interns views by ``(map, padding)``: its duplicate
 check, its index range and its sign table are built once per distinct
-view, not once per query.  A view does not depend on n: the sign table
-maps each of the 2^k values of ``hidden >> (n - view.hi) & view.mask``
-for a view of k indices to the local rows that value flips, so a query
-finds its rows with one shift, one AND and one lookup.
+view, not once per query.  The views are built with the plan, not per
+query: :mod:`qmodw.hamming_mod` calls :func:`block_view` once for each
+group when it builds a level node, and the circuits are handed the
+node's views, so a warm run makes no view lookup.  A view does not
+depend on n: the sign table maps each of the 2^k values of
+``hidden >> (n - view.hi) & view.mask`` for a view of k indices to the
+local rows that value flips, so a query finds its rows with one shift,
+one AND and one lookup.
 
 The sign-flipped states are memoised by ``(input state, flipped local
 rows)``: the rows are the local sign pattern, never global indices, so

@@ -15,6 +15,14 @@ two oracle calls, which is exactly equal (associativity in exact
 arithmetic) to the step-by-step product; :func:`trace_mod3` exposes the
 unfused intermediate states for table verification.
 
+Each circuit takes the :class:`BlockView` of its bits, built once by its
+caller (the plan of :mod:`qmodw.hamming_mod` holds one per group), and
+looks up no view per call: :func:`deutsch` takes a view of two indices,
+:func:`mod3` one of three indices with ``MOD3_PADDING`` ancilla
+dimensions.  :meth:`CountingOracle.phase_apply` checks each view's range
+and dimension on every query, so a view of the wrong dimension raises
+``ValueError`` before any query.
+
 Each circuit ends in its last constant matrix (``H`` or ``_FIN``) and one
 exact measurement.  Both are memoised together with ``functools.lru_cache``
 (at most ``_APPLY_MEMO_CAP`` entries, least recently used dropped first),
@@ -38,7 +46,7 @@ from functools import lru_cache
 
 from .algebra import OMEGA, SQRT2, SQRT3, AlgebraicNumber, ONE, ZERO
 from .linalg import _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner
-from .oracle import CountingOracle, block_view
+from .oracle import BlockView, CountingOracle
 
 
 class InvariantViolation(RuntimeError):
@@ -114,16 +122,21 @@ _FIN = V.matmul(_QFT_DAG)
 _QFT_KET0 = QFT.apply(StateVector.basis_state(5, 0))
 _H_KET0 = H.apply(StateVector.basis_state(2, 0))
 
+# The mod-3 circuit's view: its three indices, then the two dimensions
+# of the 5-dim state that the oracle leaves alone.
+MOD3_PADDING = 2
 
-def deutsch(o: CountingOracle, pair) -> int:
-    """Parity of two input bits with one query: measure H O_x H |0>.
+
+def deutsch(o: CountingOracle, view: BlockView) -> int:
+    """Parity of the two input bits of ``view`` with one query: measure
+    H O_x H |0>.
 
     The outcome is memoised per (H, state after the query); the query is
-    made on every call.  The view is looked up on ``tuple(pair)``, so a
-    group of the wrong length gives a view of the wrong dimension, which
-    :meth:`CountingOracle.phase_apply` rejects before it logs a query.
+    made on every call.  A view of the wrong dimension (not two indices
+    with no padding) is rejected by :meth:`CountingOracle.phase_apply`
+    before it logs a query.
     """
-    return _measure_parity(H, o.phase_apply(block_view(tuple(pair)), _H_KET0))
+    return _measure_parity(H, o.phase_apply(view, _H_KET0))
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
@@ -137,31 +150,32 @@ def _measure_parity(matrix: SquareMatrix, state: StateVector) -> int:
     return min(support)
 
 
-def _state_before_fin(o: CountingOracle, triple) -> StateVector:
+def _state_before_fin(o: CountingOracle, view: BlockView) -> StateVector:
     """Both queries of the mod-3 circuit: the state that ``_FIN`` ends.
 
-    As in :func:`deutsch`, a group of the wrong length raises
-    ``ValueError`` before the first query."""
-    view = block_view(tuple(triple), 2)
+    As in :func:`deutsch`, a view of the wrong dimension (not three
+    indices with ``MOD3_PADDING``) raises ``ValueError`` before the first
+    query."""
     v = o.phase_apply(view, _QFT_KET0)
     v = _MID.apply(v)
     return o.phase_apply(view, v)
 
 
-def mod3_final_state(o: CountingOracle, triple) -> StateVector:
+def mod3_final_state(o: CountingOracle, view: BlockView) -> StateVector:
     """The final 5-dim state of the 2-query mod-3 circuit."""
-    return _FIN.apply(_state_before_fin(o, triple))
+    return _FIN.apply(_state_before_fin(o, view))
 
 
-def mod3(o: CountingOracle, triple) -> int:
-    """Hamming weight of three input bits modulo 3, with two queries.
+def mod3(o: CountingOracle, view: BlockView) -> int:
+    """Hamming weight of the three input bits of ``view`` modulo 3, with
+    two queries.
 
     Measures the final state against the three weight-residue projectors;
     in exact arithmetic exactly one mass is 1 and the others are 0.  The
     outcome is memoised per (_FIN, state before it); both queries are
     made on every call.
     """
-    return _measure_mod3(_FIN, _state_before_fin(o, triple))
+    return _measure_mod3(_FIN, _state_before_fin(o, view))
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)

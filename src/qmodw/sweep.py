@@ -262,13 +262,18 @@ def run_sweep(n_max: int, moduli: Sequence[int] = DEFAULT_MODULI,
               threads: Optional[int] = None, audit: bool = True) -> list:
     """Verify every (n, m) cell with n <= n_max; rows sorted by (n, m).
 
-    Raises ValueError (``UnsupportedModulus`` for a bad modulus), and for
-    ``audit`` other than True, before any cell runs or any worker starts.
+    Raises ValueError (``UnsupportedModulus`` for a bad modulus), for
+    ``audit`` other than True, unless ``n_max`` is an int >= 1, and unless
+    ``threads`` is None or an int >= 1 (a bool is neither), before any
+    cell runs or any worker starts.
     """
     if audit is not True:
         raise ValueError(f"the audit cannot be switched off, got {audit!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+    if type(n_max) is not int or n_max < 1:
+        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    if threads is not None and (type(threads) is not int or threads < 1):
+        raise ValueError(
+            f"threads must be a positive integer, got {threads!r}")
     for m in moduli:
         factor_split(m)
     # Largest first: a pool then ends on small cells, not a 2^n_max one.

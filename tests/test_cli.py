@@ -67,7 +67,7 @@ def test_run_exits_3_on_a_wrong_answer(capsys, monkeypatch):
     # pair: the run stays within its budget, so only the residue check
     # can tell.
     def constant(o, group):
-        o.query_bit(group[0])
+        o.query_bit(group.map[0])
         return 0
     monkeypatch.setattr(hamming_mod, "deutsch", constant)
     code, out, err = run_cli(capsys, "run", "--x", "10", "--m", "2")

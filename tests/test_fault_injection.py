@@ -306,7 +306,8 @@ def glue_next_block_in_the_plan(monkeypatch):
         reps = list(rep_block)
         brought = dict(zip(reps, reps[1:] + reps[-1:]))
         blocks = tuple(
-            tuple(sorted(i for rep in group for i in rep_block[brought[rep]]))
+            tuple(sorted(i for rep in group.map
+                         for i in rep_block[brought[rep]]))
             for j, group in enumerate(node.groups) if mask >> j & 1)
         if found.p:
             glued = {min(b): b for b in blocks}

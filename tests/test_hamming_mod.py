@@ -8,14 +8,19 @@ from qmodw.hamming_mod import (
     PartitionResult, UnsupportedModulus,
     factor_split, partition_weight, query_bound, weight_mod,
 )
-from qmodw.oracle import CountingOracle
-from qmodw.subroutines import deutsch, mod3
+from qmodw.oracle import CountingOracle, block_view
+from qmodw.subroutines import MOD3_PADDING, deutsch, mod3
 from qmodw.sweep import DEFAULT_MODULI, audit_partition, verify_cell
 
 
 def run(bits, m):
     o = CountingOracle(bits)
     return o, partition_weight(o, m)
+
+
+def padding_of(p):
+    """The padding of the oracle view that the circuit of prime p takes."""
+    return 0 if p == 2 else MOD3_PADDING
 
 
 # ---------------------------------------------------------
@@ -173,10 +178,14 @@ def test_partition_result_is_an_immutable_tuple_of_five_fields():
 def test_layout_cuts_consecutive_groups_and_keeps_the_rest(fresh_tables,
                                                            indices, m,
                                                            groups, rest):
-    # The root cuts the indices 1..n into groups of m and leftovers.
+    # The root cuts the indices 1..n into groups of m and leftovers, and
+    # holds each group as its interned view with the circuit's padding.
     for _ in range(2):
         root = hamming_mod._plan(m, len(indices))
-        assert (root.groups, root.rest) == (groups, rest)
+        assert ([g.map for g in root.groups], root.rest) == (list(groups),
+                                                             rest)
+        for group, view in zip(groups, root.groups):
+            assert view is block_view(group, padding_of(m))
     info = hamming_mod._plan.cache_info()
     assert (info.hits, info.misses) == (1, 1)
 
@@ -227,7 +236,7 @@ def reference_base_case(o, indices, m):
     blocks, s2, w2 = [], [], 0
     for start in range(0, full, m):
         group = indices[start:start + m]
-        outcome = measure(o, group)
+        outcome = measure(o, block_view(group, padding_of(m)))
         if outcome == 0:
             blocks.append(group)
         else:
@@ -339,15 +348,16 @@ def test_glue_plan_holds_the_representatives_and_merged_groups(
     # leftover representative 9, read, whose block goes to s2.
     root = hamming_mod._plan(4, 10)
     blocks = ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))
-    assert (root.p, root.size, root.groups, root.rest) == (2, 1, blocks, ())
+    assert (root.p, root.size, root.rest) == (2, 1, ())
+    assert tuple(g.map for g in root.groups) == blocks
     for _ in range(2):
         result = partition_weight(CountingOracle.from_int(0, 10), 4)
         glue = root.children[0b11111]
         assert list(root.children) == [0b11111]
         reps = (1, 3, 5, 7, 9)
         assert glue.rep_block == dict(zip(reps, blocks))
-        assert (glue.p, glue.size, glue.groups, glue.rest, glue.s2) == (
-            2, 2, ((1, 3), (5, 7)), (9,), ())
+        assert (glue.p, glue.size, glue.rest, glue.s2) == (2, 2, (9,), ())
+        assert [g.map for g in glue.groups] == [(1, 3), (5, 7)]
         assert list(glue.children) == [0b11]
         leaf = glue.children[0b11]
         assert (leaf.blocks, leaf.s2) == (((1, 2, 3, 4), (5, 6, 7, 8)),
@@ -355,6 +365,45 @@ def test_glue_plan_holds_the_representatives_and_merged_groups(
         assert (result.blocks, result.s2) == (leaf.blocks, leaf.s2)
     info = hamming_mod._plan.cache_info()
     assert (info.hits, info.misses) == (2, 1)
+
+
+def levels(node):
+    """Every level node of a plan tree, ``node`` first."""
+    if not node.p:
+        return []
+    return [node] + [level for child in node.children.values()
+                     for level in levels(child)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 18])
+def test_each_level_holds_the_interned_views_of_its_groups(fresh_tables, m):
+    # At the first level and at every level of representatives, each
+    # group is held as block_view(indices, padding) of its p units, with
+    # padding 0 for a pair and MOD3_PADDING for a triple; the groups'
+    # units, then the leftovers, are the level's units in order.
+    for n in range(1, 11):
+        assert verify_cell(n, m).failures == 0
+        for node in levels(hamming_mod._plan(m, n)):
+            units = (tuple(range(1, n + 1)) if node.rep_block is None
+                     else tuple(node.rep_block))
+            cut = tuple(i for view in node.groups for i in view.map)
+            assert cut + node.rest == units
+            for view in node.groups:
+                assert len(view.map) == node.p
+                assert view is block_view(view.map, padding_of(node.p))
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_a_warm_cell_looks_up_no_view(fresh_tables, m):
+    # The views are built with the plan's nodes: a cold cell makes
+    # block_view calls, and a warm one, whose every node is built, makes
+    # none, so no query looks up its view.
+    assert verify_cell(10, m).failures == 0
+    cold = block_view.cache_info()
+    assert cold.misses > 0
+    assert verify_cell(10, m).failures == 0
+    warm = block_view.cache_info()
+    assert (warm.hits, warm.misses) == (cold.hits, cold.misses)
 
 
 def test_glue_plan_stores_nothing_for_a_block_with_a_non_index(

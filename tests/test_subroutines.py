@@ -5,11 +5,11 @@ import pytest
 from qmodw.algebra import AlgebraicNumber, ONE, SQRT2, ZERO
 from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
 from qmodw.linalg import SquareMatrix, StateVector, inner
-from qmodw.oracle import BlockView, CountingOracle
+from qmodw.oracle import BlockView, CountingOracle, block_view
 from qmodw import subroutines
 from qmodw.sweep import verify_cell
 from qmodw.subroutines import (
-    ALL_3BIT, H, PI0, PI1, PI2, QFT, U, V, InvariantViolation,
+    ALL_3BIT, H, MOD3_PADDING, PI0, PI1, PI2, QFT, U, V, InvariantViolation,
     deutsch, fourier_oracle, gram_closed_form, gram_closed_form_mismatches,
     gram_matrix, mod3, mod3_final_state, signs_of, trace_mod3,
 )
@@ -17,6 +17,16 @@ from qmodw.subroutines import (
 
 def weight(bits):
     return bits.count("1")
+
+
+def pair(i, j):
+    """The view ``deutsch`` measures the bits i and j through."""
+    return block_view((i, j))
+
+
+def triple(i, j, k):
+    """The view ``mod3`` measures the bits i, j and k through."""
+    return block_view((i, j, k), MOD3_PADDING)
 
 
 # ---------------------------------------------------------
@@ -71,24 +81,27 @@ def test_fourier_oracle_needs_three_bits(bits):
 @pytest.mark.parametrize("bits", ["00", "01", "10", "11"])
 def test_deutsch_outputs_parity(bits):
     o = CountingOracle(bits)
-    assert deutsch(o, (1, 2)) == weight(bits) % 2
+    assert deutsch(o, pair(1, 2)) == weight(bits) % 2
     assert o.query_count == 1
 
 
 def test_deutsch_arbitrary_pair():
     o = CountingOracle("01101")
-    assert deutsch(o, (2, 5)) == 0
-    assert deutsch(o, (3, 4)) == 1
+    assert deutsch(o, pair(2, 5)) == 0
+    assert deutsch(o, pair(3, 4)) == 1
 
 
 def test_deutsch_rejects_equal_indices():
-    # A repeated index and a wrong arity both raise before any query: a
-    # group of the wrong length gives a view whose dimension is not the
-    # circuit state's.
+    # A repeated index is no view at all, and a view of the wrong
+    # dimension raises in the query before it is logged: three indices,
+    # one, or two with padding.
+    with pytest.raises(ValueError, match="duplicate indices"):
+        block_view((1, 1))
     o = CountingOracle("111")
-    for pair in [(1, 1), (1, 2, 3), [1, 2, 3], (1,)]:
-        with pytest.raises(ValueError):
-            deutsch(o, pair)
+    for view in [block_view((1, 2, 3)), block_view((1,)),
+                 block_view((1, 2), 1), triple(1, 2, 3)]:
+        with pytest.raises(ValueError, match="state dim 2 != view dim"):
+            deutsch(o, view)
     assert o.query_count == 0
 
 
@@ -99,41 +112,39 @@ def test_deutsch_rejects_equal_indices():
 @pytest.mark.parametrize("bits", ALL_3BIT)
 def test_mod3_outputs_weight_mod_3(bits):
     o = CountingOracle(bits)
-    assert mod3(o, (1, 2, 3)) == weight(bits) % 3
+    assert mod3(o, triple(1, 2, 3)) == weight(bits) % 3
     assert o.query_count == 2
 
 
 def test_mod3_on_subset_of_longer_input():
     # x = 110101: indices (2, 4, 6) carry 1, 1, 1; indices (1, 3, 5) carry 1, 0, 0
-    assert mod3(CountingOracle("110101"), (2, 4, 6)) == 0
-    assert mod3(CountingOracle("110101"), (1, 3, 5)) == 1
+    assert mod3(CountingOracle("110101"), triple(2, 4, 6)) == 0
+    assert mod3(CountingOracle("110101"), triple(1, 3, 5)) == 1
 
 
 def test_mod3_deterministic_measurement():
     for bits in ALL_3BIT:
         o = CountingOracle(bits)
-        state = mod3_final_state(o, (1, 2, 3))
+        state = mod3_final_state(o, triple(1, 2, 3))
         masses = [p.mass(state) for p in (PI0, PI1, PI2)]
         assert sorted(masses) == [0, 0, 1]
         assert masses[weight(bits) % 3] == 1
 
 
 def test_mod3_rejects_repeated_indices():
+    # As for deutsch: a repeated index is no view, and a view of the
+    # wrong dimension raises before its first query, the unpadded triple
+    # and the padded pair or quadruple included.
+    for repeated in [(1, 2, 2), (1, 1, 2), (3, 2, 3)]:
+        with pytest.raises(ValueError, match="duplicate indices"):
+            block_view(repeated, MOD3_PADDING)
     o = CountingOracle("1111")
-    for triple in [(1, 2, 2), (1, 1, 2), (3, 2, 3), (1, 2), [1, 2],
-                   (1, 2, 3, 4)]:
-        with pytest.raises(ValueError):
-            mod3(o, triple)
+    for view in [block_view((1, 2, 3)), pair(1, 2),
+                 block_view((1, 2), MOD3_PADDING),
+                 block_view((1, 2, 3, 4), MOD3_PADDING)]:
+        with pytest.raises(ValueError, match="state dim 5 != view dim"):
+            mod3(o, view)
     assert o.query_count == 0
-
-
-@pytest.mark.parametrize("bits", ["0000", "0110", "1011", "1111"])
-def test_a_list_group_measures_like_the_tuple(bits):
-    for measure, group in [(deutsch, (2, 4)), (deutsch, (3, 1)),
-                           (mod3, (1, 3, 4)), (mod3, (4, 2, 1))]:
-        o, list_o = CountingOracle(bits), CountingOracle(bits)
-        assert measure(list_o, list(group)) == measure(o, group)
-        assert list_o.transcript == o.transcript
 
 
 # ---------------------------------------------------------
@@ -171,7 +182,7 @@ def test_trace_states_are_unit():
 def test_fused_run_equals_unfused_final_state():
     for bits in ALL_3BIT:
         o = CountingOracle(bits)
-        assert mod3_final_state(o, (1, 2, 3)) == trace_mod3(bits).psi4
+        assert mod3_final_state(o, triple(1, 2, 3)) == trace_mod3(bits).psi4
 
 
 # ---------------------------------------------------------
@@ -300,14 +311,15 @@ def test_deutsch_memo_matches_fresh_matrix(bits):
 def test_memo_hits_still_make_every_query(fresh_tables):
     # Warm every memo on these local patterns, then repeat them: each call
     # must still make, count and log its queries.
-    mod3(CountingOracle("110"), (1, 2, 3))
-    deutsch(CountingOracle("00010"), (4, 5))
+    first, second = triple(1, 2, 3), pair(4, 5)
+    mod3(CountingOracle("110"), first)
+    deutsch(CountingOracle("00010"), second)
     warmed = [f.cache_info() for f in fresh_tables]
     o = CountingOracle("11010")
     expected = []
     for call in range(3):
-        assert mod3(o, (1, 2, 3)) == 2
-        assert deutsch(o, (4, 5)) == 1
+        assert mod3(o, first) == 2
+        assert deutsch(o, second) == 1
         assert o.query_count == 3 * (call + 1)
         base = 3 * call
         expected += [
@@ -339,7 +351,7 @@ def test_deutsch_outcome_memo_matches_fresh_measurement(fresh_tables):
             state = CountingOracle(bits).phase_apply(BlockView((1, 2)),
                                                      subroutines._H_KET0)
             states[bits] = state
-            got = deutsch(CountingOracle(bits), (1, 2))
+            got = deutsch(CountingOracle(bits), pair(1, 2))
             fresh = SquareMatrix.apply.__wrapped__(H, state)
             assert fresh.support() == {weight(bits) % 2}
             assert got == memo.__wrapped__(H, state) == weight(bits) % 2
@@ -367,7 +379,7 @@ def test_non_basis_parity_state_is_an_invariant_violation(fresh_tables,
     o = CountingOracle("01")
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not a basis state"):
-            deutsch(o, (1, 2))
+            deutsch(o, pair(1, 2))
     assert o.query_count == 2
     assert subroutines._measure_parity.cache_info().currsize == 0
     row = verify_cell(2, 2)
@@ -393,11 +405,12 @@ def test_mod3_outcome_memo_matches_fresh_measurement(fresh_tables):
     for warm in (False, True):
         for bits in ALL_3BIT:
             state = subroutines._state_before_fin(CountingOracle(bits),
-                                                  (1, 2, 3))
+                                                  triple(1, 2, 3))
             states[bits] = state
-            got = mod3(CountingOracle(bits), (1, 2, 3))
+            got = mod3(CountingOracle(bits), triple(1, 2, 3))
             fresh = SquareMatrix.apply.__wrapped__(fin, state)
-            assert fresh == mod3_final_state(CountingOracle(bits), (1, 2, 3))
+            assert fresh == mod3_final_state(CountingOracle(bits),
+                                             triple(1, 2, 3))
             assert got == memo.__wrapped__(fin, state) \
                 == _fresh_outcome(fresh) == weight(bits) % 3
         info = memo.cache_info()
@@ -425,7 +438,7 @@ def test_irrational_mass_is_an_invariant_violation(fresh_tables, monkeypatch):
     o = CountingOracle("000")
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not rational"):
-            mod3(o, (1, 2, 3))
+            mod3(o, triple(1, 2, 3))
     info = subroutines._measure_mod3.cache_info()
     assert info.misses == 2 and info.currsize == 0
     # The sweep counts each such input as a failure and goes on.

@@ -3,6 +3,7 @@ the memo counters over a cold sweep; the benchmark tracer's targets."""
 
 import concurrent.futures
 import os
+import re
 import subprocess
 import sys
 import types
@@ -239,8 +240,35 @@ def test_the_audit_cannot_be_switched_off(monkeypatch, audit):
 
 def test_run_sweep_rejects_n_max_below_one():
     for n_max in (0, -1):
-        with pytest.raises(ValueError, match="n_max must be positive"):
+        with pytest.raises(ValueError, match="n_max must be a positive "
+                           "integer"):
             run_sweep(n_max)
+
+
+@pytest.mark.parametrize("n_max, threads, message", [
+    (2.0, 1, "n_max must be a positive integer, got 2.0"),
+    (2.5, 1, "n_max must be a positive integer, got 2.5"),
+    (True, 1, "n_max must be a positive integer, got True"),
+    ("3", 1, "n_max must be a positive integer, got '3'"),
+    (2, 0, "threads must be a positive integer, got 0"),
+    (2, -2, "threads must be a positive integer, got -2"),
+    (2, 1.5, "threads must be a positive integer, got 1.5"),
+    (2, 2.0, "threads must be a positive integer, got 2.0"),
+    (2, True, "threads must be a positive integer, got True"),
+    (2, "2", "threads must be a positive integer, got '2'"),
+])
+def test_run_sweep_checks_n_max_and_threads_before_any_cell(
+        monkeypatch, n_max, threads, message):
+    # A float or bool n_max used to reach range() or run as n_max = 1;
+    # threads below 1 used to run serially and a float one reached the
+    # pool.  Each now raises ValueError before a cell runs or a worker
+    # starts.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell was run or a pool was started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_run)
+    monkeypatch.setattr(sweep, "verify_cell", no_run)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(n_max, [2], threads=threads)
 
 
 def test_the_cli_and_the_sweep_share_one_judgement(monkeypatch, capsys):
