@@ -32,16 +32,16 @@ so a float or bool equal to a stored int modulus still raises.  A level
 node holds its prime, block size, groups, leftovers, representative to
 block map and ``children`` by mask, built by :func:`_child` on a miss (a
 mask with a bit beyond the level's groups raises); a leaf holds the
-final blocks and sorted s2.  Each group is held as its interned oracle
-view, :func:`block_view` of its indices with the circuit's padding (0
-for a pair, ``MOD3_PADDING`` for a triple), built once with its node, so
-a query looks up no view.  A tree holds at most one node per mask
-path of the inputs run on it, and goes with its root from the capped
-memo.  Per level, :func:`_measure_level` measures every group and reads
-every leftover on every call, handing each group's view to
-:func:`deutsch` or :func:`mod3` looked up in this module's globals, so
-code that replaces one of them, or the level function itself, there
-sees every level.
+final blocks and sorted s2.  Each group is held as its oracle view, a
+:class:`~qmodw.oracle.BlockView` of its indices with the circuit's
+padding (0 for a pair, ``MOD3_PADDING`` for a triple), built once with
+its node, so a query builds no view and looks none up.  A tree holds at
+most one node per mask path of the inputs run on it, and goes with its
+root from the capped memo.  Per level, :func:`_measure_level` measures
+every group and reads every leftover on every call, handing each
+group's view to :func:`deutsch` or :func:`mod3` looked up in this
+module's globals, so code that replaces one of them, or the level
+function itself, there sees every level.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .linalg import _APPLY_MEMO_CAP
-from .oracle import CountingOracle, block_view
+from .oracle import BlockView, CountingOracle
 from .subroutines import MOD3_PADDING, deutsch, mod3
 
 
@@ -144,7 +144,7 @@ def _measure_level(o: CountingOracle, groups: tuple, rest: tuple,
 
 
 class _Level:
-    """A level: the interned oracle view of each group of p units, in
+    """A level: the oracle view of each group of p units, in
     ``groups``, and leftover units ``rest``; a unit is an index at the
     first level (``rep_block`` None), else the smallest index of the
     block ``rep_block[rep]`` of ``size`` indices.  ``s2`` is what the
@@ -157,7 +157,7 @@ class _Level:
         p = self.p = primes[0]
         full = len(units) - len(units) % p
         padding = 0 if p == 2 else MOD3_PADDING
-        self.groups = tuple(block_view(units[start:start + p], padding)
+        self.groups = tuple(BlockView(units[start:start + p], padding)
                             for start in range(0, full, p))
         self.rest = units[full:]
         self.primes = primes[1:]

@@ -28,9 +28,9 @@ is one.  There is one live object per exact value, so ``==`` and
 nothing else holds is dropped from it, while a bound that evicted a live
 object would let a second, equal one be made that compares unequal.
 Pickling and copying go through the table too.  A matrix builds its
-kernel on first use; a state's support, its per-entry ``|z|^2`` rows
-and its projector masses are computed on each call, and the circuits
-memoise their measured outcome per final state instead.
+kernel on first use; a state's per-entry ``|z|^2`` rows and its
+projector masses are computed on each call, and the circuits memoise
+their measured outcome per final state instead.
 
 ``_APPLY_MEMO_CAP`` bounds every memo of the package, and every memo
 has one policy: each is a ``functools.lru_cache`` table that drops its
@@ -172,10 +172,6 @@ class StateVector(_Interned):
 
     def __getitem__(self, i: int) -> AlgebraicNumber:
         return AlgebraicNumber._from_row(self._num[i], self._den)
-
-    def support(self) -> frozenset:
-        """Indices with a nonzero amplitude."""
-        return frozenset(i for i, row in enumerate(self._num) if any(row))
 
     def _abs_sq_rows(self):
         """Per-entry |z|^2 in packed form: (tuple of int rows, den)."""

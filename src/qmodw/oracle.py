@@ -19,14 +19,13 @@ logged compactly, as the view itself or the index read;
 :attr:`CountingOracle.transcript` expands the log into fresh dicts on
 every read, and the query count is the log's length.
 
-A :class:`BlockView` is immutable and holds no hidden data, so
-:func:`block_view` interns views by ``(map, padding)``: its duplicate
-check, its index range and its sign table are built once per distinct
-view, not once per query.  The views are built with the plan, not per
-query: :mod:`qmodw.hamming_mod` calls :func:`block_view` once for each
+A :class:`BlockView` is immutable and holds no hidden data, so its
+duplicate check, its index range and its sign table are built once,
+when it is made, not once per query.  The views are built with the
+plan: :mod:`qmodw.hamming_mod` makes one :class:`BlockView` for each
 group when it builds a level node, and the circuits are handed the
-node's views, so a warm run makes no view lookup.  A view does not
-depend on n: the sign table maps each of the 2^k values of
+node's views, so a warm run builds no view and looks none up.  A view
+does not depend on n: the sign table maps each of the 2^k values of
 ``hidden >> (n - view.hi) & view.mask`` for a view of k indices to the
 local rows that value flips, so a query finds its rows with one shift,
 one AND and one lookup.
@@ -38,12 +37,10 @@ the memo says nothing about which input it was filled from.
 query has been counted and logged, so a repeated query still costs a
 query and returns the stored state without negating again.  A state is
 the one live object of its value (see :mod:`qmodw.linalg`), so an equal
-state built elsewhere finds the same entry.
-
-Both memos are ``functools.lru_cache`` tables of at most
-``linalg._APPLY_MEMO_CAP`` entries (a full one drops its least recently
-used entry), and ``cache_info()`` reports their hits and misses.  A view
-that fails its check raises and is never stored.
+state built elsewhere finds the same entry.  The memo is a
+``functools.lru_cache`` table of at most ``linalg._APPLY_MEMO_CAP``
+entries (a full one drops its least recently used entry), and
+``cache_info()`` reports its hits and misses.
 """
 
 from __future__ import annotations
@@ -108,12 +105,6 @@ class BlockView:
                               for key, rows in flips.items()])
         put(self, "mask", mask)
         put(self, "_flips", flips)
-
-
-@lru_cache(maxsize=_APPLY_MEMO_CAP)
-def block_view(map: tuple, padding: int = 0) -> BlockView:
-    """The interned view of the tuple ``map`` with ``padding``."""
-    return BlockView(map, padding)
 
 
 class CountingOracle:

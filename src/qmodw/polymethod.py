@@ -59,14 +59,19 @@ class HypothesisViolated(ValueError):
     """A theorem hypothesis does not hold for the given function."""
 
 
+def _is_bit(v) -> bool:
+    """True iff v is the int 0 or 1; 1.0 and True equal 1 but are not."""
+    return type(v) is int and v in (0, 1)
+
+
 def _as_bits(x) -> tuple:
-    """The bits of a bit string or of a sequence of 0/1 entries.
+    """The bits of a bit string or of a sequence of int 0/1 entries.
 
     Raises ValueError naming the first entry that is not 0 or 1.
     """
     bits = tuple(x)
     for i, b in enumerate(bits):
-        if b not in (0, 1, "0", "1"):
+        if not _is_bit(b) and b not in ("0", "1"):
             raise ValueError(f"entry {i} is {b!r}, not 0 or 1")
     return tuple(map(int, bits))
 
@@ -321,11 +326,12 @@ class SymmetricFunctionSpec:
     values: tuple
 
     def __post_init__(self):
-        if len(self.values) != self.n + 1:
-            raise ValueError(
-                f"need {self.n + 1} weight values, got {len(self.values)}")
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("weight values must be bits")
+        if (type(self.n) is not int or self.n < 0
+                or len(self.values) != self.n + 1):
+            raise ValueError(f"need an int n >= 0 and n + 1 weight values, "
+                             f"got n={self.n!r} and {len(self.values)} values")
+        if not all(map(_is_bit, self.values)):
+            raise ValueError("weight values must be the ints 0 and 1")
 
     def eval(self, x) -> int:
         bits = _as_bits(x)
@@ -340,9 +346,9 @@ class SymmetricFunctionSpec:
 
 def mod_m_spec(n: int, m: int) -> SymmetricFunctionSpec:
     """The n-bit function that is 1 iff the Hamming weight is 0 mod m."""
-    if not 2 <= m <= n:
+    if type(n) is not int or type(m) is not int or not 2 <= m <= n:
         raise DomainError(
-            f"defined for 2 <= m <= n, got m={m}, n={n}")
+            f"defined for ints 2 <= m <= n, got m={m!r}, n={n!r}")
     return SymmetricFunctionSpec(
         n, tuple(1 if w % m == 0 else 0 for w in range(n + 1)))
 
@@ -409,7 +415,7 @@ def is_nondeterministic_poly(p: MultilinearPolynomial, f) -> bool:
             raise ValueError(
                 f"truth table size {len(table)} != 2^{p.n}")
         for i, v in enumerate(table):
-            if v not in (0, 1):
+            if not _is_bit(v):
                 raise ValueError(f"truth table entry {i} is {v!r}, not 0 or 1")
     cols, _ = _cube_values(p)
     if not cols:

@@ -17,17 +17,20 @@ unfused intermediate states for table verification.
 
 Each circuit takes the :class:`BlockView` of its bits, built once by its
 caller (the plan of :mod:`qmodw.hamming_mod` holds one per group), and
-looks up no view per call: :func:`deutsch` takes a view of two indices,
+builds no view per call: :func:`deutsch` takes a view of two indices,
 :func:`mod3` one of three indices with ``MOD3_PADDING`` ancilla
 dimensions.  :meth:`CountingOracle.phase_apply` checks each view's range
 and dimension on every query, so a view of the wrong dimension raises
 ``ValueError`` before any query.
 
-Each circuit ends in its last constant matrix (``H`` or ``_FIN``) and one
-exact measurement.  Both are memoised together with ``functools.lru_cache``
-(at most ``_APPLY_MEMO_CAP`` entries, least recently used dropped first),
-keyed on (final matrix, state before it): the matrix is applied inside,
-on a miss only, so a warm circuit makes one lookup after its last query.
+Each circuit ends in its last constant matrix (``H`` or ``_FIN``) and
+:func:`_measure`, one exact measurement with the projectors of the final
+state's dimension (onto |0> and |1>, or PI0, PI1 and PI2): one outcome
+must have mass 1 and the others 0.  Both are one ``functools.lru_cache``
+memo (at most ``_APPLY_MEMO_CAP`` entries, least recently used dropped
+first), keyed on (final matrix, state before it): the matrix is applied
+inside, on a miss only, so a warm circuit makes one lookup after its
+last query.
 The matrix is part of the key, so a replaced ``H`` or ``_FIN`` never
 reads the true matrix's outcomes.  The queries are made before the memo
 is read, and a state that fails its check raises and is never stored, so
@@ -112,6 +115,10 @@ PI0 = Projector(5, frozenset({0}))
 PI1 = Projector(5, frozenset({1, 2}))
 PI2 = Projector(5, frozenset({3, 4}))
 
+# The outcome projectors of each circuit's final state, by its dimension.
+_PROJECTORS = {2: tuple(Projector(2, frozenset({i})) for i in (0, 1)),
+               5: (PI0, PI1, PI2)}
+
 
 # Fused constants for the 2-query run: the state between the two oracle
 # calls is (QFT U QFT†) applied to the post-oracle state, and the final
@@ -136,18 +143,25 @@ def deutsch(o: CountingOracle, view: BlockView) -> int:
     with no padding) is rejected by :meth:`CountingOracle.phase_apply`
     before it logs a query.
     """
-    return _measure_parity(H, o.phase_apply(view, _H_KET0))
+    return _measure(H, o.phase_apply(view, _H_KET0))
 
 
 @lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _measure_parity(matrix: SquareMatrix, state: StateVector) -> int:
-    """The one index ``matrix`` applied to ``state`` is supported on;
-    else InvariantViolation."""
+def _measure(matrix: SquareMatrix, state: StateVector) -> int:
+    """The outcome whose projector has mass 1 on ``matrix`` applied to
+    ``state``, every other mass being 0; InvariantViolation otherwise,
+    and for a state of neither circuit's dimension."""
+    projectors = _PROJECTORS.get(state.dim)
+    if projectors is None:
+        raise InvariantViolation(f"no measurement of a {state.dim}-dim state")
     final = matrix.apply(state)
-    support = final.support()
-    if len(support) != 1:
-        raise InvariantViolation(f"parity state not a basis state: {final!r}")
-    return min(support)
+    try:
+        masses = [p.mass(final) for p in projectors]
+    except ValueError as exc:
+        raise InvariantViolation(str(exc)) from exc
+    if sorted(masses) != [0] * (len(masses) - 1) + [1]:
+        raise InvariantViolation(f"projector masses {masses} not deterministic")
+    return masses.index(1)
 
 
 def _state_before_fin(o: CountingOracle, view: BlockView) -> StateVector:
@@ -175,22 +189,7 @@ def mod3(o: CountingOracle, view: BlockView) -> int:
     outcome is memoised per (_FIN, state before it); both queries are
     made on every call.
     """
-    return _measure_mod3(_FIN, _state_before_fin(o, view))
-
-
-@lru_cache(maxsize=_APPLY_MEMO_CAP)
-def _measure_mod3(matrix: SquareMatrix, state: StateVector) -> int:
-    """The residue whose projector has mass 1 on ``matrix`` applied to
-    ``state``; InvariantViolation otherwise."""
-    final = matrix.apply(state)
-    try:
-        masses = [p.mass(final) for p in (PI0, PI1, PI2)]
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from exc
-    hits = [r for r, m in enumerate(masses) if m == 1]
-    if len(hits) != 1 or any(m not in (0, 1) for m in masses):
-        raise InvariantViolation(f"projector masses {masses} not deterministic")
-    return hits[0]
+    return _measure(_FIN, _state_before_fin(o, view))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import qmodw
 from qmodw.algebra import AlgebraicNumber
 from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
 from qmodw.hamming_mod import partition_weight, query_bound
-from qmodw.oracle import CountingOracle, block_view
+from qmodw.oracle import BlockView, CountingOracle
 from qmodw.polymethod import (
     MultilinearPolynomial, certificate_roundtrip, exact_degree,
     is_nondeterministic_poly, mod_m_spec, ndeg_lower_bound, symmetrize,
@@ -106,7 +106,7 @@ def test_gram_matrix_and_closed_forms():
 def test_unitarity_and_deterministic_measurement():
     ok = all(m.is_unitary() for m in (H, QFT, U, V))
     ok = ok and all(fourier_oracle(bits).is_unitary() for bits in ALL_3BIT)
-    view = block_view((1, 2, 3), MOD3_PADDING)
+    view = BlockView((1, 2, 3), MOD3_PADDING)
     for bits in ALL_3BIT:
         state = mod3_final_state(CountingOracle(bits), view)
         masses = [p.mass(state) for p in (PI0, PI1, PI2)]

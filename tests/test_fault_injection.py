@@ -2,12 +2,12 @@
 
 Each fault makes ``verify_cell`` report failing inputs with reasons and
 ``qmodw sweep --n-max 4`` exit 3.  A warm run first fills every memo
-(the oracle's views and flips, the outcomes of ``deutsch`` and ``mod3``
-keyed on their final matrix, the plan trees of ``partition_weight``,
-the audit's shapes and the ``apply`` products) with a correct sweep, so
-a fault that a stored entry could hide would show up as a passing warm
-run.  The ``fresh_tables`` fixture empties those memos before and after
-the test.
+(the oracle's flips, the one outcome memo of ``deutsch`` and ``mod3``
+keyed on their final matrix, the plan trees of ``partition_weight``
+with their views, the audit's shapes and the ``apply`` products) with a
+correct sweep, so a fault that a stored entry could hide would show up
+as a passing warm run.  The ``fresh_tables`` fixture empties those memos
+before and after the test.
 
 The faults of a run's measurements go through the per-level function
 ``hamming_mod._measure_level``, which runs on every call.  Blocks and s2
@@ -72,6 +72,14 @@ def corrupt_h(monkeypatch):
     # outcome memo holds an entry for it.
     monkeypatch.setattr(subroutines, "H",
                         SquareMatrix(subroutines.H.entries[::-1]))
+
+
+def scaled_h(monkeypatch):
+    # 2 H sends each parity state to 2 |0> or 2 |1>: the support is still
+    # one index, but the outcome's mass is 4, not 1.
+    two = subroutines._rat(2)
+    monkeypatch.setattr(subroutines, "H", SquareMatrix(
+        [[two * e for e in row] for row in subroutines.H.entries]))
 
 
 def drop_flip(monkeypatch):
@@ -142,9 +150,9 @@ def block_with_a_non_index(monkeypatch):
     monkeypatch.setattr(hamming_mod, "_measure_level", measure_level)
 
 
-FAULTS = [corrupt_u, corrupt_v, corrupt_h, drop_flip, skip_query,
-          w2_off_by_one, mid_wrong_dimension, extra_leftover_read,
-          misreported_queries, block_with_a_non_index]
+FAULTS = [corrupt_u, corrupt_v, corrupt_h, scaled_h, drop_flip,
+          skip_query, w2_off_by_one, mid_wrong_dimension,
+          extra_leftover_read, misreported_queries, block_with_a_non_index]
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

@@ -8,7 +8,7 @@ from qmodw.hamming_mod import (
     PartitionResult, UnsupportedModulus,
     factor_split, partition_weight, query_bound, weight_mod,
 )
-from qmodw.oracle import CountingOracle, block_view
+from qmodw.oracle import BlockView, CountingOracle
 from qmodw.subroutines import MOD3_PADDING, deutsch, mod3
 from qmodw.sweep import DEFAULT_MODULI, audit_partition, verify_cell
 
@@ -179,13 +179,13 @@ def test_layout_cuts_consecutive_groups_and_keeps_the_rest(fresh_tables,
                                                            indices, m,
                                                            groups, rest):
     # The root cuts the indices 1..n into groups of m and leftovers, and
-    # holds each group as its interned view with the circuit's padding.
+    # holds each group as its view with the circuit's padding.
     for _ in range(2):
         root = hamming_mod._plan(m, len(indices))
         assert ([g.map for g in root.groups], root.rest) == (list(groups),
                                                              rest)
         for group, view in zip(groups, root.groups):
-            assert view is block_view(group, padding_of(m))
+            assert view == BlockView(group, padding_of(m))
     info = hamming_mod._plan.cache_info()
     assert (info.hits, info.misses) == (1, 1)
 
@@ -236,7 +236,7 @@ def reference_base_case(o, indices, m):
     blocks, s2, w2 = [], [], 0
     for start in range(0, full, m):
         group = indices[start:start + m]
-        outcome = measure(o, block_view(group, padding_of(m)))
+        outcome = measure(o, BlockView(group, padding_of(m)))
         if outcome == 0:
             blocks.append(group)
         else:
@@ -378,7 +378,7 @@ def levels(node):
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 18])
 def test_each_level_holds_the_interned_views_of_its_groups(fresh_tables, m):
     # At the first level and at every level of representatives, each
-    # group is held as block_view(indices, padding) of its p units, with
+    # group is held as BlockView(indices, padding) of its p units, with
     # padding 0 for a pair and MOD3_PADDING for a triple; the groups'
     # units, then the leftovers, are the level's units in order.
     for n in range(1, 11):
@@ -390,20 +390,26 @@ def test_each_level_holds_the_interned_views_of_its_groups(fresh_tables, m):
             assert cut + node.rest == units
             for view in node.groups:
                 assert len(view.map) == node.p
-                assert view is block_view(view.map, padding_of(node.p))
+                assert view == BlockView(view.map, padding_of(node.p))
 
 
 @pytest.mark.parametrize("m", [2, 3, 12])
-def test_a_warm_cell_looks_up_no_view(fresh_tables, m):
-    # The views are built with the plan's nodes: a cold cell makes
-    # block_view calls, and a warm one, whose every node is built, makes
-    # none, so no query looks up its view.
+def test_a_warm_cell_looks_up_no_view(fresh_tables, monkeypatch, m):
+    # The views are built with the plan's nodes: a cold cell builds
+    # views, and a warm one, whose every node is built, builds none, so
+    # no query builds or looks up its view.
+    built = []
+    check = BlockView.__post_init__
+
+    def counted(view):
+        built.append(view)
+        check(view)
+    monkeypatch.setattr(BlockView, "__post_init__", counted)
     assert verify_cell(10, m).failures == 0
-    cold = block_view.cache_info()
-    assert cold.misses > 0
+    assert built
+    built.clear()
     assert verify_cell(10, m).failures == 0
-    warm = block_view.cache_info()
-    assert (warm.hits, warm.misses) == (cold.hits, cold.misses)
+    assert built == []
 
 
 def test_glue_plan_stores_nothing_for_a_block_with_a_non_index(

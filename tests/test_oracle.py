@@ -309,36 +309,18 @@ def test_flip_table_stays_capped_and_exact(fresh_tables):
 
 
 # ---------------------------------------------------------
-# Interned views, the bitmask input and the compact log
+# Views, the bitmask input and the compact log
 # ---------------------------------------------------------
-
-def test_view_table_interns_and_stays_capped(fresh_tables):
-    first = oracle.block_view((1, 2))
-    assert oracle.block_view((1, 2)) is first
-    assert oracle.block_view((1, 2), 1) is not first
-    for k in range(_APPLY_MEMO_CAP + 20):
-        view = oracle.block_view((k + 1, k + 2))
-        assert view.map == (k + 1, k + 2) and view.dim == 2
-        # Used on every step, so never the least recently used entry.
-        assert oracle.block_view((1, 2)) is first
-        assert oracle.block_view.cache_info().currsize <= _APPLY_MEMO_CAP
-    assert oracle.block_view.cache_info().currsize == _APPLY_MEMO_CAP
-    assert oracle.block_view((k + 1, k + 2)) is view
-    # Once full, a new view is still built and checked, and not stored.
-    with pytest.raises(ValueError):
-        oracle.block_view((7, 7), 5)
-    assert oracle.block_view.cache_info().currsize == _APPLY_MEMO_CAP
-
 
 @pytest.mark.parametrize("map, padding", [((1, 1), 0), ((2, 3, 2), 2),
                                           ((1,), -1)],
                          ids=["duplicate", "duplicate-padded", "negative"])
 def test_bad_view_raises_and_is_not_stored(fresh_tables, map, padding):
+    # A view is checked each time it is made, and no memo keeps it.
     for _ in range(2):
         with pytest.raises(ValueError):
-            oracle.block_view(map, padding)
-    info = oracle.block_view.cache_info()
-    assert info.misses == 2 and info.currsize == 0
+            BlockView(map, padding)
+    assert all(f.cache_info().currsize == 0 for f in fresh_tables)
 
 
 def test_view_precomputes_range_and_dim():

@@ -560,6 +560,28 @@ def test_mod_spec_domain():
         mod_m_spec(4, 1)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: mod_m_spec(4, 2.0), "defined for ints"),
+    (lambda: mod_m_spec(4.0, 2), "defined for ints"),
+    (lambda: mod_m_spec(4, True), "defined for ints"),
+    (lambda: SymmetricFunctionSpec(2, (1.0, 0, True)), "ints 0 and 1"),
+    (lambda: SymmetricFunctionSpec(2.0, (1, 0, 1)), "need an int n"),
+    (lambda: SymmetricFunctionSpec(-1, ()), "need an int n >= 0"),
+    (lambda: is_nondeterministic_poly(poly(2, p_12=1), [1.0, 0, 0, True]),
+     "entry 0 is 1.0"),
+    (lambda: is_nondeterministic_poly(poly(2, p_12=1), [0, 0, 0, True]),
+     "entry 3 is True"),
+    (lambda: mod_m_spec(2, 2).eval([1.0, 0]), "entry 0 is 1.0"),
+    (lambda: poly(2, p_1=1).eval([0, True]), "entry 1 is True"),
+], ids=["m-float", "n-float", "m-bool", "spec-values", "spec-n",
+        "spec-negative-n", "table-float", "table-bool", "bits-float",
+        "bits-bool"])
+def test_specs_tables_and_points_take_exact_ints(call, error):
+    # 1.0 and True equal 1, so a check by value alone accepts them.
+    with pytest.raises(ValueError, match=error):
+        call()
+
+
 def test_zero_weight_counts():
     assert ndeg_lower_bound(mod_m_spec(6, 3)) == 4
     assert ndeg_lower_bound(mod_m_spec(4, 2)) == 2

@@ -5,7 +5,7 @@ import pytest
 from qmodw.algebra import AlgebraicNumber, ONE, SQRT2, ZERO
 from qmodw.fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
 from qmodw.linalg import SquareMatrix, StateVector, inner
-from qmodw.oracle import BlockView, CountingOracle, block_view
+from qmodw.oracle import BlockView, CountingOracle
 from qmodw import subroutines
 from qmodw.sweep import verify_cell
 from qmodw.subroutines import (
@@ -19,14 +19,19 @@ def weight(bits):
     return bits.count("1")
 
 
+def support(state):
+    """The indices of the nonzero entries of ``state``."""
+    return {i for i, e in enumerate(state.entries) if not e.is_zero()}
+
+
 def pair(i, j):
     """The view ``deutsch`` measures the bits i and j through."""
-    return block_view((i, j))
+    return BlockView((i, j))
 
 
 def triple(i, j, k):
     """The view ``mod3`` measures the bits i, j and k through."""
-    return block_view((i, j, k), MOD3_PADDING)
+    return BlockView((i, j, k), MOD3_PADDING)
 
 
 # ---------------------------------------------------------
@@ -96,10 +101,10 @@ def test_deutsch_rejects_equal_indices():
     # dimension raises in the query before it is logged: three indices,
     # one, or two with padding.
     with pytest.raises(ValueError, match="duplicate indices"):
-        block_view((1, 1))
+        BlockView((1, 1))
     o = CountingOracle("111")
-    for view in [block_view((1, 2, 3)), block_view((1,)),
-                 block_view((1, 2), 1), triple(1, 2, 3)]:
+    for view in [BlockView((1, 2, 3)), BlockView((1,)),
+                 BlockView((1, 2), 1), triple(1, 2, 3)]:
         with pytest.raises(ValueError, match="state dim 2 != view dim"):
             deutsch(o, view)
     assert o.query_count == 0
@@ -137,11 +142,11 @@ def test_mod3_rejects_repeated_indices():
     # and the padded pair or quadruple included.
     for repeated in [(1, 2, 2), (1, 1, 2), (3, 2, 3)]:
         with pytest.raises(ValueError, match="duplicate indices"):
-            block_view(repeated, MOD3_PADDING)
+            BlockView(repeated, MOD3_PADDING)
     o = CountingOracle("1111")
-    for view in [block_view((1, 2, 3)), pair(1, 2),
-                 block_view((1, 2), MOD3_PADDING),
-                 block_view((1, 2, 3, 4), MOD3_PADDING)]:
+    for view in [BlockView((1, 2, 3)), pair(1, 2),
+                 BlockView((1, 2), MOD3_PADDING),
+                 BlockView((1, 2, 3, 4), MOD3_PADDING)]:
         with pytest.raises(ValueError, match="state dim 5 != view dim"):
             mod3(o, view)
     assert o.query_count == 0
@@ -305,7 +310,7 @@ def test_deutsch_memo_matches_fresh_matrix(bits):
     o = CountingOracle(bits)
     state = _memo_matches_fresh(
         H, o.phase_apply(BlockView((1, 2)), subroutines._H_KET0))
-    assert state.support() == {weight(bits) % 2}
+    assert support(state) == {weight(bits) % 2}
 
 
 def test_memo_hits_still_make_every_query(fresh_tables):
@@ -338,22 +343,28 @@ def test_memo_hits_still_make_every_query(fresh_tables):
 
 
 # ---------------------------------------------------------
-# The outcome memos of deutsch and mod3
+# The outcome memo of deutsch and mod3
 # ---------------------------------------------------------
+
+def _fresh_outcome(state):
+    masses = _masses_match_fresh(state)
+    assert sorted(masses) == [0, 0, 1]
+    return masses.index(1)
+
 
 def test_deutsch_outcome_memo_matches_fresh_measurement(fresh_tables):
     # Cold, then warm: the 4 patterns leave 4 distinct states after the
     # query, ±|+> and ±|->, each measured once through H into ±|0> or ±|1>.
-    memo = subroutines._measure_parity
+    memo = subroutines._measure
     states = {}
     for warm in (False, True):
         for bits in ("00", "01", "10", "11"):
-            state = CountingOracle(bits).phase_apply(BlockView((1, 2)),
+            state = CountingOracle(bits).phase_apply(pair(1, 2),
                                                      subroutines._H_KET0)
             states[bits] = state
             got = deutsch(CountingOracle(bits), pair(1, 2))
             fresh = SquareMatrix.apply.__wrapped__(H, state)
-            assert fresh.support() == {weight(bits) % 2}
+            assert support(fresh) == {weight(bits) % 2}
             assert got == memo.__wrapped__(H, state) == weight(bits) % 2
         info = memo.cache_info()
         assert info.misses == info.currsize == 4
@@ -371,35 +382,10 @@ def test_deutsch_outcome_memo_matches_fresh_measurement(fresh_tables):
     assert info.hits == 4 + 4 + 4
 
 
-def test_non_basis_parity_state_is_an_invariant_violation(fresh_tables,
-                                                          monkeypatch):
-    # Without the final H the state is ±|+> or ±|->, supported on both
-    # indices: deutsch raises on every call and stores nothing.
-    monkeypatch.setattr(subroutines, "H", SquareMatrix.identity(2))
-    o = CountingOracle("01")
-    for _ in range(2):
-        with pytest.raises(InvariantViolation, match="not a basis state"):
-            deutsch(o, pair(1, 2))
-    assert o.query_count == 2
-    assert subroutines._measure_parity.cache_info().currsize == 0
-    row = verify_cell(2, 2)
-    assert row.failures == row.inputs == 4
-    for _, reasons in row.first_failures:
-        assert len(reasons) == 1
-        assert reasons[0].startswith("InvariantViolation: parity state")
-    assert subroutines._measure_parity.cache_info().currsize == 0
-
-
-def _fresh_outcome(state):
-    masses = _masses_match_fresh(state)
-    assert sorted(masses) == [0, 0, 1]
-    return masses.index(1)
-
-
 def test_mod3_outcome_memo_matches_fresh_measurement(fresh_tables):
     # Cold, then warm: 000 and 111 share the state before _FIN (both end
     # in |0>), so the 8 patterns leave 7 entries.
-    memo = subroutines._measure_mod3
+    memo = subroutines._measure
     fin = subroutines._FIN
     states = {}
     for warm in (False, True):
@@ -424,6 +410,29 @@ def test_mod3_outcome_memo_matches_fresh_measurement(fresh_tables):
         assert memo(fin, state) == weight(bits) % 3
     info = memo.cache_info()
     assert info.misses == info.currsize == 14
+    # A state of neither circuit's dimension has no measurement.
+    with pytest.raises(InvariantViolation, match="no measurement of a 3-dim"):
+        memo(SquareMatrix.identity(3), StateVector.basis_state(3, 0))
+    assert memo.cache_info().currsize == 14
+
+
+def test_non_basis_parity_state_is_an_invariant_violation(fresh_tables,
+                                                          monkeypatch):
+    # Without the final H the state is ±|+> or ±|->, with mass 1/2 on
+    # each outcome: deutsch raises on every call and stores nothing.
+    monkeypatch.setattr(subroutines, "H", SquareMatrix.identity(2))
+    o = CountingOracle("01")
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="not deterministic"):
+            deutsch(o, pair(1, 2))
+    assert o.query_count == 2
+    assert subroutines._measure.cache_info().currsize == 0
+    row = verify_cell(2, 2)
+    assert row.failures == row.inputs == 4
+    for _, reasons in row.first_failures:
+        assert len(reasons) == 1
+        assert reasons[0].startswith("InvariantViolation: projector masses")
+    assert subroutines._measure.cache_info().currsize == 0
 
 
 def test_irrational_mass_is_an_invariant_violation(fresh_tables, monkeypatch):
@@ -439,7 +448,7 @@ def test_irrational_mass_is_an_invariant_violation(fresh_tables, monkeypatch):
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not rational"):
             mod3(o, triple(1, 2, 3))
-    info = subroutines._measure_mod3.cache_info()
+    info = subroutines._measure.cache_info()
     assert info.misses == 2 and info.currsize == 0
     # The sweep counts each such input as a failure and goes on.
     row = verify_cell(3, 3)

@@ -399,17 +399,16 @@ def test_every_memo_is_capped(fresh_tables):
     # The fixture finds each memo by its cache_clear, so a memo added
     # later is cleared by the fault tests and must be bounded like these.
     assert {f.__name__ for f in fresh_tables} >= {
-        "_flipped", "block_view", "_measure_parity", "_measure_mod3",
-        "apply", "_plan", "_audit_shape"}
+        "_flipped", "_measure", "apply", "_plan", "_audit_shape"}
     for f in fresh_tables:
         assert f.cache_info().maxsize == _APPLY_MEMO_CAP, f.__name__
 
 
-def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
+def test_cold_sweep_counters_match_memo_sizes(fresh_tables, monkeypatch):
     # Every miss is stored and nothing is dropped, far below the cap: 19
     # local flip patterns, 4 parity and 7 mod-3 states before the final
     # matrix, 19 products (8 of _MID, and the 4 of H and 7 of _FIN that
-    # the outcome memos make on their misses), one plan root per cell and
+    # the outcome memo makes on its misses), one plan root per cell and
     # 245 audit shapes.
     # The trees below the roots have no counter of their own: their nodes
     # are counted in test_the_plan_memo_is_transparent_and_as_large_as_
@@ -420,6 +419,12 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     # so a cell has 2^(n // m) shapes: 93 over n <= 10 for m = 2 and 36
     # for m = 3.  The composite moduli give 47 (m = 4), 30 (6), 17 (8),
     # 12 (9) and 10 (12): 93 + 36 + 47 + 30 + 17 + 12 + 10 = 245.
+    mod3_calls = []
+
+    def mod3(o, view):
+        mod3_calls.append(view)
+        return subroutines.mod3(o, view)
+    monkeypatch.setattr(hamming_mod, "mod3", mod3)
     for n in range(1, 11):
         for m in DEFAULT_MODULI:
             assert verify_cell(n, m).failures == 0
@@ -428,8 +433,7 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
         assert info.misses == info.currsize < info.maxsize, f.__name__
         assert info.hits > 0, f.__name__
     assert oracle._flipped.cache_info().currsize == 19
-    assert subroutines._measure_parity.cache_info().currsize == 4
-    assert subroutines._measure_mod3.cache_info().currsize == 7
+    assert subroutines._measure.cache_info().currsize == 4 + 7
     assert SquareMatrix.apply.cache_info().currsize == 19
     assert hamming_mod._plan.cache_info().currsize == 70
     assert sweep._audit_shape.cache_info().currsize == 245
@@ -439,10 +443,8 @@ def test_cold_sweep_counters_match_memo_sizes(fresh_tables):
     assert info.hits + info.misses == inputs
     # apply runs for _MID once per mod3 call, and for H and _FIN only on
     # the 4 + 7 outcome misses.
-    mod3_calls = subroutines._measure_mod3.cache_info()
     apply = SquareMatrix.apply.cache_info()
-    assert (apply.hits + apply.misses
-            == mod3_calls.hits + mod3_calls.misses + 4 + 7)
+    assert apply.hits + apply.misses == len(mod3_calls) + 4 + 7
 
 
 def test_import_loads_no_process_pool():
