@@ -12,7 +12,7 @@ from .subroutines import (
 )
 from .hamming_mod import (
     PartitionResult, UnsupportedModulus,
-    factor_split, partition_weight, query_bound, weight_mod,
+    factor_split, partition_weight, query_bound,
 )
 from .polymethod import (
     DomainError, HypothesisViolated, MultilinearPolynomial,
@@ -30,7 +30,7 @@ __all__ = [
     "deutsch", "gram_closed_form", "gram_closed_form_mismatches",
     "gram_matrix", "mod3", "trace_mod3",
     "PartitionResult", "UnsupportedModulus",
-    "factor_split", "partition_weight", "query_bound", "weight_mod",
+    "factor_split", "partition_weight", "query_bound",
     "DomainError", "HypothesisViolated", "MultilinearPolynomial",
     "SymmetricFunctionSpec", "UnivariatePolynomial", "certificate_roundtrip",
     "exact_degree", "is_nondeterministic_poly", "mod_m_spec", "ndeg_lower_bound",

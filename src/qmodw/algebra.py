@@ -17,8 +17,9 @@ zero-testing is a plain all-zero check.  Only exact rationals
 libraries register there, stored as Python ints) are accepted; a float,
 complex, string or Decimal raises ``TypeError``.  ``Fraction``
 appears only where a coordinate is handed out (``coeffs``,
-``rational_part``, ``as_rational``).  All values are immutable; nothing
-here ever rounds.
+``rational_part``).  The field operations are ``+``, ``-``, ``*`` and
+the complex conjugate; no amplitude needs a division, so there is none.
+All values are immutable; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -153,12 +154,6 @@ class AlgebraicNumber:
         """The coordinate on basis element 1."""
         return Fraction(self._num[0], self._den)
 
-    def as_rational(self) -> Fraction:
-        """This value as a Fraction; raises if any irrational coordinate is set."""
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self._num[0], self._den)
-
     def __eq__(self, other) -> bool:
         if type(other) is AlgebraicNumber:
             return self._num == other._num and self._den == other._den
@@ -209,40 +204,9 @@ class AlgebraicNumber:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "AlgebraicNumber":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
     def conj(self) -> "AlgebraicNumber":
         """Complex conjugate: negates the four imaginary coordinates."""
         return _make(_conj_row(self._num), self._den)
-
-    def abs_sq(self) -> "AlgebraicNumber":
-        """|a|^2 = a * conj(a); real (imaginary coordinates all zero)."""
-        return self * self.conj()
-
-    def inv(self) -> "AlgebraicNumber":
-        """Exact multiplicative inverse via Galois conjugates.
-
-        1/z = conj(z) / |z|^2 reduces to inverting the real element
-        |z|^2 in Q(sqrt2, sqrt3), which is done by multiplying together
-        its three nontrivial Galois conjugates (sign flips on sqrt2
-        and/or sqrt3) so that the product of all four is rational.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(i, sqrt2, sqrt3)")
-        r = self.abs_sq()
-        r0, r1, r2, r3 = r._num[:4]
-        den = r._den
-        # A sign flip keeps the gcd, so each conjugate is already canonical.
-        s2 = _make((r0, -r1, r2, -r3, 0, 0, 0, 0), den)
-        s3 = _make((r0, r1, -r2, -r3, 0, 0, 0, 0), den)
-        s23 = _make((r0, -r1, -r2, r3, 0, 0, 0, 0), den)
-        prod = s2 * s3 * s23
-        norm = (r * prod).as_rational()  # full Galois product, rational by construction
-        return self.conj() * prod * AlgebraicNumber.from_rational(1 / norm)
 
     def to_json(self) -> list:
         """Exact encoding: 8 [numerator, denominator] pairs."""

@@ -212,9 +212,3 @@ def _child(node: _Level, mask: int):
         child = _Leaf(tuple(blocks), tuple(sorted(s2)))
     node.children[mask] = child
     return child
-
-
-def weight_mod(o: CountingOracle, m: int) -> int:
-    """|x| mod m for the oracle's full input, with certainty."""
-    result = partition_weight(o, m)
-    return result.w2 % m

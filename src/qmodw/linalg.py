@@ -179,11 +179,6 @@ class StateVector(_Interned):
                       for row in self._num),
                 self._den * self._den)
 
-    def norm_sq(self) -> AlgebraicNumber:
-        """Sum of |entry|^2; a real field element."""
-        rows, den_sq = self._abs_sq_rows()
-        return AlgebraicNumber._from_row(map(sum, zip(*rows)), den_sq)
-
     def to_json(self) -> list:
         return [e.to_json() for e in self.entries]
 

@@ -7,15 +7,15 @@ query.  The oracle may act on extra trailing "padding" dimensions where it
 is the identity; such queries still count.
 
 Indices are 1-based, matching the convention x = x_1 x_2 ... x_n.  The
-oracle keeps the string as the int ``int(x_1...x_n, 2)``, so x_i is bit
+oracle holds the string as the int ``int(x_1...x_n, 2)``, so x_i is bit
 n - i: the one format of an input throughout the package, and the index
-of x in a truth table.  It is built from the string, which
-``CountingOracle(bits)`` checks is a ``str`` of 0s and 1s and parses
-once, or from that int and n,
-which :meth:`CountingOracle.from_int` checks are ints with the value in
-[0, 2^n): the sweep carries its inputs as these ints and never builds a
-string for a passing one.  No method hands the int back.  Each query is
-logged compactly, as the view itself or the index read;
+of x in a truth table.  ``CountingOracle(hidden, n)`` is its one
+constructor, and checks that both are ints with n >= 0 and the value in
+[0, 2^n).  No method hands the int back.  An index is an int: a bool, a
+float or any other type is a ValueError, raised by :class:`BlockView`
+when a view is made and by :meth:`CountingOracle.query_bit` before it
+logs, so a rejected read costs no query.  Each query is logged
+compactly, as the view itself or the index read;
 :attr:`CountingOracle.transcript` expands the log into fresh dicts on
 every read, and the query count is the log's length.
 
@@ -62,7 +62,8 @@ class BlockView:
     """Maps local state dimensions to global input indices.
 
     Local dimension j (0-based, j < len(map)) carries the phase of input
-    bit ``map[j]``; the last ``padding`` dimensions are untouched.  The
+    bit ``map[j]``; the last ``padding`` dimensions are untouched.  Each
+    index is an int and ``padding`` an int >= 0, else ValueError.  The
     map is stored as a tuple; ``lo`` and ``hi`` are its least and greatest
     index (1 and 0 for an empty map), so a query checks the range with two
     comparisons.  ``mask`` has bit ``hi - i`` set for each index i, which
@@ -83,10 +84,13 @@ class BlockView:
 
     def __post_init__(self):
         indices = tuple(self.map)
+        # True and 1.0 equal the index 1, and would pass the range check.
+        if not {int}.issuperset(map(type, indices)):
+            raise ValueError(f"view index not an int: {indices}")
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate indices in view: {indices}")
-        if self.padding < 0:
-            raise ValueError("negative padding")
+        if type(self.padding) is not int or self.padding < 0:
+            raise ValueError(f"padding not an int >= 0: {self.padding!r}")
         put = object.__setattr__
         put(self, "map", indices)
         put(self, "lo", min(indices, default=1))
@@ -112,17 +116,7 @@ class CountingOracle:
 
     __slots__ = ("_n", "_hidden", "_log")
 
-    def __init__(self, bits: str):
-        if type(bits) is not str or bits.strip("01"):
-            raise ValueError(f"not a bit string: {bits!r}")
-        self._n = len(bits)
-        self._hidden = int(bits, 2) if bits else 0
-        # One entry per query: the BlockView of a phase query, the index
-        # of a bit read.
-        self._log = []
-
-    @classmethod
-    def from_int(cls, hidden: int, n: int) -> "CountingOracle":
+    def __init__(self, hidden: int, n: int):
         """The oracle of the n-bit input ``hidden == int(x_1...x_n, 2)``,
         so x_i is bit n - i; ValueError unless both are ints, n >= 0 and
         0 <= hidden < 2^n."""
@@ -130,11 +124,11 @@ class CountingOracle:
             raise ValueError(f"not a length: {n!r}")
         if type(hidden) is not int or not 0 <= hidden < 1 << n:
             raise ValueError(f"{hidden!r} is not an input of {n} bits")
-        oracle = object.__new__(cls)
-        oracle._n = n
-        oracle._hidden = hidden
-        oracle._log = []
-        return oracle
+        self._n = n
+        self._hidden = hidden
+        # One entry per query: the BlockView of a phase query, the index
+        # of a bit read.
+        self._log = []
 
     @property
     def n(self) -> int:
@@ -175,6 +169,8 @@ class CountingOracle:
 
     def query_bit(self, i: int) -> int:
         """Classical read of bit x_i; costs one query."""
+        if type(i) is not int:
+            raise ValueError(f"index {i!r} is not an int")
         if not 1 <= i <= self._n:
             raise self._index_error(i)
         self._log.append(i)

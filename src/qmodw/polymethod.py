@@ -17,11 +17,14 @@ coordinate columns that are nonzero in some coefficient, as numerators
 in that order over one denominator.  Every fast path reads this form.
 ``symmetrize`` sums each degree's contiguous slice of each column,
 scales the sum by an integer, adds it into one int row per output
-coefficient and reduces each coefficient once.  ``eval`` sums the
-numerators of the monomials whose masks lie inside the point and
-reduces once.  A ``UnivariatePolynomial`` is packed the same way when
-it is made, and its ``eval`` runs Horner's rule on the integer columns:
-at t = p/q it sums c_d p^d q^(D-d) and reduces once over den * q^D.
+coefficient and reduces each coefficient once.  A point of the cube is
+one int, its truth-table index ``int(x_1...x_n, 2)`` (x_i is bit n - i),
+in the tables, the transform and both ``eval``s, which reject anything
+else.  ``MultilinearPolynomial.eval`` sums the numerators of the
+monomials whose masks lie inside the point and reduces once.  A
+``UnivariatePolynomial`` is packed the same way when it is made, and its
+``eval`` runs Horner's rule on the integer columns: at t = p/q it sums
+c_d p^d q^(D-d) and reduces once over den * q^D.
 
 Values on the whole Boolean cube come from one subset-sum (zeta)
 transform per packed column: the column's numerators are placed at
@@ -64,16 +67,12 @@ def _is_bit(v) -> bool:
     return type(v) is int and v in (0, 1)
 
 
-def _as_bits(x) -> tuple:
-    """The bits of a bit string or of a sequence of int 0/1 entries.
-
-    Raises ValueError naming the first entry that is not 0 or 1.
-    """
-    bits = tuple(x)
-    for i, b in enumerate(bits):
-        if not _is_bit(b) and b not in ("0", "1"):
-            raise ValueError(f"entry {i} is {b!r}, not 0 or 1")
-    return tuple(map(int, bits))
+def _point(x, n: int) -> int:
+    """x, checked to be a point of {0,1}^n as its truth-table index: the
+    int ``int(x_1...x_n, 2)``, so x_i is bit n - i."""
+    if type(x) is not int or not 0 <= x < 1 << n:
+        raise ValueError(f"{x!r} is not a point of {n} bits")
+    return x
 
 
 def _columns(entries: Sequence):
@@ -138,16 +137,14 @@ class MultilinearPolynomial:
         """Degree of the zero polynomial is 0 here (it has no monomials)."""
         return max(self._levels, default=0)
 
-    def eval(self, x) -> AlgebraicNumber:
-        """The value at a point of {0,1}^n, reduced once.
+    def eval(self, x: int) -> AlgebraicNumber:
+        """The value at the point of {0,1}^n whose truth-table index is x,
+        reduced once.
 
         Sums, per packed column, the numerators of the monomials whose
         mask lies inside the point's mask.
         """
-        bits = _as_bits(x)
-        if len(bits) != self.n:
-            raise ValueError(f"expected {self.n} bits, got {len(bits)}")
-        point = int("".join(map(str, bits)), 2) if bits else 0
+        point = _point(x, self.n)
         inside = [mask & point == mask for mask in self._masks]
         out = [0] * 8
         for c, col in self._cols:
@@ -333,11 +330,9 @@ class SymmetricFunctionSpec:
         if not all(map(_is_bit, self.values)):
             raise ValueError("weight values must be the ints 0 and 1")
 
-    def eval(self, x) -> int:
-        bits = _as_bits(x)
-        if len(bits) != self.n:
-            raise ValueError(f"expected {self.n} bits, got {len(bits)}")
-        return self.values[sum(bits)]
+    def eval(self, x: int) -> int:
+        """The value at the point of {0,1}^n whose truth-table index is x."""
+        return self.values[_point(x, self.n).bit_count()]
 
     def zero_weights(self) -> tuple:
         """Weights in 1..n at which the function vanishes."""

@@ -7,10 +7,10 @@ count, then audits the partition contract (disjoint constant blocks of
 size m whose union with the remainder is 1..n, with the remainder
 weight exact).  The audit has no switch.  Each input is one int,
 ``int(x_1...x_n, 2)`` as the oracle holds it (x_i is bit n - i), through
-the enumeration, :meth:`CountingOracle.from_int`, the run check and the
-audit, so ``range(2**n)`` runs the inputs in the lexicographic order of
-x_1 ... x_n.  A bit string is built only for a failing input that a row
-keeps.
+the enumeration, the :class:`CountingOracle` constructor, the run check
+and the audit, so ``range(2**n)`` runs the inputs in the lexicographic
+order of x_1 ... x_n.  A bit string is built only for a failing input
+that a row keeps.
 
 The audit runs on every input, over bitmasks: each block and the
 remainder s2 become ints with bit n - i for index i, so a block is
@@ -209,7 +209,7 @@ def judge_run(hidden: int, n: int, m: int, bound: int) -> tuple:
     """(oracle, result, reasons) of one run on the n-bit input ``hidden``.
     An exception in the run or its checks is the one reason, with result
     None; else :func:`_run_problems`, or if none, :func:`audit_partition`."""
-    oracle = CountingOracle.from_int(hidden, n)
+    oracle = CountingOracle(hidden, n)
     try:
         result = partition_weight(oracle, m)
         reasons = (_run_problems(result, hidden, m, bound, oracle)

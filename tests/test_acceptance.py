@@ -108,7 +108,7 @@ def test_unitarity_and_deterministic_measurement():
     ok = ok and all(fourier_oracle(bits).is_unitary() for bits in ALL_3BIT)
     view = BlockView((1, 2, 3), MOD3_PADDING)
     for bits in ALL_3BIT:
-        state = mod3_final_state(CountingOracle(bits), view)
+        state = mod3_final_state(CountingOracle(int(bits, 2), 3), view)
         masses = [p.mass(state) for p in (PI0, PI1, PI2)]
         ok = (ok and sorted(masses) == [0, 0, 1]
               and masses[bits.count("1") % 3] == 1)
@@ -191,7 +191,7 @@ def test_composite_query_count_at_all_zeros():
     # total reaches n - floor(n/m) only if the nested floors compose.
     composite = (4, 6, 8, 9, 12, 16, 18, 24, 36)
     ok = all(
-        partition_weight(CountingOracle("0" * n), m).queries
+        partition_weight(CountingOracle(0, n), m).queries
         == query_bound(n, m)
         for m in composite for n in range(1, 61))
     report(f"the all-zeros input uses exactly n - floor(n/m) queries for "

@@ -11,6 +11,7 @@ from qmodw.algebra import (
     SQRT6, ZERO,
 )
 from qmodw.fixtures import STAGES, _load
+from qmodw.linalg import StateVector, inner
 
 # A wrong entry of the multiplication table fails the tests that multiply
 # on almost every example, and shrinking such a failure takes minutes.
@@ -40,7 +41,6 @@ small_fractions = st.integers(1, DEN_MAX).flatmap(
     lambda d: small_numerator(d).map(lambda p: Fraction(p, d)))
 coordinate_tuples = over_one_denominator(small_numerator)
 field_elements = coordinate_tuples.map(AlgebraicNumber)
-nonzero_elements = field_elements.filter(lambda a: not a.is_zero())
 
 
 # ---------------------------------------------------------
@@ -84,19 +84,6 @@ def test_conj_omega_is_omega_squared():
     assert OMEGA.conj() == OMEGA * OMEGA
 
 
-def test_inv_sqrt2():
-    assert SQRT2.inv() == AlgebraicNumber((0, Fraction(1, 2), 0, 0, 0, 0, 0, 0))
-
-
-def test_inv_omega():
-    assert OMEGA.inv() == OMEGA * OMEGA
-
-
-def test_inv_zero_raises():
-    with pytest.raises(ZeroDivisionError):
-        ZERO.inv()
-
-
 # ---------------------------------------------------------
 # Field axioms on randomized elements
 # ---------------------------------------------------------
@@ -123,12 +110,6 @@ def test_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-@settings(deadline=1000, phases=NO_SHRINK)
-@given(nonzero_elements)
-def test_inverse(a):
-    assert a * a.inv() == ONE
-
-
 @given(field_elements, field_elements)
 def test_conj_multiplicative(a, b):
     assert (a * b).conj() == a.conj() * b.conj()
@@ -141,7 +122,10 @@ def test_conj_involution(a):
 
 @given(field_elements)
 def test_abs_sq_real_and_definite(a):
-    sq = a.abs_sq()
+    # |a|^2 is <v|v> of the one-entry state v = (a).
+    v = StateVector([a])
+    sq = inner(v, v)
+    assert sq == a * a.conj()
     assert all(c == 0 for c in sq.coeffs[4:])
     assert sq.is_zero() == a.is_zero()
 
@@ -218,23 +202,8 @@ class FractionReference:
                 out[idx] += ca * cb * coef
         return FractionReference(out)
 
-    def __truediv__(self, other):
-        return self * other.inv()
-
     def conj(self):
         return FractionReference(self.c[:4] + tuple(-x for x in self.c[4:]))
-
-    def abs_sq(self):
-        return self * self.conj()
-
-    def inv(self):
-        r = self.abs_sq().c
-        s2 = FractionReference((r[0], -r[1], r[2], -r[3], 0, 0, 0, 0))
-        s3 = FractionReference((r[0], r[1], -r[2], -r[3], 0, 0, 0, 0))
-        s23 = FractionReference((r[0], -r[1], -r[2], r[3], 0, 0, 0, 0))
-        prod = s2 * s3 * s23
-        norm = (self.abs_sq() * prod).c[0]
-        return self.conj() * prod * FractionReference((1 / norm,) + (0,) * 7)
 
     def to_json(self):
         return [[f.numerator, f.denominator] for f in self.c]
@@ -289,8 +258,6 @@ def test_binary_ops_match_reference(x, y):
     assert_agrees(a + b, ra + rb)
     assert_agrees(a - b, ra - rb)
     assert_agrees(a * b, ra * rb)
-    if not b.is_zero():
-        assert_agrees(a / b, ra / rb)
 
 
 @settings(deadline=1000, phases=NO_SHRINK)
@@ -299,9 +266,6 @@ def test_unary_ops_match_reference(x):
     a, ra = AlgebraicNumber(x), FractionReference(x)
     assert_agrees(-a, -ra)
     assert_agrees(a.conj(), ra.conj())
-    assert_agrees(a.abs_sq(), ra.abs_sq())
-    if not a.is_zero():
-        assert_agrees(a.inv(), ra.inv())
     assert a.to_json() == ra.to_json()
     assert str(a) == str(ra)
     assert a.rational_part() == ra.c[0]
@@ -320,8 +284,9 @@ def test_equal_values_built_differently():
              AlgebraicNumber.from_rational(Fraction(1, 2)),
              AlgebraicNumber((Fraction(3, 6), 0, 0, 0, 0, 0, 0, 0)),
              AlgebraicNumber.from_json([[2, 4]] + [[0, 3]] * 7),
-             ONE / 2, ONE - AlgebraicNumber.from_rational(Fraction(1, 2)),
-             SQRT2 * SQRT2 / 4, I * I / -2]
+             ONE * Fraction(1, 2),
+             ONE - AlgebraicNumber.from_rational(Fraction(1, 2)),
+             SQRT2 * SQRT2 * Fraction(1, 4), I * I * Fraction(-1, 2)]
     for z in forms:
         assert_canonical(z)
         assert z == forms[0] and hash(z) == hash(forms[0])
@@ -383,8 +348,7 @@ def test_from_rational_rejects_non_rationals(value):
 @pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
 def test_arithmetic_rejects_non_rationals(value):
     for op in (lambda: ONE + value, lambda: value + ONE, lambda: ONE - value,
-               lambda: value - ONE, lambda: ONE * value, lambda: value * ONE,
-               lambda: ONE / value):
+               lambda: value - ONE, lambda: ONE * value, lambda: value * ONE):
         with pytest.raises(TypeError):
             op()
     assert ONE != value
@@ -556,5 +520,3 @@ def test_the_map_into_the_reference_is_a_ring_homomorphism(a, b):
     assert cyc(a * b) == cyc_mul(cyc(a), cyc(b))
     assert cyc(-a) == cyc_scale(-1, cyc(a))
     assert cyc(a.conj()) == cyc_conj(cyc(a))
-    if not a.is_zero():
-        assert cyc_mul(cyc(a.inv()), cyc(a)) == CYC_ONE

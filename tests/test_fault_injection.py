@@ -361,7 +361,7 @@ def _audit_failures(n, m, bound):
     failures = []
     for hidden in range(2 ** n):
         bits = format(hidden, f"0{n}b")
-        o = CountingOracle.from_int(hidden, n)
+        o = CountingOracle(hidden, n)
         result = sweep.partition_weight(o, m)
         assert _run_problems(result, hidden, m, bound, o) == []
         reasons = audit_partition(result, hidden, n)

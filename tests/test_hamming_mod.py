@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qmodw import hamming_mod, sweep
 from qmodw.hamming_mod import (
     PartitionResult, UnsupportedModulus,
-    factor_split, partition_weight, query_bound, weight_mod,
+    factor_split, partition_weight, query_bound,
 )
 from qmodw.oracle import BlockView, CountingOracle
 from qmodw.subroutines import MOD3_PADDING, deutsch, mod3
@@ -14,7 +14,7 @@ from qmodw.sweep import DEFAULT_MODULI, audit_partition, verify_cell
 
 
 def run(bits, m):
-    o = CountingOracle(bits)
+    o = CountingOracle(int(bits or "0", 2), len(bits))
     return o, partition_weight(o, m)
 
 
@@ -149,7 +149,7 @@ def test_empty_index_list_makes_no_query(m):
 
 
 def test_partition_reports_only_its_own_queries():
-    o = CountingOracle("0011")
+    o = CountingOracle(0b0011, 4)
     o.query_bit(1)
     r = partition_weight(o, 3)
     assert r.queries == 3    # the triple (1, 2, 3), then x_4
@@ -191,7 +191,7 @@ def test_layout_cuts_consecutive_groups_and_keeps_the_rest(fresh_tables,
 
 
 def test_unsupported_modulus_propagates():
-    o = CountingOracle("11111")
+    o = CountingOracle(0b11111, 5)
     with pytest.raises(UnsupportedModulus):
         partition_weight(o, 5)
 
@@ -213,11 +213,9 @@ def test_a_float_modulus_raises_with_the_plan_memo_cold_and_warm(
     # m == int(m) with the same hash, so a memo keyed on values alone
     # would hand the float the root stored for the int.
     for _ in range(2):
-        o = CountingOracle("1011")
+        o = CountingOracle(0b1011, 4)
         with pytest.raises(UnsupportedModulus, match="must be an int"):
             partition_weight(o, m)
-        with pytest.raises(UnsupportedModulus, match="must be an int"):
-            weight_mod(o, m)
         assert o.query_count == 0
         assert partition_weight(o, int(m)).m == int(m)
     assert hamming_mod._plan.cache_info().currsize == 1
@@ -277,9 +275,9 @@ def test_recursion_matches_level_by_level_reference(fresh_tables, m):
     # with each n's plan tree cold for its first input and warm after.
     for n in range(9):
         for hidden in range(2 ** n):
-            o = CountingOracle.from_int(hidden, n)
+            o = CountingOracle(hidden, n)
             result = partition_weight(o, m)
-            ref_o = CountingOracle.from_int(hidden, n)
+            ref_o = CountingOracle(hidden, n)
             blocks, s2, w2 = reference_partition(
                 ref_o, tuple(range(1, n + 1)), m)
             assert (result, o.transcript) == (
@@ -333,8 +331,8 @@ def test_glue_plan_matches_the_per_call_glue(fresh_tables, m):
     # plan tree cold for its first input and warm after.
     for n in range(9):
         for hidden in range(2 ** n):
-            o = CountingOracle.from_int(hidden, n)
-            ref_o = CountingOracle.from_int(hidden, n)
+            o = CountingOracle(hidden, n)
+            ref_o = CountingOracle(hidden, n)
             assert (partition_weight(o, m), o.transcript) == (
                 reference_levels(ref_o, n, m), ref_o.transcript), (hidden, n)
     info = hamming_mod._plan.cache_info()
@@ -351,7 +349,7 @@ def test_glue_plan_holds_the_representatives_and_merged_groups(
     assert (root.p, root.size, root.rest) == (2, 1, ())
     assert tuple(g.map for g in root.groups) == blocks
     for _ in range(2):
-        result = partition_weight(CountingOracle.from_int(0, 10), 4)
+        result = partition_weight(CountingOracle(0, 10), 4)
         glue = root.children[0b11111]
         assert list(root.children) == [0b11111]
         reps = (1, 3, 5, 7, 9)
@@ -499,33 +497,33 @@ def test_every_partition_result_up_to_n_10_is_pinned():
         for m in DEFAULT_MODULI:
             for hidden in range(2 ** n):
                 result = partition_weight(
-                    CountingOracle.from_int(hidden, n), m)
+                    CountingOracle(hidden, n), m)
                 digest.update(repr(tuple(result)).encode())
     assert digest.hexdigest() == PARTITION_DIGEST
 
 
 # ---------------------------------------------------------
-# weight_mod
+# |x| mod m, read as w2 mod m
 # ---------------------------------------------------------
 
 def test_all_zeros_any_modulus():
     for m in (2, 3, 4, 6, 8, 9, 12):
-        assert weight_mod(CountingOracle("0" * 10), m) == 0
+        assert partition_weight(CountingOracle(0, 10), m).w2 % m == 0
 
 
 def test_all_ones_weight_nine_mod_nine():
-    assert weight_mod(CountingOracle("1" * 9), 9) == 0
+    assert partition_weight(CountingOracle(2 ** 9 - 1, 9), 9).w2 % 9 == 0
 
 
 def test_example_weight_three_mod_four():
-    assert weight_mod(CountingOracle("10110"), 4) == 3
+    assert partition_weight(CountingOracle(0b10110, 5), 4).w2 % 4 == 3
 
 
 def test_modulus_larger_than_input():
     # n = 2, m = 12: still answers |x| mod 12 within the bound
-    for bits in ("00", "01", "10", "11"):
-        o = CountingOracle(bits)
-        assert weight_mod(o, 12) == bits.count("1")
+    for hidden in range(4):
+        o = CountingOracle(hidden, 2)
+        assert partition_weight(o, 12).w2 % 12 == hidden.bit_count()
         assert o.query_count <= query_bound(2, 12)
 
 
@@ -557,7 +555,7 @@ def test_audit_catches_wrong_w2():
 def test_algorithm_never_touches_hidden_string_directly():
     # every query must appear in the oracle transcript, and the partition's
     # query count must equal the transcript length
-    o = CountingOracle("1011010")
+    o = CountingOracle(0b1011010, 7)
     r = partition_weight(o, 6)
     assert len(o.transcript) == o.query_count == r.queries
 

@@ -47,7 +47,7 @@ def observe():
         for m in DEFAULT_MODULI:
             for hidden in range(2 ** n):
                 result = partition_weight(
-                    CountingOracle.from_int(hidden, n), m)
+                    CountingOracle(hidden, n), m)
                 digest.update(repr(tuple(result)).encode())
     runs = []
     for x, m in RUNS:

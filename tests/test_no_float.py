@@ -4,7 +4,7 @@ Every amplitude, mass and coefficient of the package is exact (ints,
 ``Fraction``s and the field ``AlgebraicNumber``), so the sources hold no
 float or complex literal, call none of ``float``, ``complex``, ``round``
 or ``math.sqrt``, and divide with ``/`` only where both sides are
-``Fraction``s, at the sites named below by their enclosing function.
+``Fraction``s, at the one site named below by its enclosing function.
 """
 
 import ast
@@ -15,7 +15,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qmodw"
 
 # (module, enclosing function) -> number of ``/``, each on Fractions.
 ALLOWED_DIVISIONS = {
-    ("algebra", "AlgebraicNumber.inv"): 1,   # 1 / norm, norm rational
     ("subroutines", "_quarter"): 2,          # Fraction(re) / 4, ... / 4
 }
 

@@ -5,15 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from qmodw import oracle, subroutines, sweep
+from qmodw import cli, oracle, subroutines, sweep
 from qmodw.algebra import AlgebraicNumber, SQRT3
 from qmodw.linalg import _APPLY_MEMO_CAP, StateVector
 from qmodw.oracle import BlockView, CountingOracle
 from qmodw.polymethod import MultilinearPolynomial, is_nondeterministic_poly
-
-
-def uniform(dim):
-    return StateVector([AlgebraicNumber.from_rational(1)] * dim)
 
 
 def uniform5():
@@ -23,7 +19,7 @@ def uniform5():
 
 
 def test_phase_apply_flips_mapped_entries():
-    o = CountingOracle("101")
+    o = CountingOracle(0b101, 3)
     view = BlockView((1, 2, 3), padding=2)
     got = o.phase_apply(view, uniform5())
     expected = StateVector([AlgebraicNumber.from_rational(v)
@@ -33,7 +29,7 @@ def test_phase_apply_flips_mapped_entries():
 
 
 def test_padding_state_unchanged_but_counted():
-    o = CountingOracle("11")
+    o = CountingOracle(0b11, 2)
     view = BlockView((1, 2), padding=1)
     v = StateVector.basis_state(3, 2)
     assert o.phase_apply(view, v) == v
@@ -41,14 +37,14 @@ def test_padding_state_unchanged_but_counted():
 
 
 def test_view_index_out_of_range():
-    o = CountingOracle("11")
+    o = CountingOracle(0b11, 2)
     view = BlockView((1, 3))
     with pytest.raises(IndexError):
         o.phase_apply(view, StateVector.basis_state(2, 0))
 
 
 def test_view_dimension_mismatch():
-    o = CountingOracle("111")
+    o = CountingOracle(0b111, 3)
     with pytest.raises(ValueError):
         o.phase_apply(BlockView((1, 2), padding=1),
                       StateVector.basis_state(2, 0))
@@ -62,7 +58,7 @@ def test_view_rejects_duplicates_and_negative_padding():
 
 
 def test_query_bit():
-    o = CountingOracle("10")
+    o = CountingOracle(0b10, 2)
     assert o.query_bit(1) == 1
     assert o.query_count == 1
     assert o.query_bit(2) == 0
@@ -70,7 +66,7 @@ def test_query_bit():
 
 
 def test_query_bit_out_of_range():
-    o = CountingOracle("10")
+    o = CountingOracle(0b10, 2)
     with pytest.raises(IndexError):
         o.query_bit(3)
     with pytest.raises(IndexError):
@@ -78,11 +74,11 @@ def test_query_bit_out_of_range():
 
 
 def test_fresh_oracle_has_zero_count():
-    assert CountingOracle("0101").query_count == 0
+    assert CountingOracle(0b0101, 4).query_count == 0
 
 
 def test_phase_apply_is_involution_but_still_counts():
-    o = CountingOracle("0110")
+    o = CountingOracle(0b0110, 4)
     view = BlockView((2, 3, 4))
     v = StateVector([SQRT3, AlgebraicNumber.from_rational(Fraction(1, 2)),
                      -SQRT3])
@@ -91,7 +87,7 @@ def test_phase_apply_is_involution_but_still_counts():
 
 
 def test_transcript_structure():
-    o = CountingOracle("101")
+    o = CountingOracle(0b101, 3)
     o.phase_apply(BlockView((1, 2, 3), padding=2), uniform5())
     o.query_bit(2)
     transcript = o.transcript
@@ -103,31 +99,25 @@ def test_transcript_structure():
 
 
 def test_bad_bit_string_rejected():
+    # The oracle takes no string; `qmodw run` is the one place a bit
+    # string becomes an input, and it refuses a character other than 0, 1.
     with pytest.raises(ValueError):
-        CountingOracle("10a")
-
-
-@pytest.mark.parametrize("bits", [101, None, b"101"],
-                         ids=["int", "None", "bytes"])
-def test_a_non_str_is_rejected(bits):
-    with pytest.raises(ValueError):
-        CountingOracle(bits)
+        CountingOracle("10a", 3)
+    assert cli.main(["run", "--x", "10a", "--m", "2"]) == cli.EXIT_USAGE
 
 
 def test_hidden_string_not_on_public_surface():
-    o = CountingOracle("1101")
+    o = CountingOracle(0b1101, 4)
     public = [name for name in dir(o) if not name.startswith("_")]
-    assert sorted(public) == ["from_int", "n", "phase_apply", "query_bit",
+    assert sorted(public) == ["n", "phase_apply", "query_bit",
                               "query_count", "transcript"]
-    # from_int builds a new oracle; it reads nothing from this one.
-    assert o.from_int.__self__ is CountingOracle
 
 
 @pytest.mark.parametrize("hidden, n", [(-1, 3), (8, 3), (1, 0), (0, -1),
                                        (-1, -1)])
 def test_from_int_rejects_a_value_outside_n_bits(hidden, n):
     with pytest.raises(ValueError):
-        CountingOracle.from_int(hidden, n)
+        CountingOracle(hidden, n)
 
 
 @pytest.mark.parametrize("hidden, n", [(1.0, 2), (1.5, 2), (True, 1),
@@ -136,52 +126,27 @@ def test_from_int_rejects_a_non_int(hidden, n):
     # 1.0 and True pass the range check, and 2.0 would fail only at the
     # first query; each is refused when the oracle is built.
     with pytest.raises(ValueError):
-        CountingOracle.from_int(hidden, n)
+        CountingOracle(hidden, n)
 
 
 def test_one_int_format_across_modules():
-    # x_i is bit n - i of the int: the oracle built from the int or from
-    # the string, a polynomial's truth table and the sweep's bit string
-    # all read the input h as format(h, f"0{n}b").  At n = 0 the format
-    # gives "0", so the empty input is checked on its own.
+    # x_i is bit n - i of the int: the oracle, a polynomial's point and
+    # truth table, and the sweep's bit string all read the input h as
+    # format(h, f"0{n}b").  At n = 0 the format gives "0", so the empty
+    # input is checked on its own.
     assert sweep._bit_string(0, 0) == ""
     for n in range(1, 9):
         for i in range(1, n + 1):
             x_i = MultilinearPolynomial(n, {(i,): 1})
             table = []
             for h in range(2 ** n):
-                bits = format(h, f"0{n}b")
-                bit = int(bits[i - 1])
-                assert CountingOracle.from_int(h, n).query_bit(i) == bit
-                assert CountingOracle(bits).query_bit(i) == bit
-                assert x_i.eval(bits) == bit
+                bit = int(format(h, f"0{n}b")[i - 1])
+                assert CountingOracle(h, n).query_bit(i) == bit
+                assert x_i.eval(h) == bit
                 table.append(bit)
             assert is_nondeterministic_poly(x_i, table)
         for h in range(2 ** n):
             assert sweep._bit_string(h, n) == format(h, f"0{n}b")
-
-
-def test_from_int_answers_as_the_bit_string_does():
-    # Bit n - i of the int is x_i.  The all-indices view shows every
-    # bit's sign at once, and each single view and bit read one bit.
-    assert CountingOracle.from_int(0, 0).n == CountingOracle("").n == 0
-    for n in range(1, 9):
-        views = [(BlockView(tuple(range(1, n + 1))),
-                  StateVector([AlgebraicNumber.from_rational(j)
-                               for j in range(1, n + 1)]))]
-        views += [(BlockView((i,), padding=1), uniform(2))
-                  for i in range(1, n + 1)]
-        for hidden in range(2 ** n):
-            bits = format(hidden, f"0{n}b")
-            pair = CountingOracle.from_int(hidden, n), CountingOracle(bits)
-            assert pair[0].n == pair[1].n == n
-            for view, v in views:
-                first, second = (o.phase_apply(view, v) for o in pair)
-                assert first is second
-            for i in range(1, n + 1):
-                assert pair[0].query_bit(i) == pair[1].query_bit(i)
-            assert pair[0].transcript == pair[1].transcript
-            assert pair[0].query_count == pair[1].query_count == 2 * n + 1
 
 
 # ---------------------------------------------------------
@@ -203,7 +168,7 @@ def deutsch_flips():
     """The flipped state of each of the 4 Deutsch local patterns."""
     out = {}
     for bits in ("00", "01", "10", "11"):
-        o = CountingOracle(bits)
+        o = CountingOracle(int(bits, 2), 2)
         got = o.phase_apply(BlockView((1, 2)), subroutines._H_KET0)
         rows = tuple(j for j, c in enumerate(bits) if c == "1")
         assert_interned_flip(subroutines._H_KET0, got, rows)
@@ -216,7 +181,7 @@ def mod3_flips():
     out = {}
     view = BlockView((1, 2, 3), padding=2)
     for bits in subroutines.ALL_3BIT:
-        o = CountingOracle(bits)
+        o = CountingOracle(int(bits, 2), 3)
         rows = tuple(j for j, c in enumerate(bits) if c == "1")
         first = o.phase_apply(view, subroutines._QFT_KET0)
         assert_interned_flip(subroutines._QFT_KET0, first, rows)
@@ -244,7 +209,7 @@ def test_flip_table_interns_every_local_pattern(fresh_tables):
 
 
 def test_flip_table_hits_an_equal_state_built_elsewhere(fresh_tables):
-    o = CountingOracle("10")
+    o = CountingOracle(0b10, 2)
     view = BlockView((1, 2))
     got = o.phase_apply(view, subroutines._H_KET0)
     copy = StateVector(subroutines._H_KET0.entries)
@@ -268,7 +233,7 @@ def test_failed_query_leaves_count_transcript_and_table(fresh_tables, view,
                                                         state):
     # Index 0 would read the last hidden bit if the rows were computed
     # before the check; the dim-mismatched view maps two valid indices.
-    o = CountingOracle("11")
+    o = CountingOracle(0b11, 2)
     o.phase_apply(BlockView((1, 2)), subroutines._H_KET0)
     info = oracle._flipped.cache_info()
     transcript = o.transcript
@@ -290,7 +255,7 @@ def test_flip_table_stays_capped_and_exact(fresh_tables):
                          for k in range(dim)])
     strings = ["".join(rng.choice("01") for _ in range(dim))
                for _ in range(64)]
-    oracles = [CountingOracle(bits) for bits in strings]
+    oracles = [CountingOracle(int(bits, 2), dim) for bits in strings]
     view = BlockView(tuple(range(1, dim + 1)))
     signs = [1] * dim
     state = start
@@ -331,7 +296,7 @@ def test_view_precomputes_range_and_dim():
     assert hash(view) == hash(BlockView((4, 2, 7), 2))
     # An empty map has no range to break, even on an empty input.
     empty = BlockView((), padding=1)
-    o = CountingOracle("")
+    o = CountingOracle(0, 0)
     state = StateVector.basis_state(1, 0)
     assert o.phase_apply(empty, state) == state
     assert o.query_count == 1
@@ -340,7 +305,7 @@ def test_view_precomputes_range_and_dim():
 def test_logged_view_does_not_follow_a_mutated_list():
     indices = [1, 2]
     view = BlockView(indices)
-    o = CountingOracle("10")
+    o = CountingOracle(0b10, 2)
     o.phase_apply(view, subroutines._H_KET0)
     indices[0] = 9
     indices.append(5)
@@ -350,7 +315,7 @@ def test_logged_view_does_not_follow_a_mutated_list():
 
 
 def test_transcript_is_fresh_on_every_read():
-    o = CountingOracle("101")
+    o = CountingOracle(0b101, 3)
     o.phase_apply(BlockView((1, 2, 3), padding=2), uniform5())
     o.query_bit(2)
     first = o.transcript
@@ -369,7 +334,7 @@ def test_transcript_is_fresh_on_every_read():
 @pytest.mark.parametrize("index", [0, 4])
 def test_count_matches_transcript_after_failed_bit_read(index):
     # test_failed_query_leaves_count_transcript_and_table covers phase_apply.
-    o = CountingOracle("011")
+    o = CountingOracle(0b011, 3)
     o.query_bit(3)
     with pytest.raises(IndexError):
         o.query_bit(index)
@@ -383,7 +348,7 @@ def test_queries_agree_with_the_bit_string_on_every_6bit_input():
                          for k in range(n)])
     for value in range(2 ** n):
         bits = format(value, f"0{n}b")
-        o = CountingOracle(bits)
+        o = CountingOracle(value, n)
         assert [o.query_bit(i) for i in range(1, n + 1)] == [
             int(c) for c in bits]
         assert o.phase_apply(rows_view, start) == fresh_negation(
@@ -415,7 +380,7 @@ def test_sign_table_matches_the_bit_string_reference():
             assert len(view._flips) == 2 ** k
             for value in range(2 ** n):
                 bits = format(value, f"0{n}b")
-                o = CountingOracle(bits)
+                o = CountingOracle(value, n)
                 rows = tuple([j for j, i in enumerate(map)
                               if bits[i - 1] == "1"])
                 assert view._flips[o._hidden >> (n - view.hi)
@@ -429,10 +394,32 @@ def test_view_with_an_index_below_one_has_no_table():
     view = BlockView((2, 0, 1))
     assert view.mask == 0 and view._flips == {}
     with pytest.raises(IndexError, match="index 0"):
-        CountingOracle("11").phase_apply(view, StateVector.basis_state(3, 0))
+        CountingOracle(0b11, 2).phase_apply(view,
+                                            StateVector.basis_state(3, 0))
 
 
 @pytest.mark.parametrize("bits", [" 01", "1 0", "01\n", "1_0", "0b1"])
 def test_bit_string_that_int_would_parse_is_rejected(bits):
+    # int(bits, 2) takes each of these; neither the oracle nor the bit
+    # string parser of `qmodw run` does.
     with pytest.raises(ValueError):
-        CountingOracle(bits)
+        CountingOracle(bits, 3)
+    assert cli.main(["run", "--x", bits, "--m", "2"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("make", [
+    lambda o: o.query_bit(2.0),
+    lambda o: o.query_bit(True),
+    lambda o: o.query_bit("1"),
+    lambda o: BlockView((True, 2)),
+    lambda o: BlockView((1.0, 2)),
+    lambda o: BlockView((1, 2), 1.5),
+    lambda o: BlockView((1, 2), padding=True),
+], ids=["bit-float", "bit-bool", "bit-str", "view-bool", "view-float",
+        "padding-float", "padding-bool"])
+def test_a_non_int_index_is_rejected_before_any_query(make):
+    # True and 2.0 equal valid indices; a rejected call logs no query.
+    o = CountingOracle(0b101, 3)
+    with pytest.raises(ValueError):
+        make(o)
+    assert o.query_count == 0 and o.transcript == []

@@ -48,10 +48,9 @@ def reference_is_nondeterministic_poly(p, f):
     if isinstance(f, SymmetricFunctionSpec):
         truth = f.eval
     else:
-        table = list(f)
-        truth = lambda bits: table[int("".join(map(str, bits)), 2) if bits else 0]
-    for bits in itertools.product((0, 1), repeat=p.n):
-        if p.eval(bits).is_zero() != (truth(bits) == 0):
+        truth = list(f).__getitem__
+    for x in range(2 ** p.n):
+        if p.eval(x).is_zero() != (truth(x) == 0):
             return False
     return True
 
@@ -96,28 +95,33 @@ def sparse_field_element(rng):
 
 def test_eval_top_monomial():
     p = poly(2, p_12=1)
-    assert p.eval("11") == ONE
-    assert p.eval("10").is_zero()
+    assert p.eval(0b11) == ONE
+    assert p.eval(0b10).is_zero()
 
 
 def test_eval_negated_variable():
     p = poly(3, p_=1, p_1=-1)  # 1 - x1
-    assert p.eval("011") == ONE
-    assert p.eval("100").is_zero()
+    assert p.eval(0b011) == ONE
+    assert p.eval(0b100).is_zero()
 
 
 def test_eval_length_mismatch():
     with pytest.raises(ValueError):
-        poly(2, p_1=1).eval("101")
+        poly(2, p_1=1).eval(0b101)
 
 
 @pytest.mark.parametrize("evaluate, x, bad", [
-    (mod_m_spec(3, 2).eval, [2, 0, 0], "entry 0 is 2"),
-    (mod_m_spec(3, 2).eval, [3, 3, 0], "entry 0 is 3"),
-    (MultilinearPolynomial(2, {(1,): ONE}).eval, [2, 0], "entry 0 is 2"),
-    (MultilinearPolynomial(2, {(1,): ONE}).eval, [0.5, 0], "entry 0 is 0.5"),
+    (mod_m_spec(3, 2).eval, 0b11000, "24 is not a point of 3 bits"),
+    (mod_m_spec(3, 2).eval, 2 ** 7 - 1, "127 is not a point of 3 bits"),
+    (MultilinearPolynomial(2, {(1,): ONE}).eval, 0b100,
+     "4 is not a point of 2 bits"),
+    (MultilinearPolynomial(2, {(1,): ONE}).eval, 0.5,
+     "0.5 is not a point of 2 bits"),
 ], ids=["weight-read-as-2", "index-error", "multilinear-2", "half-read-as-0"])
 def test_eval_rejects_entries_that_are_not_bits(evaluate, x, bad):
+    # A point is the int int(x_1...x_n, 2); set bits above bit n - 1 would
+    # be read as extra weight (24 as weight 2, 127 past the last value), or
+    # miss every monomial mask (4), and a float has no bits at all.
     with pytest.raises(ValueError, match=bad):
         evaluate(x)
 
@@ -128,6 +132,11 @@ def test_variables_must_be_integers_from_1_to_n(index):
         MultilinearPolynomial(2, {(1, index): ONE})
     with pytest.raises(ValueError, match="variable out of range"):
         MultilinearPolynomial(2, {(index,): 0})
+
+
+def point_bits(x, n):
+    """The bits x_1 ... x_n of the point x: x_i is bit n - i."""
+    return tuple(x >> (n - i) & 1 for i in range(1, n + 1))
 
 
 def reference_multilinear_eval(p, bits):
@@ -145,11 +154,11 @@ def test_multilinear_eval_matches_per_term_reference():
                 subset = rng.sample(range(1, n + 1), rng.randint(0, n))
                 coeffs[frozenset(subset)] = sparse_field_element(rng)
             p = MultilinearPolynomial(n, coeffs)
-            points = list(itertools.product((0, 1), repeat=n))
-            for bits in rng.sample(points, min(len(points), 24)):
-                got = p.eval(bits)
+            for x in rng.sample(range(2 ** n), min(2 ** n, 24)):
+                got = p.eval(x)
                 assert type(got) is AlgebraicNumber
-                assert got == reference_multilinear_eval(p, bits), (p, bits)
+                assert got == reference_multilinear_eval(
+                    p, point_bits(x, n)), (p, x)
 
 
 def test_coefficients_merge_and_drop_zeros():
@@ -270,7 +279,7 @@ def test_bruteforce_does_not_read_the_packed_form():
     assert _cube_values(changed) != _cube_values(p)
     assert is_nondeterministic_poly(p, f)
     assert not is_nondeterministic_poly(changed, f)
-    assert not changed.eval("11111").is_zero()
+    assert not changed.eval(0b11111).is_zero()
     for k in range(6):
         assert symmetrize_bruteforce(changed, k) == symmetrize_bruteforce(p, k)
 
@@ -419,8 +428,7 @@ def test_support_check_matches_reference_randomized():
         cases.append(MultilinearPolynomial(n, coeffs))
     for p in cases:
         n = p.n
-        table = [0 if p.eval(bits).is_zero() else 1
-                 for bits in itertools.product((0, 1), repeat=n)]
+        table = [0 if p.eval(x).is_zero() else 1 for x in range(2 ** n)]
         # the support at 1^t 0^(n-t), read as a symmetric function
         spec = SymmetricFunctionSpec(
             n, tuple(table[(1 << n) - (1 << (n - t))] for t in range(n + 1)))
@@ -433,17 +441,17 @@ def test_support_check_matches_reference_randomized():
                     == reference_is_nondeterministic_poly(p, f)), (p, f)
         for k in range(n + 1):
             assert symmetrize_bruteforce(p, k) == sum(
-                (p.eval(bits) for bits in itertools.product((0, 1), repeat=n)
-                 if sum(bits) == k), ZERO) * Fraction(1, math.comb(n, k))
+                (p.eval(x) for x in range(2 ** n) if x.bit_count() == k),
+                ZERO) * Fraction(1, math.comb(n, k))
 
 
 def test_weight_certificate_small_cases():
     # n = 3, m = 2: zero weights 1 and 3, so p = (t - 1)(t - 3), t = |x|
     p = weight_certificate(3, 2)
     assert p.degree == 2
-    for bits in itertools.product((0, 1), repeat=3):
-        t = sum(bits)
-        assert p.eval(bits) == (t - 1) * (t - 3)
+    for x in range(2 ** 3):
+        t = x.bit_count()
+        assert p.eval(x) == (t - 1) * (t - 3)
     assert is_nondeterministic_poly(p, mod_m_spec(3, 2))
     with pytest.raises(DomainError):
         weight_certificate(3, 4)
@@ -571,11 +579,16 @@ def test_mod_spec_domain():
      "entry 0 is 1.0"),
     (lambda: is_nondeterministic_poly(poly(2, p_12=1), [0, 0, 0, True]),
      "entry 3 is True"),
-    (lambda: mod_m_spec(2, 2).eval([1.0, 0]), "entry 0 is 1.0"),
-    (lambda: poly(2, p_1=1).eval([0, True]), "entry 1 is True"),
+    (lambda: mod_m_spec(2, 2).eval(1.0), "1.0 is not a point of 2 bits"),
+    (lambda: poly(2, p_1=1).eval(True), "True is not a point of 2 bits"),
+    (lambda: mod_m_spec(2, 2).eval(-1), "-1 is not a point of 2 bits"),
+    (lambda: poly(2, p_1=1).eval(-1), "-1 is not a point of 2 bits"),
+    (lambda: mod_m_spec(2, 2).eval(4), "4 is not a point of 2 bits"),
+    (lambda: poly(2, p_1=1).eval(4), "4 is not a point of 2 bits"),
 ], ids=["m-float", "n-float", "m-bool", "spec-values", "spec-n",
         "spec-negative-n", "table-float", "table-bool", "bits-float",
-        "bits-bool"])
+        "bits-bool", "spec-point-negative", "poly-point-negative",
+        "spec-point-2^n", "poly-point-2^n"])
 def test_specs_tables_and_points_take_exact_ints(call, error):
     # 1.0 and True equal 1, so a check by value alone accepts them.
     with pytest.raises(ValueError, match=error):
@@ -625,8 +638,7 @@ def test_exact_degree_is_the_degree_of_the_multilinear_form():
                 s: diffs[k] for k in range(n + 1)
                 for s in itertools.combinations(range(1, n + 1), k)})
             assert p.degree == exact_degree(f), values
-            assert all(p.eval(bits) == f.eval(bits)
-                       for bits in itertools.product((0, 1), repeat=n))
+            assert all(p.eval(x) == f.eval(x) for x in range(2 ** n))
 
 
 def test_bound_table_matches_query_bound():

@@ -85,13 +85,13 @@ def test_fourier_oracle_needs_three_bits(bits):
 
 @pytest.mark.parametrize("bits", ["00", "01", "10", "11"])
 def test_deutsch_outputs_parity(bits):
-    o = CountingOracle(bits)
+    o = CountingOracle(int(bits, 2), len(bits))
     assert deutsch(o, pair(1, 2)) == weight(bits) % 2
     assert o.query_count == 1
 
 
 def test_deutsch_arbitrary_pair():
-    o = CountingOracle("01101")
+    o = CountingOracle(0b01101, 5)
     assert deutsch(o, pair(2, 5)) == 0
     assert deutsch(o, pair(3, 4)) == 1
 
@@ -102,7 +102,7 @@ def test_deutsch_rejects_equal_indices():
     # one, or two with padding.
     with pytest.raises(ValueError, match="duplicate indices"):
         BlockView((1, 1))
-    o = CountingOracle("111")
+    o = CountingOracle(0b111, 3)
     for view in [BlockView((1, 2, 3)), BlockView((1,)),
                  BlockView((1, 2), 1), triple(1, 2, 3)]:
         with pytest.raises(ValueError, match="state dim 2 != view dim"):
@@ -116,20 +116,20 @@ def test_deutsch_rejects_equal_indices():
 
 @pytest.mark.parametrize("bits", ALL_3BIT)
 def test_mod3_outputs_weight_mod_3(bits):
-    o = CountingOracle(bits)
+    o = CountingOracle(int(bits, 2), len(bits))
     assert mod3(o, triple(1, 2, 3)) == weight(bits) % 3
     assert o.query_count == 2
 
 
 def test_mod3_on_subset_of_longer_input():
     # x = 110101: indices (2, 4, 6) carry 1, 1, 1; indices (1, 3, 5) carry 1, 0, 0
-    assert mod3(CountingOracle("110101"), triple(2, 4, 6)) == 0
-    assert mod3(CountingOracle("110101"), triple(1, 3, 5)) == 1
+    assert mod3(CountingOracle(0b110101, 6), triple(2, 4, 6)) == 0
+    assert mod3(CountingOracle(0b110101, 6), triple(1, 3, 5)) == 1
 
 
 def test_mod3_deterministic_measurement():
     for bits in ALL_3BIT:
-        o = CountingOracle(bits)
+        o = CountingOracle(int(bits, 2), len(bits))
         state = mod3_final_state(o, triple(1, 2, 3))
         masses = [p.mass(state) for p in (PI0, PI1, PI2)]
         assert sorted(masses) == [0, 0, 1]
@@ -143,7 +143,7 @@ def test_mod3_rejects_repeated_indices():
     for repeated in [(1, 2, 2), (1, 1, 2), (3, 2, 3)]:
         with pytest.raises(ValueError, match="duplicate indices"):
             BlockView(repeated, MOD3_PADDING)
-    o = CountingOracle("1111")
+    o = CountingOracle(0b1111, 4)
     for view in [BlockView((1, 2, 3)), pair(1, 2),
                  BlockView((1, 2), MOD3_PADDING),
                  BlockView((1, 2, 3, 4), MOD3_PADDING)]:
@@ -181,12 +181,12 @@ def test_trace_matches_frozen_table_exactly():
 def test_trace_states_are_unit():
     for bits in ALL_3BIT:
         for state in trace_mod3(bits).as_list():
-            assert state.norm_sq() == ONE
+            assert inner(state, state) == ONE
 
 
 def test_fused_run_equals_unfused_final_state():
     for bits in ALL_3BIT:
-        o = CountingOracle(bits)
+        o = CountingOracle(int(bits, 2), len(bits))
         assert mod3_final_state(o, triple(1, 2, 3)) == trace_mod3(bits).psi4
 
 
@@ -296,7 +296,7 @@ def _masses_match_fresh(state):
 
 @pytest.mark.parametrize("bits", ALL_3BIT)
 def test_mod3_memo_matches_fresh_matrices(bits):
-    o = CountingOracle(bits)
+    o = CountingOracle(int(bits, 2), len(bits))
     view = BlockView((1, 2, 3), padding=2)
     mid = _memo_matches_fresh(subroutines._MID,
                               o.phase_apply(view, subroutines._QFT_KET0))
@@ -307,7 +307,7 @@ def test_mod3_memo_matches_fresh_matrices(bits):
 
 @pytest.mark.parametrize("bits", ["00", "01", "10", "11"])
 def test_deutsch_memo_matches_fresh_matrix(bits):
-    o = CountingOracle(bits)
+    o = CountingOracle(int(bits, 2), len(bits))
     state = _memo_matches_fresh(
         H, o.phase_apply(BlockView((1, 2)), subroutines._H_KET0))
     assert support(state) == {weight(bits) % 2}
@@ -317,10 +317,10 @@ def test_memo_hits_still_make_every_query(fresh_tables):
     # Warm every memo on these local patterns, then repeat them: each call
     # must still make, count and log its queries.
     first, second = triple(1, 2, 3), pair(4, 5)
-    mod3(CountingOracle("110"), first)
-    deutsch(CountingOracle("00010"), second)
+    mod3(CountingOracle(0b110, 3), first)
+    deutsch(CountingOracle(0b00010, 5), second)
     warmed = [f.cache_info() for f in fresh_tables]
-    o = CountingOracle("11010")
+    o = CountingOracle(0b11010, 5)
     expected = []
     for call in range(3):
         assert mod3(o, first) == 2
@@ -359,10 +359,10 @@ def test_deutsch_outcome_memo_matches_fresh_measurement(fresh_tables):
     states = {}
     for warm in (False, True):
         for bits in ("00", "01", "10", "11"):
-            state = CountingOracle(bits).phase_apply(pair(1, 2),
-                                                     subroutines._H_KET0)
+            state = CountingOracle(int(bits, 2), 2).phase_apply(
+                pair(1, 2), subroutines._H_KET0)
             states[bits] = state
-            got = deutsch(CountingOracle(bits), pair(1, 2))
+            got = deutsch(CountingOracle(int(bits, 2), 2), pair(1, 2))
             fresh = SquareMatrix.apply.__wrapped__(H, state)
             assert support(fresh) == {weight(bits) % 2}
             assert got == memo.__wrapped__(H, state) == weight(bits) % 2
@@ -390,12 +390,12 @@ def test_mod3_outcome_memo_matches_fresh_measurement(fresh_tables):
     states = {}
     for warm in (False, True):
         for bits in ALL_3BIT:
-            state = subroutines._state_before_fin(CountingOracle(bits),
-                                                  triple(1, 2, 3))
+            o = CountingOracle(int(bits, 2), 3)
+            state = subroutines._state_before_fin(o, triple(1, 2, 3))
             states[bits] = state
-            got = mod3(CountingOracle(bits), triple(1, 2, 3))
+            got = mod3(CountingOracle(int(bits, 2), 3), triple(1, 2, 3))
             fresh = SquareMatrix.apply.__wrapped__(fin, state)
-            assert fresh == mod3_final_state(CountingOracle(bits),
+            assert fresh == mod3_final_state(CountingOracle(int(bits, 2), 3),
                                              triple(1, 2, 3))
             assert got == memo.__wrapped__(fin, state) \
                 == _fresh_outcome(fresh) == weight(bits) % 3
@@ -421,7 +421,7 @@ def test_non_basis_parity_state_is_an_invariant_violation(fresh_tables,
     # Without the final H the state is ±|+> or ±|->, with mass 1/2 on
     # each outcome: deutsch raises on every call and stores nothing.
     monkeypatch.setattr(subroutines, "H", SquareMatrix.identity(2))
-    o = CountingOracle("01")
+    o = CountingOracle(0b01, 2)
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not deterministic"):
             deutsch(o, pair(1, 2))
@@ -444,7 +444,7 @@ def test_irrational_mass_is_an_invariant_violation(fresh_tables, monkeypatch):
     assert subroutines._FIN.apply(before) == final
     monkeypatch.setattr(subroutines, "_state_before_fin",
                         lambda o, t: before)
-    o = CountingOracle("000")
+    o = CountingOracle(0b000, 3)
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not rational"):
             mod3(o, triple(1, 2, 3))

@@ -55,7 +55,7 @@ def reference_audit(result, bits):
 def test_audit_matches_reference_on_every_sweep_result(m):
     for n in range(1, 9):
         for hidden in range(2 ** n):
-            result = partition_weight(CountingOracle.from_int(hidden, n), m)
+            result = partition_weight(CountingOracle(hidden, n), m)
             assert audit_partition(result, hidden, n) == []
             bits = format(hidden, f"0{n}b")
             assert reference_audit(result, bits) == []
@@ -159,7 +159,7 @@ def test_an_altered_block_gets_its_own_shape_and_fails(fresh_tables):
     assert verify_cell(6, 2).failures == 0
     shapes = sweep._audit_shape.cache_info().currsize
     assert shapes == 2 ** 3    # each of the 3 pairs constant or not
-    result = partition_weight(CountingOracle.from_int(0, 6), 2)
+    result = partition_weight(CountingOracle(0, 6), 2)
     assert result.blocks == ((1, 2), (3, 4), (5, 6))
     assert audit_partition(result, 0, 6) == []
     assert sweep._audit_shape.cache_info().currsize == shapes
@@ -365,10 +365,9 @@ def recorded_inputs(monkeypatch, n, m=2):
     class Recorder(CountingOracle):
         __slots__ = ()
 
-        @classmethod
-        def from_int(cls, hidden, n):
+        def __init__(self, hidden, n):
             seen.append((hidden, n))
-            return super().from_int(hidden, n)
+            super().__init__(hidden, n)
     monkeypatch.setattr(sweep, "CountingOracle", Recorder)
     return seen, sweep.verify_cell(n, m)
 
