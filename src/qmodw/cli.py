@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 
+from . import subroutines
 from .fixtures import STAGES, STATE_TABLE_ORDER, load_gram, load_state_table
 from .hamming_mod import UnsupportedModulus, factor_split, query_bound
 from .linalg import format_state_table
@@ -164,6 +165,13 @@ def cmd_verify_states(args) -> int:
                   for stage_idx, stage in enumerate(STAGES)
                   for bits in STATE_TABLE_ORDER
                   if columns[bits][stage_idx] != frozen[stage][bits]]
+    # The circuit matrices, read at call time, must each be unitary.
+    named = [("H", subroutines.H), ("QFT", subroutines.QFT),
+             ("U", subroutines.U), ("V", subroutines.V)]
+    named += [(f"Ox~({bits})", subroutines.fourier_oracle(bits))
+              for bits in STATE_TABLE_ORDER]
+    mismatches += [f"{name} not unitary" for name, matrix in named
+                   if not matrix.is_unitary()]
     if args.format == "json":
         payload = {stage: {bits: columns[bits][stage_idx].to_json()
                            for bits in STATE_TABLE_ORDER}

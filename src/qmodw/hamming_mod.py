@@ -10,38 +10,38 @@ exact weight is known, using at most n - floor(n/m) queries:
   means a constant triple, outcomes 1 and 2 are the triple's exact weight
   (weights 0 and 3 are the constant cases, so the residue determines it).
 * composite m = p1 * p2 * ... * pk (primes, 2s first): one level per
-  prime, the first on the indices as above.  Each further level
-  measures one representative index per constant block, p at a time: a
-  constant group glues its p blocks into one, and the blocks of a
-  non-constant group go to the remainder, their weight being the
-  group's weight times the block size.
+  prime.  A level's units are the blocks of the level before (the first
+  level's are the single indices), measured p at a time through their
+  first indices: a constant group glues its p units into one block, and
+  the units of a non-constant group go to the remainder, their weight
+  being the group's weight times the unit size.
 
-Leftover indices that do not fill a group are read individually.  All
-choices the underlying math leaves free (prime order, block grouping,
-representatives) are fixed deterministically so runs are replayable.
+Leftover units that do not fill a group are read at their first index.
+s2 is every index in no final block.  All choices the underlying math
+leaves free (prime order, grouping) are fixed, so runs are replayable.
 
 :func:`partition_weight` is the only public entry; a run covers the
 indices 1..n of its oracle.  What a run does besides measuring (which
-blocks glue, what goes to s2, what the next level measures) depends on
-the input only through which groups of each level came out constant.
-So it is one tree per (m, n), keyed by one int mask per level.
-:func:`_plan` memoises the root under the shared cap; on a miss it
-checks the modulus with :func:`factor_split`, and it stores nothing for
-a bad one, so it raises on every call.  The memo keys on the types too,
-so a float or bool equal to a stored int modulus still raises.  A level
-node holds its prime, block size, groups, leftovers, representative to
-block map and ``children`` by mask, built by :func:`_child` on a miss (a
-mask with a bit beyond the level's groups raises); a leaf holds the
-final blocks and sorted s2.  Each group is held as its oracle view, a
-:class:`~qmodw.oracle.BlockView` of its indices with the circuit's
-padding (0 for a pair, ``MOD3_PADDING`` for a triple), built once with
-its node, so a query builds no view and looks none up.  A tree holds at
-most one node per mask path of the inputs run on it, and goes with its
-root from the capped memo.  Per level, :func:`_measure_level` measures
-every group and reads every leftover on every call, handing each
-group's view to :func:`deutsch` or :func:`mod3` looked up in this
-module's globals, so code that replaces one of them, or the level
-function itself, there sees every level.
+units glue, what the next level measures) depends on the input only
+through which groups of each level came out constant.  So it is one
+tree per (m, n), keyed by one int mask per level.  :func:`_plan`
+memoises the root under the shared cap; on a miss it checks the modulus
+with :func:`factor_split`, and it stores nothing for a bad one, so it
+raises on every call.  The memo keys on the types too, so a float or
+bool equal to a stored int modulus still raises.  A level node holds
+its prime, unit size, units, groups, leftovers, n and ``children`` by
+mask, built by :func:`_child` on a miss (a mask with a bit beyond the
+level's groups raises); a leaf holds the final blocks and s2.  Each
+group is held as its oracle view, a :class:`~qmodw.oracle.BlockView` of
+its units' first indices with the circuit's padding (0 for a pair,
+``MOD3_PADDING`` for a triple), built once with its node, so a query
+builds no view and looks none up.  A tree holds at most one node per
+mask path of the inputs run on it, and goes with its root from the
+capped memo.  Per level, :func:`_measure_level` measures every group
+and reads every leftover on every call, handing each group's view to
+:func:`deutsch` or :func:`mod3` looked up in this module's globals, so
+code that replaces one of them, or the level function itself, there
+sees every level.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class PartitionResult(NamedTuple):
 def partition_weight(o: CountingOracle, m: int) -> PartitionResult:
     """Partition the indices 1..n of ``o`` into constant m-blocks and a
     known remainder, one level per prime factor of m down the tree of
-    :func:`_plan`, adding each level's weight times its block size to w2.
+    :func:`_plan`, adding each level's weight times its unit size to w2.
 
     Raises ``UnsupportedModulus`` for a bad ``m`` before any query.
     """
@@ -144,31 +144,32 @@ def _measure_level(o: CountingOracle, groups: tuple, rest: tuple,
 
 
 class _Level:
-    """A level: the oracle view of each group of p units, in
-    ``groups``, and leftover units ``rest``; a unit is an index at the
-    first level (``rep_block`` None), else the smallest index of the
-    block ``rep_block[rep]`` of ``size`` indices.  ``s2`` is what the
-    levels before sent to the remainder."""
+    """A level: its ``units``, the blocks of ``size`` indices of the
+    level before (the root's are the single indices); the oracle view of
+    the first indices of each group of p units, in ``groups``; and the
+    first indices of the leftover units, in ``rest``."""
 
-    __slots__ = ("p", "size", "groups", "rest", "rep_block", "s2",
-                 "primes", "children")
+    __slots__ = ("p", "size", "groups", "rest", "units", "n", "primes",
+                 "children")
 
-    def __init__(self, primes, size, units, rep_block, s2):
+    def __init__(self, primes, size, units, n):
         p = self.p = primes[0]
         full = len(units) - len(units) % p
+        firsts = tuple([unit[0] for unit in units])
         padding = 0 if p == 2 else MOD3_PADDING
-        self.groups = tuple(BlockView(units[start:start + p], padding)
+        self.groups = tuple(BlockView(firsts[start:start + p], padding)
                             for start in range(0, full, p))
-        self.rest = units[full:]
+        self.rest = firsts[full:]
         self.primes = primes[1:]
         self.size = size
-        self.rep_block = rep_block
-        self.s2 = s2
+        self.units = units
+        self.n = n
         self.children = {}
 
 
 class _Leaf(NamedTuple):
-    """The end of a mask path: the run's blocks and sorted s2."""
+    """The end of a mask path: the run's blocks and s2, in increasing
+    order."""
 
     blocks: tuple
     s2: tuple
@@ -179,36 +180,27 @@ class _Leaf(NamedTuple):
 def _plan(m: int, n: int) -> _Level:
     """The root of the plan tree of (m, n) on the indices 1..n, with no
     children yet; :func:`factor_split` raises for a bad m."""
-    return _Level(factor_split(m), 1, tuple(range(1, n + 1)), None, ())
+    return _Level(factor_split(m), 1, tuple((i,) for i in range(1, n + 1)),
+                  n)
 
 
 def _child(node: _Level, mask: int):
-    """The child of ``node`` for ``mask``, stored in its children: a
-    group marked constant is a block (at later levels the union of its
-    representatives' blocks, sorted as the blocks of a level are in
-    order and never interleave); the rest go to s2 as their blocks."""
-    groups = node.groups
-    if mask >> len(groups):
+    """The child of ``node`` for ``mask``, stored in its children: the
+    block of a group marked constant is its p units concatenated, in
+    order, as the units of a level are.  A child level takes these
+    blocks as its units; a leaf's s2 is every index of 1..n in no block,
+    in increasing order."""
+    units, p = node.units, node.p
+    if mask >> len(node.groups):
         raise ValueError(f"mask {mask:#b} marks a group beyond the "
-                         f"{len(groups)} of its level")
-    rep_block = node.rep_block
-    blocks = []
-    s2 = list(node.s2)
-    for j, view in enumerate(groups):
-        group = view.map
-        if rep_block is not None:
-            group = tuple(i for rep in group for i in rep_block[rep])
-        if mask >> j & 1:
-            blocks.append(group)
-        else:
-            s2.extend(group)
-    for rep in node.rest:
-        s2.extend((rep,) if rep_block is None else rep_block[rep])
+                         f"{len(node.groups)} of its level")
+    blocks = tuple([sum(units[j * p:j * p + p], ())
+                    for j in range(len(node.groups)) if mask >> j & 1])
     if node.primes:
-        rep_block = {b[0]: b for b in blocks}
-        child = _Level(node.primes, node.size * node.p, tuple(rep_block),
-                       rep_block, tuple(s2))
+        child = _Level(node.primes, node.size * p, blocks, node.n)
     else:
-        child = _Leaf(tuple(blocks), tuple(sorted(s2)))
+        done = set().union(*blocks)
+        child = _Leaf(blocks, tuple([i for i in range(1, node.n + 1)
+                                     if i not in done]))
     node.children[mask] = child
     return child

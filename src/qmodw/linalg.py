@@ -28,9 +28,9 @@ is one.  There is one live object per exact value, so ``==`` and
 nothing else holds is dropped from it, while a bound that evicted a live
 object would let a second, equal one be made that compares unequal.
 Pickling and copying go through the table too.  A matrix builds its
-kernel on first use; a state's per-entry ``|z|^2`` rows and its
-projector masses are computed on each call, and the circuits memoise
-their measured outcome per final state instead.
+kernel on first use; a state's projector masses are summed on each call
+as :func:`inner` sums, and the circuits memoise their measured outcome
+per final state instead.
 
 ``_APPLY_MEMO_CAP`` bounds every memo of the package, and every memo
 has one policy: each is a ``functools.lru_cache`` table that drops its
@@ -172,12 +172,6 @@ class StateVector(_Interned):
 
     def __getitem__(self, i: int) -> AlgebraicNumber:
         return AlgebraicNumber._from_row(self._num[i], self._den)
-
-    def _abs_sq_rows(self):
-        """Per-entry |z|^2 in packed form: (tuple of int rows, den)."""
-        return (tuple(tuple(_mul_into([0] * 8, _conj_row(row), row))
-                      for row in self._num),
-                self._den * self._den)
 
     def to_json(self) -> list:
         return [e.to_json() for e in self.entries]
@@ -341,20 +335,25 @@ class Projector:
     indices: frozenset
 
     def __post_init__(self):
+        # True and 1.0 equal 1, and would pass the range check.
+        if not (type(self.dim) is int
+                and {int}.issuperset(map(type, self.indices))):
+            raise ValueError(f"projector dim or index not an int: "
+                             f"{self.dim!r}, {self.indices}")
         if not self.indices:
             raise ValueError("empty projector")
         if any(i < 0 or i >= self.dim for i in self.indices):
             raise IndexError(f"projector indices out of range for dim {self.dim}")
 
     def mass(self, v: StateVector) -> Fraction:
-        """Exact squared norm of the projected component of a unit vector."""
+        """Exact squared norm of the projected component of a unit vector,
+        the sum of conj(v_i) * v_i over the projector's indices."""
         if v.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {v.dim}")
-        rows, den_sq = v._abs_sq_rows()
         total = [0] * 8
         for i in self.indices:
-            for c, x in enumerate(rows[i]):
-                total[c] += x
+            _mul_into(total, _conj_row(v._num[i]), v._num[i])
+        den_sq = v._den * v._den
         if any(total[1:]):
             value = AlgebraicNumber._from_row(total, den_sq)
             raise ValueError(f"projected mass {value} is not rational")

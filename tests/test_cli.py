@@ -245,6 +245,26 @@ def test_verify_states_reports_a_changed_entry(capsys, monkeypatch):
     assert payload["psi3"]["101"] == trace_mod3("101").psi3.to_json()
 
 
+def test_verify_states_reports_a_non_unitary_matrix(capsys, monkeypatch):
+    # U[1][3] = 1 in place of 3/4: the states that reach U have zero
+    # amplitude on dimensions 3 and 4, so all 32 states still match the
+    # frozen table, and only the unitarity check sees the fault.
+    rows = [list(r) for r in subroutines.U.entries]
+    rows[1][3] = ONE
+    monkeypatch.setattr(subroutines, "U", SquareMatrix(rows))
+    code, out, _ = run_cli(capsys, "verify-states")
+    assert code == 3
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+        "MISMATCH: U not unitary"]
+    code, out, _ = run_cli(capsys, "verify-states", "--format", "json")
+    payload = json.loads(out)
+    assert code == 3 and payload["match"] is False
+    assert payload["mismatches"] == ["U not unitary"]
+    frozen = cli.load_state_table()
+    assert all(payload[stage][bits] == frozen[stage][bits].to_json()
+               for stage in STAGES for bits in STATE_TABLE_ORDER)
+
+
 def test_gram_reports_a_changed_entry(capsys, monkeypatch):
     frozen = [list(row) for row in cli.load_gram()]
     frozen[2][5] += 1
@@ -303,7 +323,7 @@ def test_gram_exits_3_on_a_corrupted_circuit(capsys, monkeypatch):
     frozen = cli.load_state_table()
     assert [f"{stage}({bits})" for stage in STAGES for bits in STATE_TABLE_ORDER
             if payload[stage][bits] != frozen[stage][bits].to_json()
-            ] == payload["mismatches"]
+            ] + ["U not unitary"] == payload["mismatches"]
     for argv in (["gram"], ["gram", "--closed-form"],
                  ["gram", "--format", "json"]):
         code, out, err = run_cli(capsys, *argv)

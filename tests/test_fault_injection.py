@@ -300,27 +300,22 @@ AUDIT_ONLY_FAULTS = [glue_next_block, leftover_read_not_in_s2]
 
 
 def glue_next_block_in_the_plan(monkeypatch):
-    # At each glue level a representative brings the block of the
-    # representative after it (the last one brings its own), so a glued
-    # block can mix blocks of different values or repeat one while
-    # another goes missing.  s2 and the level weight stay exact.
+    # Each unit of a constant group brings the unit after it in its
+    # level (the last one brings its own), so a block can mix units of
+    # different values or repeat one while another goes missing.  The
+    # first index of each block keeps its group's value, so the later
+    # levels measure the same outcomes, and w2 stays exact.
     real = hamming_mod._child
 
     def child(node, mask):
         found = real(node, mask)
-        rep_block = node.rep_block
-        if rep_block is None:
-            return found
-        reps = list(rep_block)
-        brought = dict(zip(reps, reps[1:] + reps[-1:]))
-        blocks = tuple(
-            tuple(sorted(i for rep in group.map
-                         for i in rep_block[brought[rep]]))
-            for j, group in enumerate(node.groups) if mask >> j & 1)
+        units, p = node.units, node.p
+        brought = units[1:] + units[-1:]
+        blocks = tuple(sum(brought[j * p:j * p + p], ())
+                       for j in range(len(node.groups)) if mask >> j & 1)
         if found.p:
-            glued = {min(b): b for b in blocks}
-            found = hamming_mod._Level(node.primes, found.size, tuple(glued),
-                                       glued, found.s2)
+            found = hamming_mod._Level(node.primes, found.size, blocks,
+                                       node.n)
         else:
             found = found._replace(blocks=blocks)
         node.children[mask] = found
@@ -329,22 +324,17 @@ def glue_next_block_in_the_plan(monkeypatch):
 
 
 def leftover_read_not_in_s2_in_the_plan(monkeypatch):
-    # The indices of each level's last leftover are read and counted
-    # into w2, but left out of s2.
+    # The indices of the last level's last leftover unit are read and
+    # counted into w2, but left out of the leaf's s2.
     real = hamming_mod._child
 
     def child(node, mask):
         found = real(node, mask)
-        if not node.rest:
+        if found.p or not node.rest:
             return found
-        last = node.rest[-1]
-        dropped = ((last,) if node.rep_block is None
-                   else node.rep_block[last])
-        s2 = tuple(i for i in found.s2 if i not in dropped)
-        if found.p:
-            found.s2 = s2
-        else:
-            found = node.children[mask] = found._replace(s2=s2)
+        dropped = node.units[-1]
+        found = node.children[mask] = found._replace(
+            s2=tuple(i for i in found.s2 if i not in dropped))
         return found
     monkeypatch.setattr(hamming_mod, "_child", child)
 

@@ -342,19 +342,20 @@ def test_glue_plan_matches_the_per_call_glue(fresh_tables, m):
 def test_glue_plan_holds_the_representatives_and_merged_groups(
         fresh_tables):
     # An all-zeros input takes the path of all-constant masks: five
-    # constant pairs, then two constant pairs of representatives and the
-    # leftover representative 9, read, whose block goes to s2.
+    # constant pairs, then two constant pairs of those blocks, measured
+    # through their first indices, and the leftover block (9, 10), read
+    # at 9 and left to s2.
     root = hamming_mod._plan(4, 10)
     blocks = ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))
-    assert (root.p, root.size, root.rest) == (2, 1, ())
+    assert root.units == tuple((i,) for i in range(1, 11))
+    assert (root.p, root.size, root.rest, root.n) == (2, 1, (), 10)
     assert tuple(g.map for g in root.groups) == blocks
     for _ in range(2):
         result = partition_weight(CountingOracle(0, 10), 4)
         glue = root.children[0b11111]
         assert list(root.children) == [0b11111]
-        reps = (1, 3, 5, 7, 9)
-        assert glue.rep_block == dict(zip(reps, blocks))
-        assert (glue.p, glue.size, glue.rest, glue.s2) == (2, 2, (9,), ())
+        assert glue.units == blocks
+        assert (glue.p, glue.size, glue.rest, glue.n) == (2, 2, (9,), 10)
         assert [g.map for g in glue.groups] == [(1, 3), (5, 7)]
         assert list(glue.children) == [0b11]
         leaf = glue.children[0b11]
@@ -375,17 +376,17 @@ def levels(node):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 18])
 def test_each_level_holds_the_interned_views_of_its_groups(fresh_tables, m):
-    # At the first level and at every level of representatives, each
-    # group is held as BlockView(indices, padding) of its p units, with
-    # padding 0 for a pair and MOD3_PADDING for a triple; the groups'
-    # units, then the leftovers, are the level's units in order.
+    # At every level, each group is held as BlockView(indices, padding)
+    # of the first indices of its p units, with padding 0 for a pair and
+    # MOD3_PADDING for a triple; the groups' units, then the leftovers,
+    # are the level's units in order, the root's being 1..n.
     for n in range(1, 11):
         assert verify_cell(n, m).failures == 0
-        for node in levels(hamming_mod._plan(m, n)):
-            units = (tuple(range(1, n + 1)) if node.rep_block is None
-                     else tuple(node.rep_block))
+        root = hamming_mod._plan(m, n)
+        assert root.units == tuple((i,) for i in range(1, n + 1))
+        for node in levels(root):
             cut = tuple(i for view in node.groups for i in view.map)
-            assert cut + node.rest == units
+            assert cut + node.rest == tuple(unit[0] for unit in node.units)
             for view in node.groups:
                 assert len(view.map) == node.p
                 assert view == BlockView(view.map, padding_of(node.p))
@@ -482,6 +483,52 @@ def collect_leaves(node, path, leaves):
         return
     for mask, child in node.children.items():
         collect_leaves(child, path + (mask,), leaves)
+
+
+# Queries of one measured group, by its prime.
+GROUP_QUERIES = {2: 1, 3: 2}
+
+
+def walk_plan(node, inputs=1, queries=0):
+    """(leaf, inputs, queries) for every mask path below ``node``, each
+    child built through ``_child``: ``inputs`` counts the inputs the
+    path's masks allow, and ``queries`` is the path's cost."""
+    if not node.p:
+        yield node, inputs, queries
+        return
+    groups = len(node.groups)
+    # A constant group's value is fixed by the next level, or free at
+    # the last; a non-constant group's units take any of 2^p - 2
+    # patterns; a leftover unit's value is read.
+    constant_count = 1 if node.primes else 2
+    queries += GROUP_QUERIES[node.p] * groups + len(node.rest)
+    inputs *= 2 ** len(node.rest)
+    for mask in range(1 << groups):
+        constant = mask.bit_count()
+        count = (inputs * constant_count ** constant
+                 * (2 ** node.p - 2) ** (groups - constant))
+        yield from walk_plan(hamming_mod._child(node, mask), count, queries)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9, 12, 18])
+def test_every_mask_path_of_the_plan_partitions_within_the_bound(
+        fresh_tables, m):
+    # Checked against the definitions, not against the plan's own
+    # bookkeeping: each leaf's blocks have size m, blocks and s2 cover
+    # 1..n once each, and s2 is increasing; the leaves' input counts sum
+    # to 2^n, and the deepest path costs exactly the bound.
+    for n in range(16):
+        inputs = deepest = 0
+        for leaf, count, queries in walk_plan(hamming_mod._plan(m, n)):
+            assert all(len(block) == m for block in leaf.blocks)
+            covered = [i for block in leaf.blocks for i in block] + list(
+                leaf.s2)
+            assert sorted(covered) == list(range(1, n + 1))
+            assert all(a < b for a, b in zip(leaf.s2, leaf.s2[1:]))
+            inputs += count
+            deepest = max(deepest, queries)
+        assert inputs == 2 ** n, n
+        assert deepest == query_bound(n, m), n
 
 
 PARTITION_DIGEST = (

@@ -160,6 +160,19 @@ def test_projector_validation():
         Projector(3, frozenset())
 
 
+@pytest.mark.parametrize("dim,indices", [
+    (5, frozenset({True})),
+    (5.0, frozenset({1})),
+    (True, frozenset({0})),
+    (5, frozenset({1.0})),
+], ids=["bool-index", "float-dim", "bool-dim", "float-index"])
+def test_projector_takes_int_arguments_only(dim, indices):
+    # Each equals an int, so the range check alone would pass it; a
+    # float index would also reach mass and fail there as a TypeError.
+    with pytest.raises(ValueError, match="not an int"):
+        Projector(dim, indices)
+
+
 def test_inner_unit():
     v = StateVector.basis_state(4, 2)
     assert inner(v, v) == ONE
@@ -320,8 +333,6 @@ def test_shared_states_are_read_only():
         v._num[0][0] = 0
     with pytest.raises(TypeError):
         v._num[0] = (0,) * 8
-    with pytest.raises(TypeError):
-        v._abs_sq_rows()[0][0][0] = 0
 
 
 def test_big_values_stay_exact():
