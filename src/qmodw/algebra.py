@@ -1,16 +1,21 @@
 """Exact arithmetic in the number field Q(i, sqrt2, sqrt3).
 
 Every amplitude and matrix entry used by the mod-2 and mod-3 circuits lives
-in this degree-8 field.  An element is stored by its coordinates over the
+in this degree-8 field.  An element is given by its coordinates over the
 fixed basis
 
     (1, sqrt2, sqrt3, sqrt6, i, i*sqrt2, i*sqrt3, i*sqrt6)
 
-as eight Python-int numerators over one positive common denominator, in
-lowest terms: the gcd of the numerators and the denominator is 1, so zero
-is ``(0,)*8 / 1``.  This is the canonical form of a row in ``linalg``, so
-a number moves between the two as a tuple of ints and no ``Fraction`` is
-built on the way.  The basis is linearly independent over Q and the form
+Basis index a has bit 0 for sqrt2, bit 1 for sqrt3 and bit 2 for i, so
+two basis elements multiply by one rule, e_a * e_b = s[a & b] * e_(a ^ b),
+where s = (1, 2, 3, 6, -1, -2, -3, -6) holds the squares e_c * e_c.  This
+is the only module that builds a number from its coordinates: the others
+build theirs from rationals, ``SQRT2``, ``SQRT3`` and ``OMEGA``.
+The coordinates are stored as eight Python-int numerators over one
+positive common denominator, in lowest terms: the gcd of the numerators
+and the denominator is 1, so zero is ``(0,)*8 / 1``.  This is the
+canonical form of a row in ``linalg``, so a number moves between the two
+as a tuple of ints and no ``Fraction`` is built on the way.  The basis is linearly independent over Q and the form
 is unique, so structural equality coincides with mathematical equality and
 zero-testing is a plain all-zero check.  Only exact rationals
 (``numbers.Rational``: ints, ``Fraction``, and the integer types other
@@ -34,27 +39,11 @@ Scalar = Union[int, Fraction]
 BASIS_NAMES = ("1", "√2", "√3", "√6",
                "i", "i√2", "i√3", "i√6")
 
-# Product of the four real basis elements 1, sqrt2, sqrt3, sqrt6:
-# _REAL_MUL[a][b] = (index, integer coefficient).
-_REAL_MUL = {
-    (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-    (1, 1): (0, 2), (1, 2): (3, 1), (1, 3): (2, 2),
-    (2, 2): (0, 3), (2, 3): (1, 3),
-    (3, 3): (0, 6),
-}
-for (_a, _b), _v in list(_REAL_MUL.items()):
-    _REAL_MUL[(_b, _a)] = _v
+# _SQUARES[c] = e_c * e_c, so the basis product e_a * e_b is
+# _SQUARES[a & b] * e_(a ^ b): BASIS_MUL[a][b] = (index, integer coefficient).
+_SQUARES = (1, 2, 3, 6, -1, -2, -3, -6)
+BASIS_MUL = [[(a ^ b, _SQUARES[a & b]) for b in range(8)] for a in range(8)]
 
-# Full 8x8 basis product: BASIS_MUL[a][b] = (index, integer coefficient),
-# folding in i*i = -1.
-BASIS_MUL = [[None] * 8 for _ in range(8)]
-for _a in range(8):
-    for _b in range(8):
-        _ia, _ra = divmod(_a, 4)
-        _ib, _rb = divmod(_b, 4)
-        _t, _c = _REAL_MUL[(_ra, _rb)]
-        BASIS_MUL[_a][_b] = (_t + 4 * ((_ia + _ib) % 2),
-                             -_c if (_ia and _ib) else _c)
 
 def _ratio(value) -> tuple:
     """(numerator, denominator) of an exact rational, as Python ints.

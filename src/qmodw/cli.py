@@ -62,10 +62,10 @@ def _build_parser() -> _Parser:
     p_states.add_argument("--format", choices=("table", "json"),
                           default="table")
 
-    p_gram = sub.add_parser("gram", help="emit the 8x8 Gram matrix")
-    p_gram.add_argument("--closed-form", action="store_true",
-                        help="also check both sign-vector formulas on all "
-                             "64 pairs")
+    p_gram = sub.add_parser("gram",
+                            help="emit the 8x8 Gram matrix, checked against "
+                                 "the frozen one and both sign-vector "
+                                 "formulas on all 64 pairs")
     p_gram.add_argument("--format", choices=("grid", "json"), default="grid")
 
     p_lb = sub.add_parser("lower-bound",
@@ -206,9 +206,8 @@ def cmd_gram(args) -> int:
         for j in range(8):
             if gram[i][j] != frozen[i][j]:
                 problems.append(f"G[{i}][{j}] differs from frozen matrix")
-    if args.closed_form:
-        problems.extend(f"closed form {variant} differs at ({x}, {y})"
-                        for x, y, variant in gram_closed_form_mismatches(gram))
+    problems.extend(f"closed form {variant} differs at ({x}, {y})"
+                    for x, y, variant in gram_closed_form_mismatches(gram))
     if args.format == "json":
         print(json.dumps({
             "entries": [[e.to_json() for e in row] for row in gram],
@@ -217,7 +216,7 @@ def cmd_gram(args) -> int:
     else:
         for row in gram:
             print("  ".join(map(_grid_cell, row)))
-        if args.closed_form and not problems:
+        if not problems:
             print("closed forms agree with the state Gram matrix "
                   "on all 64 pairs")
     for msg in problems:

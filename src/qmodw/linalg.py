@@ -54,16 +54,16 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .algebra import (BASIS_MUL, AlgebraicNumber, _conj_row, _lowest_terms,
-                       _mul_into)
+from .algebra import (BASIS_MUL, ONE, ZERO, AlgebraicNumber, _conj_row,
+                       _lowest_terms, _mul_into)
 
 # Entries stored per memo.  The circuits see a handful of states (19
 # distinct apply results over all 4096 inputs at n = 12); the cap only
 # bounds memory when a matrix is applied to arbitrary vectors.
 _APPLY_MEMO_CAP = 256
 
-_ZERO_ROW = (0,) * 8
-_ONE_ROW = (1,) + (0,) * 7
+_ZERO_ROW = ZERO._num
+_ONE_ROW = ONE._num
 
 
 def _rows(flat: list, width: int = 8) -> tuple:
@@ -163,6 +163,13 @@ class StateVector(_Interned):
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
+        """|index> in ``dim`` dimensions: ``ValueError`` unless both are
+        ints (a bool is not), ``IndexError`` unless 0 <= index < dim."""
+        if type(dim) is not int or type(index) is not int:
+            raise ValueError(f"basis state dim or index not an int: "
+                             f"{dim!r}, {index!r}")
+        if not 0 <= index < dim:
+            raise IndexError(f"basis index {index} out of range for dim {dim}")
         return cls._new(tuple(_ONE_ROW if i == index else _ZERO_ROW
                               for i in range(dim)), 1)
 
@@ -230,6 +237,10 @@ class SquareMatrix(_Interned):
 
     @classmethod
     def identity(cls, dim: int) -> "SquareMatrix":
+        """The ``dim`` x ``dim`` identity: ``ValueError`` unless ``dim`` is
+        an int >= 0."""
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"identity dim not an int >= 0: {dim!r}")
         return cls._new(tuple(tuple(_ONE_ROW if i == j else _ZERO_ROW
                                     for j in range(dim))
                               for i in range(dim)), 1)

@@ -98,8 +98,8 @@ class MultilinearPolynomial:
     """
 
     def __init__(self, n: int, coeffs: Mapping):
-        if n < 0:
-            raise ValueError(f"negative variable count: {n}")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"variable count not an int >= 0: {n!r}")
         self.n = n
         # 1.0 and True equal the variable 1, and would pass the lookup.
         variables = itertools.chain.from_iterable(coeffs)
@@ -300,10 +300,11 @@ def symmetrize_bruteforce(p: MultilinearPolynomial, k: int) -> AlgebraicNumber:
     At each weight-k point, adds the row of every monomial whose variables
     are all set there, and reduces once over den * C(n, k); shares nothing
     with :func:`symmetrize` or the cube transform.  Raises DomainError for
-    k outside 0..n, where there is no point to average over.
+    a k that is not an int in 0..n, where there is no point to average
+    over.
     """
-    if not 0 <= k <= p.n:
-        raise DomainError(f"weight k={k} outside 0..{p.n}")
+    if type(k) is not int or not 0 <= k <= p.n:
+        raise DomainError(f"weight k={k!r} not an int in 0..{p.n}")
     rows, den = _pack(list(p.coeffs.values()))
     masks = [sum(1 << i for i in s) for s in p.coeffs]
     total = [0] * 8

@@ -9,8 +9,9 @@
   O_x is the same sign flip :meth:`CountingOracle.phase_apply` makes on a
   state.
 
-All matrices are built exactly from the field basis, never from decimal
-literals.  The mod-3 run is fused into two constant matrices around the
+All matrices are built exactly from rationals, sqrt2, sqrt3 and the cube
+root of unity w (``OMEGA``), never from decimal literals or field
+coordinates.  The mod-3 run is fused into two constant matrices around the
 two oracle calls, which is exactly equal (associativity in exact
 arithmetic) to the step-by-step product; :func:`trace_mod3` exposes the
 unfused intermediate states for table verification.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import OMEGA, SQRT2, SQRT3, AlgebraicNumber, ONE, ZERO
+from .algebra import OMEGA, SQRT2, SQRT3, AlgebraicNumber
 from .linalg import _APPLY_MEMO_CAP, Projector, SquareMatrix, StateVector, inner
 from .oracle import BlockView, CountingOracle
 
@@ -60,55 +61,41 @@ def _rat(p, q=1) -> AlgebraicNumber:
     return AlgebraicNumber.from_rational(Fraction(p, q))
 
 
-_HALF = Fraction(1, 2)
+def _scaled(c: AlgebraicNumber, rows) -> SquareMatrix:
+    """The matrix c * rows, for rows of numbers and ints."""
+    return SquareMatrix([[c * x for x in row] for row in rows])
 
-# H = (1/sqrt2) [[1, 1], [1, -1]]
+
 _INV_SQRT2 = SQRT2 * _rat(1, 2)
-H = SquareMatrix([
-    [_INV_SQRT2, _INV_SQRT2],
-    [_INV_SQRT2, -_INV_SQRT2],
-])
+H = _scaled(_INV_SQRT2, [[1, 1], [1, -1]])
 
-# 3-point Fourier transform on the first three of five dimensions.
-_INV_SQRT3 = SQRT3 * _rat(1, 3)
+# QFT is the 3-point Fourier transform on the first three of five
+# dimensions and the identity on the last two.  U and V are written as the
+# paper writes them, in w = OMEGA (i*sqrt3 = 1 + 2w).
 _W = OMEGA
 _W2 = OMEGA * OMEGA
-QFT = SquareMatrix([
-    [_INV_SQRT3, _INV_SQRT3, _INV_SQRT3, ZERO, ZERO],
-    [_INV_SQRT3, _INV_SQRT3 * _W, _INV_SQRT3 * _W2, ZERO, ZERO],
-    [_INV_SQRT3, _INV_SQRT3 * _W2, _INV_SQRT3 * _W, ZERO, ZERO],
-    [ZERO, ZERO, ZERO, ONE, ZERO],
-    [ZERO, ZERO, ZERO, ZERO, ONE],
+QFT = _scaled(SQRT3 * _rat(1, 3), [
+    [1, 1, 1, 0, 0],
+    [1, _W, _W2, 0, 0],
+    [1, _W2, _W, 0, 0],
+    [0, 0, 0, SQRT3, 0],
+    [0, 0, 0, 0, SQRT3],
 ])
 
-# U = (1/4) scaled, with diagonal entries -1/2 ± i 3sqrt3/2 (top block),
-# 1/2 ± i 3sqrt3/2 (bottom block) and off-diagonal 3s; V = (1/sqrt2)
-# scaled with entries 1/2 ∓ i sqrt3/2, -1/2 ∓ i sqrt3/2 and 1s.
-def _quarter(re, i3):
-    """(1/4) * (re + i3 * i*sqrt3) with rational re, i3."""
-    return AlgebraicNumber((Fraction(re) / 4, 0, 0, 0, 0, 0, Fraction(i3) / 4, 0))
-
-
-U = SquareMatrix([
-    [ONE, ZERO, ZERO, ZERO, ZERO],
-    [ZERO, _quarter(-_HALF, Fraction(3, 2)), ZERO, _rat(3, 4), ZERO],
-    [ZERO, ZERO, _quarter(-_HALF, -Fraction(3, 2)), ZERO, _rat(3, 4)],
-    [ZERO, _rat(3, 4), ZERO, _quarter(_HALF, Fraction(3, 2)), ZERO],
-    [ZERO, ZERO, _rat(3, 4), ZERO, _quarter(_HALF, -Fraction(3, 2))],
+U = _scaled(_rat(1, 4), [
+    [4, 0, 0, 0, 0],
+    [0, 1 + 3 * _W, 0, 3, 0],
+    [0, 0, 1 + 3 * _W2, 0, 3],
+    [0, 3, 0, 2 + 3 * _W, 0],
+    [0, 0, 3, 0, 2 + 3 * _W2],
 ])
 
-
-def _over_sqrt2(re, i3):
-    """(1/sqrt2) * (re + i3 * i*sqrt3) with rational re, i3."""
-    return _INV_SQRT2 * AlgebraicNumber((Fraction(re), 0, 0, 0, 0, 0, Fraction(i3), 0))
-
-
-V = SquareMatrix([
-    [ONE, ZERO, ZERO, ZERO, ZERO],
-    [ZERO, _over_sqrt2(_HALF, -_HALF), ZERO, _INV_SQRT2, ZERO],
-    [ZERO, ZERO, _over_sqrt2(_HALF, _HALF), ZERO, _INV_SQRT2],
-    [ZERO, _INV_SQRT2, ZERO, _over_sqrt2(-_HALF, -_HALF), ZERO],
-    [ZERO, ZERO, _INV_SQRT2, ZERO, _over_sqrt2(-_HALF, _HALF)],
+V = _scaled(_INV_SQRT2, [
+    [SQRT2, 0, 0, 0, 0],
+    [0, -_W, 0, 1, 0],
+    [0, 0, -_W2, 0, 1],
+    [0, 1, 0, _W2, 0],
+    [0, 0, 1, 0, _W],
 ])
 
 PI0 = Projector(5, frozenset({0}))

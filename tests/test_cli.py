@@ -279,33 +279,33 @@ def test_gram_grid_matches_displayed_matrix(capsys):
     code, out, _ = run_cli(capsys, "gram")
     assert code == 0
     rows = [[int(tok) for tok in line.split()]
-            for line in out.strip().splitlines()]
+            for line in out.splitlines()[:8]]
     assert rows[0] == [2, 0, 0, 0, 0, 0, 0, 2]
     assert rows[1] == [0, 2, -1, 0, -1, 0, 0, 0]
     assert rows[7] == [2, 0, 0, 0, 0, 0, 0, 2]
 
 
 def test_gram_closed_form_agreement(capsys):
-    code, out, _ = run_cli(capsys, "gram", "--closed-form")
+    code, out, _ = run_cli(capsys, "gram")
     assert code == 0
-    assert "all 64 pairs" in out
+    assert out.splitlines()[8:] == [
+        "closed forms agree with the state Gram matrix on all 64 pairs"]
 
 
 def test_gram_closed_form_check_bites(capsys, monkeypatch):
     # Corrupt G[001][010] in both the computed and the frozen matrix, so
-    # only the closed-form check can notice.
+    # only the closed-form check, which both formats make, can notice.
     gram = [list(row) for row in gram_matrix()]
     gram[1][2] = gram[1][2] + ONE
     monkeypatch.setattr(cli, "gram_matrix", lambda: gram)
     monkeypatch.setattr(cli, "load_gram", lambda: gram)
-    code, _, err = run_cli(capsys, "gram")
-    assert code == 0 and err == ""
-    code, out, err = run_cli(capsys, "gram", "--closed-form")
-    assert code == 3
-    assert "all 64 pairs" not in out
-    assert err.splitlines() == [
-        "MISMATCH: closed form 48 differs at (001, 010)",
-        "MISMATCH: closed form 16 differs at (001, 010)"]
+    for argv in (["gram"], ["gram", "--format", "json"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "all 64 pairs" not in out
+        assert err.splitlines() == [
+            "MISMATCH: closed form 48 differs at (001, 010)",
+            "MISMATCH: closed form 16 differs at (001, 010)"]
 
 
 def test_gram_exits_3_on_a_corrupted_circuit(capsys, monkeypatch):
@@ -324,8 +324,7 @@ def test_gram_exits_3_on_a_corrupted_circuit(capsys, monkeypatch):
     assert [f"{stage}({bits})" for stage in STAGES for bits in STATE_TABLE_ORDER
             if payload[stage][bits] != frozen[stage][bits].to_json()
             ] + ["U not unitary"] == payload["mismatches"]
-    for argv in (["gram"], ["gram", "--closed-form"],
-                 ["gram", "--format", "json"]):
+    for argv in (["gram"], ["gram", "--format", "json"]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert err and all(line.startswith("MISMATCH: ")

@@ -173,6 +173,32 @@ def test_projector_takes_int_arguments_only(dim, indices):
         Projector(dim, indices)
 
 
+@pytest.mark.parametrize("dim, index, error", [
+    (2, 5, IndexError),
+    (2, -1, IndexError),
+    (0, 0, IndexError),
+    (3, True, ValueError),
+    (True, 0, ValueError),
+    (2, 1.0, ValueError),
+    (2.0, 0, ValueError),
+], ids=["past-the-end", "negative", "zero-dim", "bool-index", "bool-dim",
+        "float-index", "float-dim"])
+def test_basis_state_checks_its_arguments(dim, index, error):
+    # An index out of range would give the zero vector, a zero dim a state
+    # that StateVector([]) refuses, and a bool or a float equal to an int
+    # would stand in for it.
+    with pytest.raises(error):
+        StateVector.basis_state(dim, index)
+
+
+@pytest.mark.parametrize("dim", [-2, 2.0, True, "2"],
+                         ids=["negative", "float", "bool", "str"])
+def test_identity_takes_an_int_dim_of_at_least_0(dim):
+    with pytest.raises(ValueError, match="not an int >= 0"):
+        SquareMatrix.identity(dim)
+    assert SquareMatrix.identity(0).dim == 0
+
+
 def test_inner_unit():
     v = StateVector.basis_state(4, 2)
     assert inner(v, v) == ONE

@@ -3,8 +3,13 @@
 Every amplitude, mass and coefficient of the package is exact (ints,
 ``Fraction``s and the field ``AlgebraicNumber``), so the sources hold no
 float or complex literal, call none of ``float``, ``complex``, ``round``
-or ``math.sqrt``, and divide with ``/`` only where both sides are
-``Fraction``s, at the one site named below by its enclosing function.
+or ``math.sqrt``, and make no division with ``/``.  A rational is built
+as ``Fraction(p, q)``.
+
+The same scan finds every call of the 8-coordinate constructor
+``AlgebraicNumber(...)``: only ``algebra.py`` knows which coordinate is
+which basis element, and every other module builds its numbers from
+rationals and the named constants.
 """
 
 import ast
@@ -13,20 +18,19 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qmodw"
 
-# (module, enclosing function) -> number of ``/``, each on Fractions.
-ALLOWED_DIVISIONS = {
-    ("subroutines", "_quarter"): 2,          # Fraction(re) / 4, ... / 4
-}
+# (module, enclosing function) -> number of ``/``.
+ALLOWED_DIVISIONS = {}
 
 FORBIDDEN_CALLS = {"float", "complex", "round"}
 
 
 def _scan(source):
-    """(floats, divisions): the float-making nodes of a module's source,
-    as (line, what) pairs, and a Counter of its ``/`` by enclosing
-    function."""
+    """(floats, divisions, builds): the float-making nodes of a module's
+    source, as (line, what) pairs, and Counters of its ``/`` and of its
+    ``AlgebraicNumber(...)`` calls by enclosing function."""
     floats = []
     divisions = Counter()
+    builds = Counter()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -39,6 +43,9 @@ def _scan(source):
             func = node.func
             if isinstance(func, ast.Name) and func.id in FORBIDDEN_CALLS:
                 floats.append((node.lineno, f"call of {func.id}"))
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if name == "AlgebraicNumber":
+                builds[".".join(scope)] += 1
         elif (isinstance(node, ast.Attribute) and node.attr == "sqrt"
               and isinstance(node.value, ast.Name)
               and node.value.id == "math"):
@@ -53,13 +60,13 @@ def _scan(source):
             visit(child, scope)
 
     visit(ast.parse(source), ())
-    return floats, divisions
+    return floats, divisions, builds
 
 
 def test_no_float_literal_or_float_call_in_the_package():
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        floats, _ = _scan(path.read_text())
+        floats, _, _ = _scan(path.read_text())
         if floats:
             found[path.name] = floats
     assert found == {}
@@ -68,26 +75,38 @@ def test_no_float_literal_or_float_call_in_the_package():
 def test_division_only_at_the_named_fraction_sites():
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        _, divisions = _scan(path.read_text())
+        _, divisions, _ = _scan(path.read_text())
         for function, count in divisions.items():
             found[(path.stem, function)] = count
     assert found == ALLOWED_DIVISIONS
 
 
+def test_only_algebra_builds_a_number_from_its_coordinates():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        _, _, builds = _scan(path.read_text())
+        for function, count in builds.items():
+            found[(path.stem, function)] = count
+    assert {key for key in found if key[0] != "algebra"} == set()
+    assert found  # the scan sees algebra.py's own calls
+
+
 def test_the_scan_sees_each_kind_of_float():
-    # A module with one of each thing the scan forbids, and two
-    # divisions in a nested function.
-    floats, divisions = _scan(
+    # A module with one of each thing the scan forbids, two divisions in
+    # a nested function, and a constructor call by name and by attribute.
+    floats, divisions, builds = _scan(
         "import math\n"
         "from math import sqrt\n"
         "X = 0.5\n"
         "Y = 2j\n"
+        "Z = qmodw.AlgebraicNumber((1,) * 8)\n"
         "def f(a):\n"
         "    def g(b):\n"
         "        b /= 2\n"
-        "        return a / b\n"
+        "        return a / b + AlgebraicNumber(a)\n"
         "    return float(a) + complex(a) + round(a) + math.sqrt(a)\n")
     assert [what for _, what in floats] == [
         "from math import sqrt", "literal 0.5", "literal 2j",
         "call of float", "call of complex", "call of round", "math.sqrt"]
     assert divisions == {"f.g": 2}
+    assert builds == {"": 1, "f.g": 1}

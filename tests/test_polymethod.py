@@ -351,10 +351,18 @@ def test_bruteforce_is_the_literal_average():
     assert symmetrize_bruteforce(poly(0, p_=I), 0) == I
 
 
-@pytest.mark.parametrize("k", [4, -1])
+@pytest.mark.parametrize("k", [4, -1, 1.0, True, "1"])
 def test_bruteforce_rejects_weight_outside_0_to_n(k):
-    with pytest.raises(DomainError, match=f"k={k}"):
+    # 1.0 and True equal 1, and would average over weight 1.
+    with pytest.raises(DomainError, match=f"k={k!r} not an int"):
         symmetrize_bruteforce(poly(3, p_1=1), k)
+
+
+@pytest.mark.parametrize("n", [2.0, "2", True, -1],
+                         ids=["float", "str", "bool", "negative"])
+def test_variable_count_is_an_int_of_at_least_0(n):
+    with pytest.raises(ValueError, match="variable count"):
+        MultilinearPolynomial(n, {})
 
 
 def test_symmetrize_degree_never_grows():

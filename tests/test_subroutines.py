@@ -43,6 +43,34 @@ def test_constants_unitary():
         assert m.is_unitary()
 
 
+def test_u_and_v_are_the_papers_matrices_over_the_field_basis():
+    # The paper's entries, written over the basis (1, √2, √3, √6, i,
+    # i√2, i√3, i√6) and not through OMEGA: U = (1/4)(... ±1/2 ± (3/2) i√3
+    # ...) and V = (1/√2)(... ±1/2 ± (1/2) i√3 ...).
+    half = Fraction(1, 2)
+
+    def c(re, i3):
+        return AlgebraicNumber((re, 0, 0, 0, 0, 0, i3, 0))
+
+    def scaled(factor, rows):
+        return SquareMatrix([[factor * x for x in row] for row in rows])
+
+    assert scaled(Fraction(1, 4), [
+        [4, 0, 0, 0, 0],
+        [0, c(-half, 3 * half), 0, 3, 0],
+        [0, 0, c(-half, -3 * half), 0, 3],
+        [0, 3, 0, c(half, 3 * half), 0],
+        [0, 0, 3, 0, c(half, -3 * half)],
+    ]) is subroutines.U
+    assert scaled(SQRT2 * half, [
+        [SQRT2, 0, 0, 0, 0],
+        [0, c(half, -half), 0, 1, 0],
+        [0, 0, c(half, half), 0, 1],
+        [0, 1, 0, c(-half, -half), 0],
+        [0, 0, 1, 0, c(-half, half)],
+    ]) is subroutines.V
+
+
 def test_fourier_oracle_unitary_all_inputs():
     for bits in ALL_3BIT:
         assert fourier_oracle(bits).is_unitary()
