@@ -13,17 +13,20 @@ is the only module that builds a number from its coordinates: the others
 build theirs from rationals, ``SQRT2``, ``SQRT3`` and ``OMEGA``.
 The coordinates are stored as eight Python-int numerators over one
 positive common denominator, in lowest terms: the gcd of the numerators
-and the denominator is 1, so zero is ``(0,)*8 / 1``.  This is the
-canonical form of a row in ``linalg``, so a number moves between the two
-as a tuple of ints and no ``Fraction`` is built on the way.  The basis is linearly independent over Q and the form
-is unique, so structural equality coincides with mathematical equality and
+and the denominator is 1, so zero is ``(0,)*8 / 1``.  The packed form
+of many numbers lives here too: ``_pack`` lays them out 8 numerators
+each over one denominator (the rows of ``linalg``, the coefficients of
+``polymethod``), and ``_rational`` reads one packed entry back as a
+rational.  The basis is linearly independent over Q and the form is
+unique, so structural equality coincides with mathematical equality and
 zero-testing is a plain all-zero check.  Only exact rationals
 (``numbers.Rational``: ints, ``Fraction``, and the integer types other
 libraries register there, stored as Python ints) are accepted; a float,
-complex, string or Decimal raises ``TypeError``.  ``Fraction``
-appears only where a coordinate is handed out (``coeffs``,
-``rational_part``).  The field operations are ``+``, ``-``, ``*`` and
-the complex conjugate; no amplitude needs a division, so there is none.
+complex, string, Decimal or bool raises ``TypeError``, and a bool equals
+no number.  ``Fraction`` appears only where a coordinate is handed out
+(``coeffs``, ``rational_part``, ``_rational``).  The field operations
+are ``+``, ``-``, ``*`` and the complex conjugate; no amplitude needs a
+division, so there is none.
 All values are immutable; nothing here ever rounds.
 """
 
@@ -45,15 +48,20 @@ _SQUARES = (1, 2, 3, 6, -1, -2, -3, -6)
 BASIS_MUL = [[(a ^ b, _SQUARES[a & b]) for b in range(8)] for a in range(8)]
 
 
+def _is_rational(value) -> bool:
+    """True iff value is a ``numbers.Rational`` other than a bool."""
+    return isinstance(value, numbers.Rational) and not isinstance(value, bool)
+
+
 def _ratio(value) -> tuple:
     """(numerator, denominator) of an exact rational, as Python ints.
 
-    Raises TypeError for anything that is not a ``numbers.Rational``, so
-    no float, complex, string or Decimal enters the field.
+    Raises TypeError for a bool and for anything that is not a
+    ``numbers.Rational``, so no float, complex, string or Decimal enters.
     """
     if type(value) is int:
         return value, 1
-    if isinstance(value, numbers.Rational):
+    if _is_rational(value):
         return int(value.numerator), int(value.denominator)
     raise TypeError(
         f"expected an exact rational, got {type(value).__name__} {value!r}")
@@ -146,7 +154,7 @@ class AlgebraicNumber:
     def __eq__(self, other) -> bool:
         if type(other) is AlgebraicNumber:
             return self._num == other._num and self._den == other._den
-        if isinstance(other, numbers.Rational):
+        if _is_rational(other):
             p, q = _ratio(other)
             return self.is_rational() and self._num[0] * q == p * self._den
         return NotImplemented
@@ -243,9 +251,32 @@ def _add(a: AlgebraicNumber, b: AlgebraicNumber) -> AlgebraicNumber:
 def _coerce(value) -> "AlgebraicNumber | None":
     if isinstance(value, AlgebraicNumber):
         return value
-    if isinstance(value, numbers.Rational):
+    if _is_rational(value):
         return AlgebraicNumber.from_rational(value)
     return None
+
+
+def _pack(entries: Sequence) -> tuple:
+    """Numbers as (8 int numerators each in one flat list, common den),
+    in lowest terms; each row is scaled to the lcm of the denominators.
+    An entry that is not an AlgebraicNumber must be an exact rational."""
+    entries = [e if isinstance(e, AlgebraicNumber)
+               else AlgebraicNumber.from_rational(e) for e in entries]
+    den = math.lcm(*(e._den for e in entries))
+    flat = []
+    for e in entries:
+        flat += (e._num if e._den == den
+                 else [x * (den // e._den) for x in e._num])
+    return _lowest_terms(flat, den)
+
+
+def _rational(row: Sequence[int], den: int, what: str) -> Fraction:
+    """The rational ``row / den`` for one entry's 8 int numerators;
+    ``ValueError`` naming ``what`` if an irrational coordinate is not 0."""
+    if any(row[1:]):
+        value = AlgebraicNumber._from_row(row, den)
+        raise ValueError(f"{what} {value} is not rational")
+    return Fraction(row[0], den)
 
 
 ZERO = AlgebraicNumber.from_rational(0)

@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     p_lb.add_argument("--n", type=int)
     p_lb.add_argument("--m", type=int)
     p_lb.add_argument("--sweep", action="store_true")
-    p_lb.add_argument("--n-max", type=int, default=20)
+    p_lb.add_argument("--n-max", type=int)
 
     return parser
 
@@ -226,19 +226,27 @@ def cmd_gram(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     if args.sweep:
-        if args.n_max < 2:
+        if args.n is not None or args.m is not None:
+            print("error: --sweep takes --n-max, not --n or --m",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        n_max = 20 if args.n_max is None else args.n_max
+        if n_max < 2:
             print("error: --n-max must be at least 2", file=sys.stderr)
             return EXIT_USAGE
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "m", "zero_weights", "bound", "equal"])
         all_equal = True
-        for n in range(2, args.n_max + 1):
+        for n in range(2, n_max + 1):
             for m in range(2, n + 1):
                 zeros = ndeg_lower_bound(mod_m_spec(n, m))
                 bound = query_bound(n, m)
                 writer.writerow([n, m, zeros, bound, zeros == bound])
                 all_equal = all_equal and zeros == bound
         return EXIT_OK if all_equal else EXIT_VERIFICATION
+    if args.n_max is not None:
+        print("error: --n-max needs --sweep", file=sys.stderr)
+        return EXIT_USAGE
     if args.n is None or args.m is None:
         print("error: need --n and --m (or --sweep)", file=sys.stderr)
         return EXIT_USAGE

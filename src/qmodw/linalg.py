@@ -1,16 +1,15 @@
 """Exact dense vectors and matrices over Q(i, sqrt2, sqrt3).
 
-Internally a vector is stored "packed": a tuple of ``dim`` rows, each a
-tuple of the 8 Python-int coefficients of one entry over the field basis,
-together with a single positive common denominator, always reduced so the
-gcd of all numerators and the denominator is 1.  A matrix holds a tuple of
-such row tuples per matrix row, over one denominator.  A row and an
-:class:`AlgebraicNumber` share this canonical form (8 int numerators over
-one denominator, reduced by the same gcd rule), so packing scales each
-number's int row to the common denominator and reading an entry builds
-the number from its row with one reduction; no ``Fraction`` is made
-either way.  Python integers never overflow, so there is one exact
-integer representation whatever the size of the values.
+States and matrices share one row form: a tuple of flat tuples of
+Python ints over one positive denominator, in lowest terms, packed by
+:func:`algebra._pack`.  A row holds 8 numerators per entry over the
+field basis: a state has ``dim`` rows of 8 ints, and a matrix ``dim``
+rows of ``8 * dim`` ints, entry j at ``8 * j``, the index space of the
+kernel below.  Reading an entry is one slice and one reduction, and no
+``Fraction`` is made.  Python ints never overflow, so there is one exact
+representation whatever the size of the values.  Since rows are flat,
+one ``_negated`` serves both: the sign flip of a phase query on a
+state, and O_x times QFT for Ox~.
 
 Each matrix carries a lazily-built sparse kernel with the basis
 multiplication table folded into its entries: for every input coordinate
@@ -46,16 +45,16 @@ and a memo hit saves arithmetic, never a query.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 from .algebra import (BASIS_MUL, ONE, ZERO, AlgebraicNumber, _conj_row,
-                       _lowest_terms, _mul_into)
+                       _lowest_terms, _mul_into, _pack, _rational)
 
 # Entries stored per memo.  The circuits see a handful of states (19
 # distinct apply results over all 4096 inputs at n = 12); the cap only
@@ -64,48 +63,24 @@ _APPLY_MEMO_CAP = 256
 
 _ZERO_ROW = ZERO._num
 _ONE_ROW = ONE._num
+# The sign conjugation puts on each of an entry's 8 coordinates.
+_CONJ_SIGNS = _conj_row((1,) * 8)
 
 
-def _rows(flat: list, width: int = 8) -> tuple:
+def _rows(flat: Sequence[int], width: int = 8) -> tuple:
     """``flat`` cut into consecutive tuples of ``width`` items."""
     return tuple(zip(*[iter(flat)] * width))
 
 
-def _canonical(flat: list, den: int):
-    """Reduce int numerators, 8 per row, to lowest terms: (rows, den).
-
-    The rule is :func:`algebra._lowest_terms`'s, applied to all the rows.
-    """
-    flat, den = _lowest_terms(flat, den)
-    return _rows(flat), den
-
-
-def _pack(entries: Sequence[AlgebraicNumber]):
-    """Stack AlgebraicNumbers as (tuple of int rows, common den).
-
-    The rows are those of :func:`_pack_flat`, cut 8 numerators per entry.
-    """
-    flat, den = _pack_flat(entries)
-    return _rows(flat), den
-
-
-def _pack_flat(entries: Sequence[AlgebraicNumber]):
-    """AlgebraicNumbers as (8 int numerators per entry in one flat
-    sequence, common den), in lowest terms.
-
-    Each entry's int row is scaled to the lcm of the denominators; a row
-    already over that denominator is copied as it is.  Other entries go
-    through the field's rule: an exact rational is accepted, anything
-    else raises ``TypeError``.
-    """
-    entries = [e if isinstance(e, AlgebraicNumber)
-               else AlgebraicNumber.from_rational(e) for e in entries]
-    den = math.lcm(*(e._den for e in entries))
-    flat = []
-    for e in entries:
-        flat += (e._num if e._den == den
-                 else [x * (den // e._den) for x in e._num])
-    return _lowest_terms(flat, den)
+def _columns(num: tuple) -> list:
+    """The columns of matrix rows ``num``, each one flat list of ints."""
+    cols = []
+    for k in range(0, 8 * len(num), 8):
+        col = []
+        for row in num:
+            col += row[k:k + 8]
+        cols.append(col)
+    return cols
 
 
 # The one live object of each (class, den, rows), held weakly.  It is
@@ -134,6 +109,18 @@ class _Interned:
     def __reduce__(self):
         return self._new, (self._num, self._den)
 
+    def _negated(self, rows):
+        """This value with ``rows`` negated: O times it, for the diagonal
+        sign matrix O that is -1 exactly there.  Negation keeps the gcd,
+        so the result is canonical.  A repeated row is negated once; one
+        outside [0, dim) raises ``IndexError``."""
+        num = list(self._num)
+        for j in set(rows):
+            if not 0 <= j < self.dim:
+                raise IndexError(f"row {j} out of range for dim {self.dim}")
+            num[j] = tuple([-x for x in num[j]])
+        return self._new(tuple(num), self._den)
+
 
 class StateVector(_Interned):
     """An exact vector over Q(i, sqrt2, sqrt3)."""
@@ -144,22 +131,8 @@ class StateVector(_Interned):
         entries = tuple(entries)
         if not entries:
             raise ValueError("empty state vector")
-        return cls._new(*_pack(entries))
-
-    def _negated(self, rows) -> "StateVector":
-        """This state with the given entries negated.
-
-        Negation keeps the gcd, so the result is already canonical and
-        skips :func:`_canonical`.  As in
-        :meth:`SquareMatrix._negated_rows`, a repeated row is negated
-        once and one outside [0, dim) raises ``IndexError``.
-        """
-        num = list(self._num)
-        for j in set(rows):
-            if not 0 <= j < self.dim:
-                raise IndexError(f"row {j} out of range for dim {self.dim}")
-            num[j] = tuple([-x for x in num[j]])
-        return self._new(tuple(num), self._den)
+        flat, den = _pack(entries)
+        return cls._new(_rows(flat), den)
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "StateVector":
@@ -208,17 +181,18 @@ def _kernel(num: tuple) -> tuple:
     """The sparse kernel of matrix rows ``num``.
 
     Entry ``8 * j + b`` lists, for the input coordinate b of entry j, the
-    pairs (``8 * i + c``, coefficient of basis c in num[i][j] * basis b).
-    Basis b times a basis element is one basis element times an int, so
-    each nonzero numerator of num[i][j] yields one pair per b.
+    pairs (``8 * i + c``, coefficient of basis c in entry (i, j) times
+    basis b).  Basis b times a basis element is one basis element times
+    an int, so each nonzero numerator ``num[i][8 * j + a]`` yields one
+    pair per b.
     """
     cols = [[] for _ in range(8 * len(num))]
     for i, row in enumerate(num):
-        for j, entry in enumerate(row):
-            for a, x in enumerate(entry):
-                if x:
-                    for b, (c, coef) in enumerate(BASIS_MUL[a]):
-                        cols[8 * j + b].append((8 * i + c, coef * x))
+        for p, x in enumerate(row):
+            if x:
+                j, a = divmod(p, 8)
+                for b, (c, coef) in enumerate(BASIS_MUL[a]):
+                    cols[8 * j + b].append((8 * i + c, coef * x))
     return tuple(map(tuple, cols))
 
 
@@ -232,8 +206,8 @@ class SquareMatrix(_Interned):
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("matrix is not square")
-        num, den = _pack([e for r in rows for e in r])
-        return cls._new(_rows(num, dim), den)
+        flat, den = _pack([e for r in rows for e in r])
+        return cls._new(_rows(flat, 8 * dim), den)
 
     @classmethod
     def identity(cls, dim: int) -> "SquareMatrix":
@@ -241,8 +215,8 @@ class SquareMatrix(_Interned):
         an int >= 0."""
         if type(dim) is not int or dim < 0:
             raise ValueError(f"identity dim not an int >= 0: {dim!r}")
-        return cls._new(tuple(tuple(_ONE_ROW if i == j else _ZERO_ROW
-                                    for j in range(dim))
+        return cls._new(tuple(_ZERO_ROW * i + _ONE_ROW
+                              + _ZERO_ROW * (dim - 1 - i)
                               for i in range(dim)), 1)
 
     @property
@@ -252,13 +226,14 @@ class SquareMatrix(_Interned):
 
     def __getitem__(self, ij) -> AlgebraicNumber:
         i, j = ij
-        return AlgebraicNumber._from_row(self._num[i][j], self._den)
+        return AlgebraicNumber._from_row(self._num[i][8 * j:8 * j + 8],
+                                         self._den)
 
     def dagger(self) -> "SquareMatrix":
         # Conjugation keeps the gcd, so the result is already canonical.
-        return self._new(tuple(map(tuple, zip(*(map(_conj_row, row)
-                                                 for row in self._num)))),
-                         self._den)
+        signs = _CONJ_SIGNS * self.dim
+        return self._new(tuple([tuple(map(mul, col, signs))
+                                for col in _columns(self._num)]), self._den)
 
     def _get_kernel(self) -> tuple:
         try:
@@ -279,8 +254,9 @@ class SquareMatrix(_Interned):
         """
         if self.dim != v.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {v.dim}")
-        out = self._times(chain.from_iterable(v._num))
-        return StateVector._new(*_canonical(out, self._den * v._den))
+        out, den = _lowest_terms(self._times(chain.from_iterable(v._num)),
+                                 self._den * v._den)
+        return StateVector._new(_rows(out), den)
 
     def _times(self, flat: Iterable[int]) -> list:
         """The kernel applied to one column of 8 * dim numerators."""
@@ -296,32 +272,14 @@ class SquareMatrix(_Interned):
         """Exact matrix product: the kernel applied to each column of other."""
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} != {other.dim}")
-        cols = [self._times(chain.from_iterable(col))
-                for col in zip(*other._num)]
+        cols = [self._times(col) for col in _columns(other._num)]
         # cols[k][8 * i + c] is coordinate c of entry (i, k).
-        flat = [x for i in range(0, 8 * self.dim, 8)
-                for col in cols for x in col[i:i + 8]]
-        rows, den = _canonical(flat, self._den * other._den)
-        return self._new(_rows(rows, self.dim), den)
+        flat, den = _lowest_terms([x for i in range(0, 8 * self.dim, 8)
+                                   for col in cols for x in col[i:i + 8]],
+                                  self._den * other._den)
+        return self._new(_rows(flat, 8 * self.dim), den)
 
     __matmul__ = matmul
-
-    def _negated_rows(self, rows) -> "SquareMatrix":
-        """O · this matrix, for the diagonal sign matrix O that is -1
-        exactly on ``rows``: the given rows negated.
-
-        The matrix counterpart of :meth:`StateVector._negated`, the sign
-        flip a phase query makes on a state.  Negation keeps the gcd, so
-        the result is already canonical and skips :func:`_canonical`.  A
-        row repeated in ``rows`` is negated once; one outside
-        [0, dim) raises ``IndexError``.
-        """
-        num = list(self._num)
-        for i in set(rows):
-            if not 0 <= i < self.dim:
-                raise IndexError(f"row {i} out of range for dim {self.dim}")
-            num[i] = tuple([tuple([-x for x in entry]) for entry in num[i]])
-        return self._new(tuple(num), self._den)
 
     def is_unitary(self) -> bool:
         """True iff M† M equals the identity exactly."""
@@ -364,11 +322,7 @@ class Projector:
         total = [0] * 8
         for i in self.indices:
             _mul_into(total, _conj_row(v._num[i]), v._num[i])
-        den_sq = v._den * v._den
-        if any(total[1:]):
-            value = AlgebraicNumber._from_row(total, den_sq)
-            raise ValueError(f"projected mass {value} is not rational")
-        return Fraction(total[0], den_sq)
+        return _rational(total, v._den * v._den, "projected mass")
 
 
 def format_state_table(columns: "dict[str, list[StateVector]]",

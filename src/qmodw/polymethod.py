@@ -8,9 +8,10 @@ the number of Hamming weights on which it vanishes.  For the weight-
 divisibility function this count equals ceil(n(1 - 1/m)), matching the
 query algorithm's cost exactly.
 
-Coefficients are handled as packed int rows, the canonical form that
-``AlgebraicNumber`` and ``linalg`` share (8 Python-int numerators over
-one common denominator), and no field ``*`` or ``+`` runs in a loop.
+Coefficients are handled as packed int rows (8 Python-int numerators
+per coefficient over one common denominator), packed by
+``algebra._pack``, the packer ``linalg`` uses too; nothing here imports
+``linalg``, and no field ``*`` or ``+`` runs in a loop.
 A ``MultilinearPolynomial`` is packed once, when it is made: its
 monomials in order of degree, each as its truth-table mask, and the
 coordinate columns that are nonzero in some coefficient, as numerators
@@ -50,8 +51,7 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence, Union
 
-from .algebra import AlgebraicNumber, _ratio
-from .linalg import _pack, _pack_flat
+from .algebra import AlgebraicNumber, _pack, _ratio
 
 
 class DomainError(ValueError):
@@ -81,7 +81,7 @@ def _columns(entries: Sequence):
     Returns ([(coordinate, numerators in entry order)], common den), in
     lowest terms over all the entries.
     """
-    flat, den = _pack_flat(entries)
+    flat, den = _pack(entries)
     return [(c, col) for c in range(8) if any(col := flat[c::8])], den
 
 
@@ -305,14 +305,14 @@ def symmetrize_bruteforce(p: MultilinearPolynomial, k: int) -> AlgebraicNumber:
     """
     if type(k) is not int or not 0 <= k <= p.n:
         raise DomainError(f"weight k={k!r} not an int in 0..{p.n}")
-    rows, den = _pack(list(p.coeffs.values()))
+    flat, den = _pack(list(p.coeffs.values()))
     masks = [sum(1 << i for i in s) for s in p.coeffs]
     total = [0] * 8
     for point in itertools.combinations(range(1, p.n + 1), k):
         ones = sum(1 << i for i in point)
-        for mask, row in zip(masks, rows):
+        for t, mask in enumerate(masks):
             if mask & ones == mask:
-                total = list(map(add, total, row))
+                total = list(map(add, total, flat[8 * t:8 * t + 8]))
     return AlgebraicNumber._from_row(total, den * math.comb(p.n, k))
 
 
@@ -324,6 +324,7 @@ class SymmetricFunctionSpec:
     values: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
         if (type(self.n) is not int or self.n < 0
                 or len(self.values) != self.n + 1):
             raise ValueError(f"need an int n >= 0 and n + 1 weight values, "

@@ -202,7 +202,7 @@ def fourier_oracle(bits: str) -> SquareMatrix:
     if len(bits) != 3 or any(c not in "01" for c in bits):
         raise ValueError(f"need a 3-bit string, got {bits!r}")
     return _QFT_DAG.matmul(
-        QFT._negated_rows(i for i, c in enumerate(bits) if c == "1"))
+        QFT._negated(i for i, c in enumerate(bits) if c == "1"))
 
 
 def trace_mod3(bits: str) -> IntermediateTrace:

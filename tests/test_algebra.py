@@ -328,7 +328,7 @@ def test_rational_values_hash_like_python_numbers():
 # Only exact rationals enter the field
 # ---------------------------------------------------------
 
-NOT_RATIONAL = [0.1, 1.0, 1 + 0j, "1/3", Decimal("0.1")]
+NOT_RATIONAL = [0.1, 1.0, 1 + 0j, "1/3", Decimal("0.1"), True, False]
 
 
 @pytest.mark.parametrize("value", NOT_RATIONAL, ids=repr)
@@ -351,7 +351,8 @@ def test_arithmetic_rejects_non_rationals(value):
                lambda: value - ONE, lambda: ONE * value, lambda: value * ONE):
         with pytest.raises(TypeError):
             op()
-    assert ONE != value
+    # Comparing never raises; a bool equals no number, though True == 1.
+    assert ONE != value and ZERO != value
 
 
 def test_reflected_subtraction():

@@ -407,6 +407,25 @@ def test_lower_bound_sweep_rejects_n_max_below_two(capsys):
     assert (code, out, err) == (1, "", "error: --n-max must be at least 2\n")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--sweep", "--n", "40", "--m", "3", "--n-max", "3"],
+     "--sweep takes --n-max, not --n or --m"),
+    (["--sweep", "--n", "5"], "--sweep takes --n-max, not --n or --m"),
+    (["--sweep", "--m", "3"], "--sweep takes --n-max, not --n or --m"),
+    (["--n", "5", "--m", "3", "--n-max", "9"], "--n-max needs --sweep"),
+    (["--n-max", "9"], "--n-max needs --sweep"),
+], ids=["sweep-n-m-n-max", "sweep-n", "sweep-m", "single-n-max", "n-max"])
+def test_lower_bound_rejects_mixed_modes(capsys, argv, error):
+    # A flag of the other mode is an error, not silently ignored.
+    code, out, err = run_cli(capsys, "lower-bound", *argv)
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+def test_lower_bound_sweep_defaults_to_n_max_20(capsys):
+    _, out, _ = run_cli(capsys, "lower-bound", "--sweep")
+    assert out.strip().splitlines()[-1] == "20,20,19,19,True"
+
+
 def test_lower_bound_missing_args(capsys):
     code, _, _ = run_cli(capsys, "lower-bound")
     assert code == 1

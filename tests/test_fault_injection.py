@@ -405,10 +405,11 @@ def test_only_the_state_table_and_gram_see_a_shifted_oracle_flip(
     # row i.  A sign flip is unitary, and the sweep applies O_x through
     # phase_apply and never builds Ox~, so only the checks that run the
     # circuit through Ox~ fail.  Both pass again once Ox~ is restored.
-    negated_rows = SquareMatrix._negated_rows
+    # The patch sits on SquareMatrix, so states still flip the true rows.
+    negated = SquareMatrix._negated
     monkeypatch.setattr(
-        SquareMatrix, "_negated_rows",
-        lambda m, rows: negated_rows(m, [(i + 1) % m.dim for i in rows]))
+        SquareMatrix, "_negated",
+        lambda m, rows: negated(m, [(i + 1) % m.dim for i in rows]))
     assert all(subroutines.fourier_oracle(bits).is_unitary()
                for bits in subroutines.ALL_3BIT)
     assert main(["verify-states"]) == 3

@@ -273,6 +273,10 @@ def test_entries_follow_the_field_rule():
         StateVector([ONE, 0.5])
     with pytest.raises(TypeError):
         SquareMatrix([[1.0]])
+    with pytest.raises(TypeError):
+        StateVector([True, False])
+    with pytest.raises(TypeError):
+        SquareMatrix([[ONE, False], [ZERO, ONE]])
 
 
 def test_json_roundtrip():
@@ -471,23 +475,51 @@ def test_negated_rows_is_the_diagonal_sign_product():
                 sign = [[(-ONE if i in negated else ONE) if i == j else ZERO
                          for j in range(dim)] for i in range(dim)]
                 expected = SquareMatrix(reference_matmul(sign, rows))
-                assert m._negated_rows(negated) is expected
+                assert m._negated(negated) is expected
                 assert SquareMatrix(sign).matmul(m) is expected
 
 
 def test_negated_rows_edge_cases():
-    assert QFT._negated_rows(()) is QFT
-    assert QFT._negated_rows([0, 2])._negated_rows((2, 0)) is QFT
-    assert QFT._negated_rows((1, 1)) is QFT._negated_rows((1,))
+    assert QFT._negated(()) is QFT
+    assert QFT._negated([0, 2])._negated((2, 0)) is QFT
+    assert QFT._negated((1, 1)) is QFT._negated((1,))
     for row in (5, -1):
         with pytest.raises(IndexError):
-            QFT._negated_rows((0, row))
+            QFT._negated((0, row))
+
+
+def test_one_negated_serves_states_and_matrices():
+    # One method flips a state for the phase query and a matrix for Ox~:
+    # both store a row as one flat tuple of ints.
+    assert StateVector._negated is SquareMatrix._negated
+    assert "_negated" not in vars(StateVector)
+    assert "_negated" not in vars(SquareMatrix)
+    for rows in ((), (0,), (1, 3), (0, 2, 4)):
+        sign = [[(-ONE if i in rows else ONE) if i == j else ZERO
+                 for j in range(5)] for i in range(5)]
+        assert U._negated(rows) is SquareMatrix(sign).matmul(U)
+
+
+def test_a_matrix_row_is_one_flat_tuple_of_ints():
+    eye = SquareMatrix.identity(3)
+    row = eye._num[1]
+    assert type(row) is tuple and len(row) == 24
+    assert all(type(x) is int for x in row)
+    assert row == (0,) * 8 + (1,) + (0,) * 15
+    assert type(eye._num) is tuple and len(eye._num) == 3
+    for m in (H, QFT, U, V, QFT.dagger(), U.matmul(V)):
+        assert all(type(r) is tuple and len(r) == 8 * m.dim
+                   and all(type(x) is int for x in r) for r in m._num)
+        assert SquareMatrix(m.entries) is m
+    # A state keeps one 8-int row per entry.
+    v = StateVector.basis_state(3, 1)
+    assert v._num == ((0,) * 8, (1,) + (0,) * 7, (0,) * 8)
 
 
 def test_negated_state_edge_cases():
-    # The state counterpart of _negated_rows: the empty tuple returns the
-    # state itself, a repeated row is negated once, and a row outside
-    # [0, dim) raises instead of wrapping round.
+    # The state side of _negated: the empty tuple returns the state
+    # itself, a repeated row is negated once, and a row outside [0, dim)
+    # raises instead of wrapping round.
     v = StateVector([ONE, SQRT2])
     assert v._negated(()) is v
     assert v._negated((0, 0)) is StateVector([-ONE, SQRT2])

@@ -9,7 +9,9 @@ as ``Fraction(p, q)``.
 The same scan finds every call of the 8-coordinate constructor
 ``AlgebraicNumber(...)``: only ``algebra.py`` knows which coordinate is
 which basis element, and every other module builds its numbers from
-rationals and the named constants.
+rationals and the named constants.  The packed form has one owner too:
+``polymethod.py`` packs through ``algebra.py`` and imports nothing from
+``linalg``.
 """
 
 import ast
@@ -110,3 +112,31 @@ def test_the_scan_sees_each_kind_of_float():
         "call of float", "call of complex", "call of round", "math.sqrt"]
     assert divisions == {"f.g": 2}
     assert builds == {"": 1, "f.g": 1}
+
+
+def _linalg_imports(source):
+    """The lines of ``source`` that import ``linalg`` or a name from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module or "") + "." + a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any("linalg" in name.split(".") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_polymethod_imports_nothing_from_linalg():
+    assert _linalg_imports((SRC / "polymethod.py").read_text()) == []
+
+
+def test_the_import_scan_sees_each_form():
+    assert _linalg_imports(
+        "from .linalg import _rows\n"
+        "from . import linalg\n"
+        "from qmodw.linalg import StateVector\n"
+        "import qmodw.linalg\n"
+        "from .algebra import _pack\n") == [1, 2, 3, 4]

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from qmodw import polymethod
-from qmodw.algebra import AlgebraicNumber, I, ONE, SQRT2, ZERO
+from qmodw.algebra import AlgebraicNumber, I, ONE, SQRT2, ZERO, _pack
 from qmodw.hamming_mod import query_bound
-from qmodw.linalg import _pack
 from qmodw.polymethod import (
     DomainError, HypothesisViolated, MultilinearPolynomial,
     SymmetricFunctionSpec, UnivariatePolynomial, _cube_values,
@@ -183,8 +182,8 @@ def test_univariate_is_zero():
     assert not UnivariatePolynomial([SQRT2]).is_zero()
 
 
-@pytest.mark.parametrize("value", [0.1, 1.0, 1 + 0j, "1/3", Decimal("0.1")],
-                         ids=repr)
+@pytest.mark.parametrize("value", [0.1, 1.0, 1 + 0j, "1/3", Decimal("0.1"),
+                                   True, False], ids=repr)
 def test_polynomials_reject_non_rationals(value):
     with pytest.raises(TypeError):
         UnivariatePolynomial([1, 2]).eval(value)
@@ -192,6 +191,14 @@ def test_polynomials_reject_non_rationals(value):
         UnivariatePolynomial([1, value])
     with pytest.raises(TypeError):
         MultilinearPolynomial(2, {(1,): value})
+
+
+def test_spec_values_are_stored_as_a_tuple():
+    f = SymmetricFunctionSpec(2, [1, 0, 1])
+    g = SymmetricFunctionSpec(2, (1, 0, 1))
+    assert type(f.values) is tuple
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
 
 
 def test_univariate_eval_at_exact_rationals():
@@ -241,7 +248,8 @@ def assert_packed_form(p):
         k: (sizes.index(k), len(sizes) - sizes[::-1].index(k))
         for k in sorted(set(sizes))}
     assert list(p._levels) == sorted(p._levels)
-    rows, den = _pack([p.coeffs[s] for s in monomials])
+    flat, den = _pack([p.coeffs[s] for s in monomials])
+    rows = [flat[i:i + 8] for i in range(0, len(flat), 8)]
     assert p._den == den
     assert [(c, tuple(col)) for c, col in p._cols] == [
         (c, col) for c, col in enumerate(zip(*rows)) if any(col)]
